@@ -7,7 +7,6 @@ certified truncation error bounds and the resulting diversity measure.
 """
 
 from .specfun import (
-    BesselOrderRange,
     bessel_abs_tail,
     bessel_abs_tail_bound,
     bessel_i_ratio,
@@ -50,7 +49,6 @@ from .operators import (
     QuadratureConvergenceError,
     TruncatedOperator,
     basis_matrix,
-    basis_v,
     build_truncated_operator,
     gram_matrix,
     rho_n_kernel,
@@ -58,13 +56,11 @@ from .operators import (
 )
 from .spectrum import (
     BoundTooLooseError,
-    DiscreteDiversityReport,
     DiversitySpectrum,
     ExcessiveClampError,
     OracleConvergenceError,
     discrete_correlation,
     discrete_diversity,
-    discrete_report,
     diversity_measure,
     mimo_slope,
     nystrom_oracle,

@@ -7,9 +7,10 @@ weights summing to one.
 
 Curve kinds use the normalised arc length as parameter, two-dimensional
 kinds the area measure, parallel lines the average of the per-line
-measures, and discrete arrays a uniform point mass per antenna (they are
-rejected by :func:`build_quadrature`, which is reserved for continuous
-geometry).
+measures, and discrete arrays a uniform point mass per antenna.
+:func:`build_quadrature` is the single node layout of every kind: the
+Gram assembly and the kernel-discretisation oracle both take their nodes
+from it.
 
 Lengths are wavelengths, angles radians.  All types are immutable.
 """
@@ -324,8 +325,8 @@ def build_quadrature(aperture, order: int) -> QuadratureRule:
 
     ``order`` is the number of nodes per dimension per smooth piece; the
     circle receives ``order`` angular nodes, the disk an ``order`` radial
-    by ``2*order + 1`` angular grid.  Discrete arrays bypass quadrature and
-    are rejected here.
+    by ``2*order + 1`` angular grid.  A discrete array is its own rule, a
+    point mass ``1/L`` per antenna, whatever the order.
     """
     order = int(order)
     if order < 1:
@@ -391,9 +392,8 @@ def build_quadrature(aperture, order: int) -> QuadratureRule:
         return QuadratureRule(nodes, weights)
 
     if isinstance(aperture, DiscreteArray):
-        raise UnsupportedApertureError(
-            "DiscreteArray bypasses quadrature; use its points directly"
-        )
+        pts = aperture.as_array()
+        return QuadratureRule(pts, np.full(len(pts), 1.0 / len(pts)))
 
     raise UnsupportedApertureError(f"unknown aperture kind: {type(aperture).__name__}")
 

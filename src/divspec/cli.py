@@ -39,8 +39,8 @@ from .aperture import (
     enclosing_radius,
 )
 from .pas import DopplerSpec, IsotropicPas, TabulatedPas, UniformPas, VonMisesPas, doppler_spectrum
-from .operators import build_truncated_operator
-from .specfun import truncation_order
+from .operators import DEFAULT_ORDER_MARGIN, build_truncated_operator
+from .specfun import bessel_abs_tail_bound, truncation_order
 from .spectrum import (
     discrete_correlation,
     discrete_diversity,
@@ -315,13 +315,8 @@ def cmd_sweep(args) -> int:
         # one kernel order covers every antenna count: the maximal pairwise
         # distance never exceeds the base aperture diameter
         diameter = 2.0 * _continuous_radius(aperture)
-        N = truncation_order(diameter) + 10
-        bound = 0.2 * math.exp(truncation_order(diameter) - N)
-        if not isinstance(aperture, (Circle, Segment)):
-            raise ConfigError(
-                "aperture.kind: antennas sweep places antennas uniformly and "
-                "supports circle and segment bases only"
-            )
+        N = truncation_order(diameter) + DEFAULT_ORDER_MARGIN
+        bound = bessel_abs_tail_bound(N, diameter)
         for L in values:
             try:
                 R = discrete_correlation(_antenna_positions(aperture, int(L)), model, N)

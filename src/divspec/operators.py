@@ -41,7 +41,6 @@ from .pas import PasModel
 __all__ = [
     "QuadratureConvergenceError",
     "TruncatedOperator",
-    "basis_v",
     "basis_matrix",
     "gram_matrix",
     "rtilde_matrix",
@@ -52,6 +51,9 @@ __all__ = [
 
 #: Default truncation margin above the critical order.
 DEFAULT_ORDER_MARGIN = 10
+
+#: Largest basis matrix ``V`` (bytes) that :func:`gram_matrix` assembles.
+_MAX_BASIS_BYTES = 1 << 30
 
 #: Elementwise tolerance of the quadrature doubling test.
 _DOUBLING_TOL = 1e-10
@@ -66,7 +68,7 @@ class QuadratureConvergenceError(RuntimeError):
     """Raised when refining the quadrature still changes the Gram matrix."""
 
 
-def basis_matrix(points, N: int, bessel_range: specfun.BesselOrderRange | None = None) -> np.ndarray:
+def basis_matrix(points, N: int) -> np.ndarray:
     """Evaluate all basis functions at all points.
 
     Returns the complex matrix ``V[k, i] = v_{i-N}(points[k])``.  At the
@@ -78,12 +80,8 @@ def basis_matrix(points, N: int, bessel_range: specfun.BesselOrderRange | None =
         pts = pts[None, :]
     r = np.hypot(pts[:, 0], pts[:, 1])
     beta = np.arctan2(pts[:, 1], pts[:, 0])
-    x = 2.0 * math.pi * r
-    if bessel_range is not None:
-        jn = bessel_range.j_orders(N, x)
-    else:
-        jn = specfun.bessel_j_orders(N, x)
     N = int(N)
+    jn = specfun.bessel_j_orders(N, 2.0 * math.pi * r)
     jn_rows = jn.T
     # row-major order blocks with exp(j*beta*n) built by cumulative
     # products keep large point sets cache friendly
@@ -101,15 +99,8 @@ def basis_matrix(points, N: int, bessel_range: specfun.BesselOrderRange | None =
     return rows.T
 
 
-def basis_v(n: int, x) -> complex:
-    """Single basis function value ``v_n(x)`` at one point."""
-    pt = np.asarray(x, dtype=float)
-    N = abs(int(n))
-    return complex(basis_matrix(pt[None, :], N)[0, n + N])
-
-
-def _gram_from_rule(rule: QuadratureRule, N: int, bessel_range=None) -> np.ndarray:
-    V = basis_matrix(rule.nodes, N, bessel_range)
+def _gram_from_rule(rule: QuadratureRule, N: int) -> np.ndarray:
+    V = basis_matrix(rule.nodes, N)
     G = V.conj().T @ (rule.weights[:, None] * V)
     return 0.5 * (G + G.conj().T)
 
@@ -118,35 +109,35 @@ def _default_order(N: int) -> int:
     return 4 * (int(N) + 1)
 
 
-def gram_matrix(
-    aperture,
-    N: int,
-    quad: QuadratureRule | None = None,
-    *,
-    order: int | None = None,
-    check: bool = True,
-    bessel_range: specfun.BesselOrderRange | None = None,
-) -> np.ndarray:
+def _check_basis_size(rule: QuadratureRule, N: int) -> None:
+    nbytes = len(rule) * (2 * N + 1) * np.dtype(complex).itemsize
+    if nbytes > _MAX_BASIS_BYTES:
+        raise ValueError(
+            f"Gram assembly over {len(rule)} nodes at N={N} needs a {nbytes}-byte "
+            f"basis matrix, above the {_MAX_BASIS_BYTES}-byte limit"
+        )
+
+
+def gram_matrix(aperture, N: int, *, order: int | None = None) -> np.ndarray:
     """Gram matrix ``G_mn = <v_m, v_n>`` over the aperture measure.
 
-    With ``quad=None`` a rule of the default order (or ``order``) is built
-    and, when ``check`` is set, verified by doubling the order: any entry
-    moving by more than 1e-10 raises :class:`QuadratureConvergenceError`
-    and the doubled rule's result is returned otherwise.  A caller-supplied
-    rule is used as given.
+    A rule of the default order (or ``order``) is built and verified by
+    doubling the order: any entry moving by more than 1e-10 raises
+    :class:`QuadratureConvergenceError` and the doubled rule's result is
+    returned otherwise.  A discrete array's point masses are exact and
+    skip the doubling.  A rule whose basis matrix would exceed 1 GiB is
+    refused with ``ValueError`` before any assembly.
     """
     N = int(N)
-    if isinstance(aperture, DiscreteArray):
-        pts = aperture.as_array()
-        rule = QuadratureRule(pts, np.full(len(pts), 1.0 / len(pts)))
-        return _gram_from_rule(rule, N, bessel_range)
-    if quad is not None:
-        return _gram_from_rule(quad, N, bessel_range)
     q = _default_order(N) if order is None else int(order)
-    G = _gram_from_rule(build_quadrature(aperture, q), N, bessel_range)
-    if not check:
-        return G
-    G2 = _gram_from_rule(build_quadrature(aperture, 2 * q), N, bessel_range)
+    rule = build_quadrature(aperture, q)
+    if isinstance(aperture, DiscreteArray):
+        _check_basis_size(rule, N)
+        return _gram_from_rule(rule, N)
+    fine = build_quadrature(aperture, 2 * q)
+    _check_basis_size(fine, N)
+    G = _gram_from_rule(rule, N)
+    G2 = _gram_from_rule(fine, N)
     drift = float(np.max(np.abs(G2 - G)))
     if drift > _DOUBLING_TOL:
         raise QuadratureConvergenceError(
@@ -264,10 +255,7 @@ def build_truncated_operator(
     N = int(N)
     if N < n_critical:
         raise ValueError(f"truncation order N={N} below the critical order {n_critical}")
-    bessel_range = specfun.BesselOrderRange(
-        n_max=N, x_max=2.0 * math.pi * (r1 + 0.5)
-    )
-    G = gram_matrix(centered, N, order=quad_order, bessel_range=bessel_range)
+    G = gram_matrix(centered, N, order=quad_order)
     op = TruncatedOperator(
         N=N,
         N_D=n_critical,

@@ -14,13 +14,11 @@ reflection identity holds bit-exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
 __all__ = [
-    "BesselOrderRange",
     "bessel_j",
     "bessel_j_orders",
     "bessel_i_ratio",
@@ -172,42 +170,3 @@ def bessel_abs_tail(N: int, r: float) -> float:
 def bessel_sq_tail(N: int, r: float) -> float:
     """Empirical tail ``sum_{|n|>N} J_n(2*pi*r)**2`` summed to negligibility."""
     return _tail_sum(N, r, square=True)
-
-
-@dataclass(frozen=True)
-class BesselOrderRange:
-    """Declared evaluation domain for a session.
-
-    ``n_max`` is the largest absolute order and ``x_max`` the largest
-    argument (radians, i.e. ``2*pi`` times wavelengths) that will be
-    requested.  Evaluations outside the declared range raise.
-    """
-
-    n_max: int
-    x_max: float
-
-    def __post_init__(self):
-        if self.n_max < 0:
-            raise ValueError("n_max must be non-negative")
-        if self.x_max < 0.0:
-            raise ValueError("x_max must be non-negative")
-
-    def j(self, n: int, x):
-        """Range-checked :func:`bessel_j`."""
-        if abs(int(n)) > self.n_max:
-            raise ValueError(f"order {n} outside configured range |n| <= {self.n_max}")
-        x_arr = np.asarray(x, dtype=float)
-        if np.any(x_arr > self.x_max):
-            raise ValueError(f"argument exceeds configured range x <= {self.x_max}")
-        return bessel_j(n, x)
-
-    def j_orders(self, n_max: int, x) -> np.ndarray:
-        """Range-checked :func:`bessel_j_orders`."""
-        if int(n_max) > self.n_max:
-            raise ValueError(
-                f"order {n_max} outside configured range |n| <= {self.n_max}"
-            )
-        x_arr = np.asarray(x, dtype=float)
-        if np.any(x_arr > self.x_max):
-            raise ValueError(f"argument exceeds configured range x <= {self.x_max}")
-        return bessel_j_orders(n_max, x)

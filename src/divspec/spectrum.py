@@ -12,11 +12,15 @@ which is manifestly real and non-negative and keeps the sort stable.
 Each solve carries two certified error bounds, both proportional to
 ``rho_max * exp(N_D - N)``: one for individual eigenvalues (factor 0.2)
 and one for the squared Hilbert-Schmidt norm (factor ``0.4 * rho_max``),
-the latter of which controls the error of the diversity measure.
+which :func:`omega_corrected` turns into an interval enclosing the
+converged diversity measure.
 
 :func:`nystrom_oracle` solves the same eigenvalue problem by direct
-kernel discretisation.  That route converges more slowly and is kept only
-as an independent verification of the matrix route.
+kernel discretisation.  It takes its nodes from
+:func:`~divspec.aperture.build_quadrature` but samples the kernel itself
+instead of assembling the Gram and coefficient matrices, so it stays an
+independent verification of the matrix route.  It converges more slowly
+and is kept only for that purpose.
 """
 
 from __future__ import annotations
@@ -29,22 +33,21 @@ import numpy as np
 
 from . import specfun
 from .aperture import (
-    Circle,
     DiscreteArray,
     Disk,
     ParallelLines,
     PiecewiseCurve,
     Rectangle,
     Segment,
+    build_quadrature,
     centering_transform,
     enclosing_radius,
 )
-from .operators import TruncatedOperator, rho_n_kernel
+from .operators import DEFAULT_ORDER_MARGIN, TruncatedOperator, rho_n_kernel
 from .pas import PasModel
 
 __all__ = [
     "DiversitySpectrum",
-    "DiscreteDiversityReport",
     "ExcessiveClampError",
     "BoundTooLooseError",
     "OracleConvergenceError",
@@ -53,7 +56,6 @@ __all__ = [
     "omega_corrected",
     "discrete_correlation",
     "discrete_diversity",
-    "discrete_report",
     "mimo_slope",
     "nystrom_oracle",
 ]
@@ -168,22 +170,23 @@ def diversity_measure(spectrum) -> float:
 
 
 def omega_corrected(spectrum: DiversitySpectrum) -> tuple[float, float]:
-    """Diversity measure with the truncation bias compensated.
+    """Certified enclosure of the converged diversity measure.
 
-    The truncated measure underestimates or overestimates the true one by
-    a relative amount ``eps = omega * hs_error_bound`` at most; summing the
-    geometric series gives the centre ``omega / (1 - eps)`` with the
-    second-order remainder ``omega * eps**2 / (1 - eps)`` as half-width.
-    Requires ``eps < 1/2``.
+    The exact operator has unit trace, so the converged measure is
+    ``1/h`` with ``h`` the exact squared Hilbert-Schmidt norm.  Since
+    ``|hs_norm_sq - h| <= delta = hs_error_bound``, it lies in
+    ``[1/(hs_norm_sq + delta), 1/(hs_norm_sq - delta)]``; returns that
+    interval's midpoint and half-width.  Requires
+    ``delta / hs_norm_sq < 1/2``.
     """
-    eps = spectrum.omega * spectrum.hs_error_bound
-    if eps >= 0.5:
+    h = spectrum.hs_norm_sq
+    delta = spectrum.hs_error_bound
+    if delta >= 0.5 * h:
         raise BoundTooLooseError(
-            f"certified relative error {eps:.3f} >= 0.5; raise the truncation order"
+            f"certified relative error {delta / h:.3f} >= 0.5; raise the truncation order"
         )
-    center = spectrum.omega / (1.0 - eps)
-    half_width = spectrum.omega * eps * eps / (1.0 - eps)
-    return center, half_width
+    denom = h * h - delta * delta
+    return h / denom, delta / denom
 
 
 def discrete_correlation(positions, model: PasModel, N: int | None = None) -> np.ndarray:
@@ -202,7 +205,7 @@ def discrete_correlation(positions, model: PasModel, N: int | None = None) -> np
     max_dist = float(np.max(np.hypot(diffs[..., 0], diffs[..., 1])))
     n_critical = specfun.truncation_order(max_dist)
     if N is None:
-        N = n_critical + 10
+        N = n_critical + DEFAULT_ORDER_MARGIN
     if N < n_critical:
         raise ValueError(
             f"discrete_correlation requires N >= {n_critical} for this array"
@@ -234,21 +237,6 @@ def discrete_diversity(R: np.ndarray) -> float:
     return trace * trace / float(np.sum(np.abs(R) ** 2))
 
 
-@dataclass(frozen=True)
-class DiscreteDiversityReport:
-    """Antenna count, correlation matrix, and the resulting measure."""
-
-    L: int
-    correlation: np.ndarray
-    omega: float
-
-
-def discrete_report(positions, model: PasModel, N: int | None = None) -> DiscreteDiversityReport:
-    """Convenience wrapper bundling :func:`discrete_correlation` and the measure."""
-    R = discrete_correlation(positions, model, N)
-    return DiscreteDiversityReport(L=R.shape[0], correlation=R, omega=discrete_diversity(R))
-
-
 def mimo_slope(omega_tx: float, omega_rx: float) -> float:
     """Low-power spectral-efficiency slope of a two-sided antenna system.
 
@@ -265,86 +253,14 @@ def mimo_slope(omega_tx: float, omega_rx: float) -> float:
 # ---------------------------------------------------------------------------
 # Independent verification route: direct kernel discretisation
 # ---------------------------------------------------------------------------
-#
-# The oracle builds its own nodes (Gauss along lines and radii, equispaced
-# in angle) instead of reusing build_quadrature, so that the two eigenvalue
-# routes share nothing beyond the Bessel kernel itself.
 
 _ORACLE_CAP_1D = 4096
 _ORACLE_CAP_RADIAL = 64
 
 
-def _gauss_line(p0: np.ndarray, p1: np.ndarray, m: int):
-    xi, w = np.polynomial.legendre.leggauss(int(m))
-    t = (xi + 1.0) / 2.0
-    nodes = p0[None, :] + t[:, None] * (p1 - p0)[None, :]
-    return nodes, w / 2.0
-
-
-def _oracle_nodes(aperture, m: int):
-    """Kernel-discretisation nodes/weights at resolution ``m``."""
-    if isinstance(aperture, Segment):
-        if aperture.length == 0.0:
-            return np.asarray([aperture.center]), np.array([1.0])
-        d = np.array([math.cos(aperture.angle), math.sin(aperture.angle)])
-        c = np.asarray(aperture.center)
-        return _gauss_line(c - 0.5 * aperture.length * d, c + 0.5 * aperture.length * d, m)
-    if isinstance(aperture, Circle):
-        beta = 2.0 * math.pi * np.arange(m) / m
-        nodes = np.asarray(aperture.center)[None, :] + aperture.radius * np.stack(
-            [np.cos(beta), np.sin(beta)], axis=1
-        )
-        return nodes, np.full(m, 1.0 / m)
-    if isinstance(aperture, ParallelLines):
-        d = np.array([math.cos(aperture.angle), math.sin(aperture.angle)])
-        parts = [
-            _gauss_line(c - 0.5 * aperture.length * d, c + 0.5 * aperture.length * d, m)
-            for c in aperture.line_centers()
-        ]
-        nodes = np.concatenate([p[0] for p in parts])
-        weights = np.concatenate([p[1] for p in parts]) / aperture.count
-        return nodes, weights
-    if isinstance(aperture, PiecewiseCurve):
-        total = aperture.length
-        xi, w = np.polynomial.legendre.leggauss(int(m))
-        t = (xi + 1.0) / 2.0
-        nodes = np.concatenate([p.point(t) for p in aperture.pieces])
-        weights = np.concatenate(
-            [(w / 2.0) * (p.length / total) for p in aperture.pieces]
-        )
-        return nodes, weights
-    if isinstance(aperture, Disk):
-        if aperture.radius == 0.0:
-            return np.asarray([aperture.center]), np.array([1.0])
-        xi, wr = np.polynomial.legendre.leggauss(int(m))
-        t = (xi + 1.0) / 2.0
-        radii = aperture.radius * t
-        w_radial = t * wr  # density 2r/r1^2 against the [0, r1] Gauss rule
-        q_beta = 2 * int(m) + 1
-        beta = 2.0 * math.pi * np.arange(q_beta) / q_beta
-        ring = np.stack([np.cos(beta), np.sin(beta)], axis=1)
-        nodes = (radii[:, None, None] * ring[None, :, :]).reshape(-1, 2)
-        nodes += np.asarray(aperture.center)[None, :]
-        weights = np.repeat(w_radial / q_beta, q_beta)
-        return nodes, weights
-    if isinstance(aperture, Rectangle):
-        xi, w = np.polynomial.legendre.leggauss(int(m))
-        u = (xi / 2.0) * aperture.width
-        v = (xi / 2.0) * aperture.height
-        U, V = np.meshgrid(u, v, indexing="ij")
-        c, s = math.cos(aperture.angle), math.sin(aperture.angle)
-        X = c * U - s * V + aperture.center[0]
-        Y = s * U + c * V + aperture.center[1]
-        nodes = np.stack([X.ravel(), Y.ravel()], axis=1)
-        return nodes, np.outer(w / 2.0, w / 2.0).ravel()
-    if isinstance(aperture, DiscreteArray):
-        pts = aperture.as_array()
-        return pts, np.full(len(pts), 1.0 / len(pts))
-    raise ValueError(f"oracle does not support {type(aperture).__name__}")
-
-
 def _oracle_eigs(aperture, model, m, n_kernel):
-    nodes, weights = _oracle_nodes(aperture, m)
+    rule = build_quadrature(aperture, m)
+    nodes = rule.nodes
     n = len(nodes)
     K = np.empty((n, n), dtype=complex)
     # row blocks keep the intermediate basis evaluations small
@@ -353,7 +269,7 @@ def _oracle_eigs(aperture, model, m, n_kernel):
         hi = min(lo + block, n)
         diffs = nodes[lo:hi, None, :] - nodes[None, :, :]
         K[lo:hi] = rho_n_kernel(model, diffs.reshape(-1, 2), n_kernel).reshape(hi - lo, n)
-    sw = np.sqrt(weights)
+    sw = np.sqrt(rule.weights)
     A = sw[:, None] * K * sw[None, :]
     A = 0.5 * (A + A.conj().T)
     return np.linalg.eigvalsh(A)[::-1]

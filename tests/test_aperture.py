@@ -55,9 +55,16 @@ class TestQuadratureRule:
         with pytest.raises(ValueError):
             build_quadrature(Segment(1.0), 0)
 
-    def test_discrete_array_bypasses_quadrature(self):
+    def test_discrete_array_point_masses(self):
+        pts = ((0.0, 0.0), (1.0, 0.0), (0.5, -2.0))
+        for order in (1, 4, 33):
+            rule = build_quadrature(DiscreteArray(pts), order)
+            assert np.array_equal(rule.nodes, np.asarray(pts))
+            assert np.all(rule.weights == 1.0 / 3.0)
+
+    def test_unknown_kind_rejected(self):
         with pytest.raises(UnsupportedApertureError):
-            build_quadrature(DiscreteArray(((0.0, 0.0), (1.0, 0.0))), 4)
+            build_quadrature(object(), 4)
 
 
 class TestNodePlacement:

@@ -1,11 +1,16 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import divspec as ds
+from divspec import cli
 from divspec.cli import main
+from divspec.operators import DEFAULT_ORDER_MARGIN
+
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def write_cfg(path, payload):
@@ -195,6 +200,26 @@ class TestSweepCommand:
         _, _, rows = read_rows(out)
         assert [r[0] for r in rows] == ["2", "3", "4", "5", "6"]
         assert all(1.0 <= float(r[1]) <= float(r[0]) + 1e-12 for r in rows)
+
+    @pytest.mark.parametrize("fig", ["fig4", "fig5", "fig6", "fig7", "fig8"])
+    def test_certificate_encloses_refined_omega(self, fig, tmp_path):
+        # every printed omega_corrected +- error_bound must contain the
+        # converged measure, here 1/hs_norm_sq of a solve 25 orders higher
+        config = SCENARIO_DIR / f"{fig}.cfg"
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+        base = json.loads(config.read_text())
+        kind = base["sweep"]["kind"]
+        _, _, rows = read_rows(out)
+        assert len(rows) == base["sweep"]["steps"]
+        for param, _, center, half in rows:
+            row_cfg = cli._apply_sweep(base, kind, float(param))
+            aperture = cli.make_aperture(row_cfg["aperture"])
+            model = cli.make_pas(row_cfg["pas"])
+            centered, _ = ds.centering_transform(aperture)
+            N = ds.truncation_order(ds.enclosing_radius(centered)) + DEFAULT_ORDER_MARGIN
+            ref = ds.solve_spectrum(ds.build_truncated_operator(aperture, model, N=N + 25))
+            assert abs(1.0 / ref.hs_norm_sq - float(center)) <= float(half), (fig, param)
 
     def test_antennas_require_circle_or_segment(self, tmp_path, capsys):
         cfg = write_cfg(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,9 +7,9 @@ from scipy import integrate
 
 import divspec as ds
 from divspec.operators import (
+    DEFAULT_ORDER_MARGIN,
     QuadratureConvergenceError,
     basis_matrix,
-    basis_v,
     build_truncated_operator,
     gram_matrix,
     rho_n_kernel,
@@ -30,16 +31,22 @@ def gram_segment_simpson(length, N, samples=8193):
     return G
 
 
+def basis_at(n, point):
+    """Single basis value ``v_n(point)`` read from a one-point basis matrix."""
+    N = abs(n)
+    return complex(basis_matrix(np.asarray([point], dtype=float), N)[0, n + N])
+
+
 class TestBasis:
     def test_origin(self):
-        assert basis_v(0, (0.0, 0.0)) == 1.0
-        assert basis_v(3, (0.0, 0.0)) == 0.0
-        assert basis_v(-2, (0.0, 0.0)) == 0.0
+        assert basis_at(0, (0.0, 0.0)) == 1.0
+        assert basis_at(3, (0.0, 0.0)) == 0.0
+        assert basis_at(-2, (0.0, 0.0)) == 0.0
 
     def test_positive_x_axis(self):
         r = 0.37
         expected = 1j * ds.bessel_j(1, TWO_PI * r)
-        assert basis_v(1, (r, 0.0)) == pytest.approx(expected, rel=1e-14)
+        assert basis_at(1, (r, 0.0)) == pytest.approx(expected, rel=1e-14)
 
     def test_factor_by_factor(self):
         # each factor of exp(j*beta*n) * j**n * J_n(2*pi*r) checked separately
@@ -48,14 +55,14 @@ class TestBasis:
             r = math.hypot(x, y)
             beta = math.atan2(y, x)
             expected = np.exp(1j * beta * n) * 1j**n * ds.bessel_j(n, TWO_PI * r)
-            assert basis_v(n, point) == pytest.approx(expected, rel=1e-13)
+            assert basis_at(n, point) == pytest.approx(expected, rel=1e-13)
 
     def test_matrix_matches_scalar(self):
         pts = np.array([[0.1, 0.2], [0.0, 0.0], [-0.5, 0.3]])
         V = basis_matrix(pts, 4)
         for k, pt in enumerate(pts):
             for n in range(-4, 5):
-                assert V[k, n + 4] == pytest.approx(basis_v(n, pt), rel=1e-14, abs=1e-15)
+                assert V[k, n + 4] == pytest.approx(basis_at(n, pt), rel=1e-14, abs=1e-15)
 
 
 class TestGram:
@@ -129,11 +136,17 @@ class TestGram:
         with pytest.raises(QuadratureConvergenceError):
             gram_matrix(ds.Segment(4.0), 12, order=2)
 
-    def test_provided_rule_used_verbatim(self):
-        rule = ds.build_quadrature(ds.Segment(1.0), 64)
-        G = gram_matrix(ds.Segment(1.0), 6, quad=rule)
-        assert G.shape == (13, 13)
-        assert np.max(np.abs(G - gram_matrix(ds.Segment(1.0), 6))) < 1e-12
+    def test_oversized_rule_refused_before_assembly(self):
+        # default Disk(10): 1.2M doubled-rule nodes at N = 96, a 3.5 GiB basis
+        N = ds.truncation_order(10.0) + DEFAULT_ORDER_MARGIN
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"1205128 nodes at N=96 .* 3721435264-byte"):
+                gram_matrix(ds.Disk(10.0), N)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
 
     def test_quad_order_override(self):
         default = build_truncated_operator(ds.Segment(1.0), ds.IsotropicPas())

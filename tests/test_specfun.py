@@ -152,19 +152,3 @@ class TestTailBounds:
             total = float(np.sum(specfun.bessel_j_orders(n_max, x) ** 2))
             assert total <= 1.0 + 1e-14
             assert 1.0 - total <= specfun.bessel_sq_tail_bound(n_max, r) + 1e-14
-
-
-class TestBesselOrderRange:
-    def test_within_range(self):
-        rng = specfun.BesselOrderRange(n_max=10, x_max=10.0)
-        assert rng.j(3, 5.0) == specfun.bessel_j(3, 5.0)
-
-    def test_order_outside_range(self):
-        rng = specfun.BesselOrderRange(n_max=4, x_max=10.0)
-        with pytest.raises(ValueError):
-            rng.j(5, 1.0)
-
-    def test_argument_outside_range(self):
-        rng = specfun.BesselOrderRange(n_max=4, x_max=2.0)
-        with pytest.raises(ValueError):
-            rng.j(1, 3.0)

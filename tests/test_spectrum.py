@@ -146,16 +146,45 @@ class TestOmegaCorrected:
         assert (center, half) == (ds.diversity_measure(np.array([0.6, 0.4])), 0.0)
 
     def test_small_bound_arithmetic(self):
-        spec = make_spectrum([0.2] * 5, hs_error_bound=1e-6)  # omega = 5
+        spec = make_spectrum([0.2] * 5, hs_error_bound=1e-6)  # hs_norm_sq = 0.2
         center, half = ds.omega_corrected(spec)
-        eps = 5.0 * 1e-6
-        assert center == pytest.approx(5.0 / (1.0 - eps), rel=1e-14)
-        assert half == pytest.approx(5.0 * eps * eps / (1.0 - eps), rel=1e-12)
+        lo, hi = 1.0 / (0.2 + 1e-6), 1.0 / (0.2 - 1e-6)
+        assert center == pytest.approx((lo + hi) / 2.0, rel=1e-14)
+        assert half == pytest.approx((hi - lo) / 2.0, rel=1e-9)
 
     def test_loose_bound_rejected(self):
         spec = make_spectrum([0.2] * 5, hs_error_bound=0.2)  # eps = 1 >= 0.5
         with pytest.raises(BoundTooLooseError):
             ds.omega_corrected(spec)
+
+    @pytest.mark.parametrize(
+        "aperture,model",
+        [
+            (
+                ds.ParallelLines(8, 8.0, 6.0, angle=math.radians(10.0)),
+                ds.VonMisesPas(kappa=5.0, alpha0=math.radians(60.0)),
+            ),
+            (
+                ds.PiecewiseCurve(
+                    (
+                        ds.LinePiece((-4.0, 0.0), (0.0, 0.0)),
+                        ds.ArcPiece(
+                            center=(0.0, 2.0), radius=2.0,
+                            angle_start=-math.pi / 2, angle_stop=math.pi / 2,
+                        ),
+                        ds.LinePiece((0.0, 4.0), (-4.0, 4.0)),
+                    )
+                ),
+                ds.UniformPas(delta=math.radians(120.0), alpha0=math.radians(30.0)),
+            ),
+        ],
+        ids=["lines8", "line_arc_line"],
+    )
+    def test_encloses_refined_omega(self, aperture, model):
+        spec = ds.solve_spectrum(ds.build_truncated_operator(aperture, model))
+        ref = ds.solve_spectrum(ds.build_truncated_operator(aperture, model, N=spec.N + 25))
+        center, half = ds.omega_corrected(spec)
+        assert abs(1.0 / ref.hs_norm_sq - center) <= half
 
 
 class TestDiscrete:
@@ -198,11 +227,6 @@ class TestDiscrete:
         R[0, 1] = 0.5
         with pytest.raises(ValueError):
             ds.discrete_diversity(R)
-
-    def test_report_bundle(self):
-        report = ds.discrete_report([(0.0, 0.0), (0.3, 0.0)], ds.IsotropicPas())
-        assert report.L == 2
-        assert 1.0 <= report.omega <= 2.0
 
     def test_dense_sampling_approaches_continuous(self):
         pas = ds.UniformPas(delta=math.pi / 2, alpha0=0.4)
