@@ -14,6 +14,7 @@ from .specfun import (
     bessel_j_orders,
     bessel_sq_tail,
     bessel_sq_tail_bound,
+    series_order,
     truncation_order,
 )
 from .pas import (

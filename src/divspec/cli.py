@@ -39,8 +39,8 @@ from .aperture import (
     enclosing_radius,
 )
 from .pas import DopplerSpec, IsotropicPas, TabulatedPas, UniformPas, VonMisesPas, doppler_spectrum
-from .operators import DEFAULT_ORDER_MARGIN, build_truncated_operator
-from .specfun import bessel_abs_tail_bound, truncation_order
+from .operators import build_truncated_operator
+from .specfun import bessel_abs_tail_bound, series_order
 from .spectrum import (
     discrete_correlation,
     discrete_diversity,
@@ -68,14 +68,37 @@ def _require(cfg: dict, field: str, path: str):
     return cfg[field]
 
 
+def _number(cfg: dict, field: str, path: str, kind=float, default=None):
+    """``cfg[field]`` converted by ``kind``; required unless ``default`` is given."""
+    value = _require(cfg, field, path) if default is None else cfg.get(field, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}.{field}: {exc}")
+
+
+def _check_finite(value, path: str) -> None:
+    # json accepts NaN, Infinity and overflowing literals such as 1e400
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{path}: {value} is not a finite number")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _check_finite(item, f"{path}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _check_finite(item, f"{path}[{i}]")
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    _check_finite(cfg, "config")
+    return cfg
 
 
 def _read_two_column_csv(path: str, what: str) -> np.ndarray:
@@ -87,6 +110,8 @@ def _read_two_column_csv(path: str, what: str) -> np.ndarray:
         raise ConfigError(f"{what}: cannot parse {path}: {exc}")
     if data.shape[1] != 2:
         raise ConfigError(f"{what}: {path} must have exactly two columns")
+    if not np.all(np.isfinite(data)):
+        raise ConfigError(f"{what}: {path} has a non-finite entry")
     return data
 
 
@@ -163,7 +188,7 @@ def make_aperture(cfg: dict, path: str = "aperture"):
 
 def make_pas(cfg: dict, path: str = "pas"):
     kind = str(_require(cfg, "kind", path)).lower()
-    alpha0 = float(cfg.get("alpha0_deg", 0.0)) * _RAD
+    alpha0 = _number(cfg, "alpha0_deg", path, default=0.0) * _RAD
     try:
         if kind == "isotropic":
             return IsotropicPas()
@@ -184,14 +209,8 @@ def make_pas(cfg: dict, path: str = "pas"):
 def _solve_scenario(cfg: dict):
     aperture = make_aperture(_require(cfg, "aperture", "config"))
     model = make_pas(_require(cfg, "pas", "config"))
-    n_override = cfg.get("n_override")
-    quad_order = cfg.get("quadrature_order")
-    op = build_truncated_operator(
-        aperture,
-        model,
-        N=None if n_override is None else int(n_override),
-        quad_order=None if quad_order is None else int(quad_order),
-    )
+    N = None if cfg.get("n_override") is None else _number(cfg, "n_override", "config", int)
+    op = build_truncated_operator(aperture, model, N)
     return aperture, model, op, solve_spectrum(op)
 
 
@@ -246,9 +265,9 @@ def cmd_spectrum(args) -> int:
 
 def _sweep_values(sweep: dict):
     kind = str(_require(sweep, "kind", "sweep")).lower()
-    start = float(_require(sweep, "start", "sweep"))
-    stop = float(_require(sweep, "stop", "sweep"))
-    steps = int(_require(sweep, "steps", "sweep"))
+    start = _number(sweep, "start", "sweep")
+    stop = _number(sweep, "stop", "sweep")
+    steps = _number(sweep, "steps", "sweep", int)
     if steps < 2:
         raise ConfigError("sweep.steps: must be >= 2")
     if not start < stop:
@@ -314,8 +333,8 @@ def cmd_sweep(args) -> int:
         model = make_pas(_require(cfg, "pas", "config"))
         # one kernel order covers every antenna count: the maximal pairwise
         # distance never exceeds the base aperture diameter
-        diameter = 2.0 * _continuous_radius(aperture)
-        N = truncation_order(diameter) + DEFAULT_ORDER_MARGIN
+        diameter = 2.0 * enclosing_radius(centering_transform(aperture)[0])
+        N, _ = series_order(diameter)
         bound = bessel_abs_tail_bound(N, diameter)
         for L in values:
             try:
@@ -344,15 +363,10 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _continuous_radius(aperture) -> float:
-    centered, _ = centering_transform(aperture)
-    return enclosing_radius(centered)
-
-
 def _doppler_csv(cfg: dict, nus, out_path: str) -> int:
     model = make_pas(_require(cfg, "pas", "config"))
     dop = cfg.get("doppler", {})
-    spec = DopplerSpec(nu_max=float(dop.get("nu_max", 1.0)))
+    spec = DopplerSpec(nu_max=_number(dop, "nu_max", "doppler", default=1.0))
     lines = [f"# nu_max = {_fmt(spec.nu_max)}", "nu,S_doppler"]
     for nu in nus:
         try:
@@ -367,10 +381,10 @@ def _doppler_csv(cfg: dict, nus, out_path: str) -> int:
 def cmd_doppler(args) -> int:
     cfg = _load_config(args.config)
     dop = _require(cfg, "doppler", "config")
-    nu_max = float(_require(dop, "nu_max", "doppler"))
-    start = float(dop.get("start", -0.99 * nu_max))
-    stop = float(dop.get("stop", 0.99 * nu_max))
-    steps = int(dop.get("steps", 201))
+    nu_max = _number(dop, "nu_max", "doppler")
+    start = _number(dop, "start", "doppler", default=-0.99 * nu_max)
+    stop = _number(dop, "stop", "doppler", default=0.99 * nu_max)
+    steps = _number(dop, "steps", "doppler", int, default=201)
     if steps < 2 or not start < stop:
         raise ConfigError("doppler: requires steps >= 2 and start < stop")
     return _doppler_csv(cfg, np.linspace(start, stop, steps), args.out)

@@ -14,7 +14,8 @@ whole problem:
   Toeplitz with unit diagonal).
 
 The eigenvalues of their product approximate the diversity spectrum; see
-:mod:`divspec.spectrum`.
+:mod:`divspec.spectrum`.  The orders ``N`` and ``N_D`` and the tail bounds
+that certify the truncation come from :mod:`divspec.specfun`.
 
 Index convention used everywhere: matrix row/column ``i`` corresponds to
 order ``n = i - N``.
@@ -46,11 +47,7 @@ __all__ = [
     "rtilde_matrix",
     "rho_n_kernel",
     "build_truncated_operator",
-    "DEFAULT_ORDER_MARGIN",
 ]
-
-#: Default truncation margin above the critical order.
-DEFAULT_ORDER_MARGIN = 10
 
 #: Largest basis matrix ``V`` (bytes) that :func:`gram_matrix` assembles.
 _MAX_BASIS_BYTES = 1 << 30
@@ -118,18 +115,18 @@ def _check_basis_size(rule: QuadratureRule, N: int) -> None:
         )
 
 
-def gram_matrix(aperture, N: int, *, order: int | None = None) -> np.ndarray:
+def gram_matrix(aperture, N: int) -> np.ndarray:
     """Gram matrix ``G_mn = <v_m, v_n>`` over the aperture measure.
 
-    A rule of the default order (or ``order``) is built and verified by
-    doubling the order: any entry moving by more than 1e-10 raises
+    A rule of order ``4*(N+1)`` is built and verified by doubling the
+    order: any entry moving by more than 1e-10 raises
     :class:`QuadratureConvergenceError` and the doubled rule's result is
     returned otherwise.  A discrete array's point masses are exact and
     skip the doubling.  A rule whose basis matrix would exceed 1 GiB is
     refused with ``ValueError`` before any assembly.
     """
     N = int(N)
-    q = _default_order(N) if order is None else int(order)
+    q = _default_order(N)
     rule = build_quadrature(aperture, q)
     if isinstance(aperture, DiscreteArray):
         _check_basis_size(rule, N)
@@ -142,7 +139,7 @@ def gram_matrix(aperture, N: int, *, order: int | None = None) -> np.ndarray:
     if drift > _DOUBLING_TOL:
         raise QuadratureConvergenceError(
             f"Gram matrix changed by {drift:.3e} when doubling the quadrature "
-            f"order from {q}; refine the aperture or raise the order"
+            f"order from {q}"
         )
     return G2
 
@@ -158,25 +155,20 @@ def rtilde_matrix(model: PasModel, N: int) -> np.ndarray:
     return toeplitz(model.fourier(ns), model.fourier(-ns))
 
 
-def rho_n_kernel(model: PasModel, x, N: int):
+def rho_n_kernel(model: PasModel, x, N: int | None = None):
     """Truncated spatial correlation kernel at displacement(s) ``x``.
 
     Evaluates ``sum_{|n|<=N} s_n exp(j*beta*n) j**n J_n(2*pi*|x|)``; the
-    omitted tail is bounded by ``0.2*exp(N_D - N)`` with
-    ``N_D = truncation_order(max |x|)``, which is why ``N`` below that
-    order is rejected.
+    omitted tail is bounded by :func:`~divspec.specfun.bessel_abs_tail_bound`
+    at radius ``max |x|``, where :func:`~divspec.specfun.series_order`
+    chooses or refuses ``N``.
     """
     pts = np.asarray(x, dtype=float)
     scalar = pts.ndim == 1
     if scalar:
         pts = pts[None, :]
     r_max = float(np.max(np.hypot(pts[:, 0], pts[:, 1])))
-    n_critical = specfun.truncation_order(r_max)
-    N = int(N)
-    if N < n_critical:
-        raise ValueError(
-            f"rho_n_kernel requires N >= {n_critical} for displacements up to {r_max}"
-        )
+    N, _ = specfun.series_order(r_max, N)
     values = basis_matrix(pts, N) @ model.fourier(np.arange(-N, N + 1))
     return complex(values[0]) if scalar else values
 
@@ -234,28 +226,18 @@ def _validate_operator(op: TruncatedOperator) -> None:
         )
 
 
-def build_truncated_operator(
-    aperture,
-    model: PasModel,
-    N: int | None = None,
-    quad_order: int | None = None,
-) -> TruncatedOperator:
+def build_truncated_operator(aperture, model: PasModel, N: int | None = None) -> TruncatedOperator:
     """Assemble the truncated operator for an aperture and a PAS.
 
     The aperture is centred first (the kernel is stationary, so this only
-    shrinks the enclosing radius).  ``N`` defaults to the critical order
-    plus ``DEFAULT_ORDER_MARGIN``; smaller values than the critical order
-    are rejected.  All structural invariants are verified on the result.
+    shrinks the enclosing radius ``r1``).  ``N`` is chosen or refused by
+    :func:`~divspec.specfun.series_order` at ``r1``.  All structural
+    invariants are verified on the result.
     """
     centered, offset = centering_transform(aperture)
     r1 = enclosing_radius(centered)
-    n_critical = specfun.truncation_order(r1)
-    if N is None:
-        N = n_critical + DEFAULT_ORDER_MARGIN
-    N = int(N)
-    if N < n_critical:
-        raise ValueError(f"truncation order N={N} below the critical order {n_critical}")
-    G = gram_matrix(centered, N, order=quad_order)
+    N, n_critical = specfun.series_order(r1, N)
+    G = gram_matrix(centered, N)
     op = TruncatedOperator(
         N=N,
         N_D=n_critical,

@@ -239,18 +239,11 @@ def doppler_spectrum(model: PasModel, spec: DopplerSpec, nu: float) -> float:
 def time_acf(model: PasModel, spec: DopplerSpec, t: float, N: int) -> complex:
     """Time autocorrelation of the fading seen by a receiver at speed nu_max.
 
-    Evaluates the truncated series ``sum_{|n|<=N} s_n j**n J_n(2*pi*nu_max*t)``
-    whose absolute truncation error is bounded by
+    This is the spatial correlation kernel at displacement ``(nu_max*t, 0)``:
+    the truncated series ``sum_{|n|<=N} s_n j**n J_n(2*pi*nu_max*t)``, whose
+    absolute truncation error is bounded by
     :func:`specfun.bessel_abs_tail_bound` at radius ``nu_max*|t|``.
     """
-    t = float(t)
-    if t < 0.0:
-        return complex(np.conj(time_acf(model, spec, -t, N)))
-    radius = spec.nu_max * t
-    n_critical = specfun.truncation_order(radius)
-    if N < n_critical:
-        raise ValueError(f"time_acf requires N >= {n_critical} for t={t}")
-    ns = np.arange(-N, N + 1)
-    jn = specfun.bessel_j_orders(N, TWO_PI * radius)[0]
-    phases = np.array([1.0, 1.0j, -1.0, -1.0j])[np.remainder(ns, 4)]
-    return complex(np.sum(model.fourier(ns) * phases * jn))
+    from .operators import rho_n_kernel  # operators imports this module
+
+    return rho_n_kernel(model, (spec.nu_max * float(t), 0.0), N)

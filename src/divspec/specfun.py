@@ -3,6 +3,7 @@
 This module is the numerical bedrock of the library: everything else
 (basis functions, correlation kernels, time autocorrelations) reduces to
 evaluations of J_n and to the tail estimates provided here.
+:func:`series_order` sets the order of every Bessel series in the package.
 
 Evaluation is delegated to scipy's vetted series/asymptotic hybrid; the
 contract enforced by the test suite is a relative accuracy of 1e-12
@@ -22,12 +23,17 @@ __all__ = [
     "bessel_j",
     "bessel_j_orders",
     "bessel_i_ratio",
+    "DEFAULT_ORDER_MARGIN",
     "truncation_order",
+    "series_order",
     "bessel_abs_tail_bound",
     "bessel_sq_tail_bound",
     "bessel_abs_tail",
     "bessel_sq_tail",
 ]
+
+#: Default truncation margin above the critical order.
+DEFAULT_ORDER_MARGIN = 10
 
 #: Tail summations stop once this many consecutive terms fall below
 #: ``_TAIL_TERM_FLOOR``.
@@ -116,33 +122,42 @@ def truncation_order(r1: float) -> int:
     return math.ceil(math.e * math.pi * r1)
 
 
-def _check_tail_args(N: int, r1: float) -> int:
-    n_critical = truncation_order(r1)
+def series_order(radius: float, N: int | None = None) -> tuple[int, int]:
+    """``(N, N_D)`` for a Bessel series over arguments up to ``radius``.
+
+    ``N`` defaults to ``N_D + DEFAULT_ORDER_MARGIN``; ``N`` below
+    ``N_D = truncation_order(radius)``, where the tail bounds fail, is refused.
+    """
+    n_critical = truncation_order(radius)
+    if N is None:
+        return n_critical + DEFAULT_ORDER_MARGIN, n_critical
+    N = int(N)
     if N < n_critical:
         raise ValueError(
-            f"tail bounds require N >= {n_critical} (got N={N} for r1={r1})"
+            f"truncation order N={N} below the critical order N_D={n_critical} "
+            f"for radius {radius}"
         )
-    return n_critical
+    return N, n_critical
 
 
 def bessel_abs_tail_bound(N: int, r1: float) -> float:
     """Certified bound on ``sum_{|n|>N} |J_n(2*pi*r)|`` for all ``r <= r1``.
 
-    Valid for ``N >= truncation_order(r1)``; the bound is
-    ``0.2 * exp(N_D - N)`` with ``N_D = truncation_order(r1)``.
+    The bound is ``0.2 * exp(N_D - N)`` with ``N_D = truncation_order(r1)``;
+    :func:`series_order` refuses ``N < N_D``.
     """
-    n_critical = _check_tail_args(int(N), r1)
-    return 0.2 * math.exp(n_critical - int(N))
+    N, n_critical = series_order(r1, N)
+    return 0.2 * math.exp(n_critical - N)
 
 
 def bessel_sq_tail_bound(N: int, r1: float) -> float:
     """Certified bound on ``sum_{|n|>N} J_n(2*pi*r)**2`` for all ``r <= r1``.
 
-    Valid for ``N >= truncation_order(r1)``; the bound is
-    ``0.01 * exp(2*(N_D - N))``.
+    The bound is ``0.01 * exp(2*(N_D - N))``; :func:`series_order`
+    refuses ``N < N_D``.
     """
-    n_critical = _check_tail_args(int(N), r1)
-    return 0.01 * math.exp(2 * (n_critical - int(N)))
+    N, n_critical = series_order(r1, N)
+    return 0.01 * math.exp(2 * (n_critical - N))
 
 
 def _tail_sum(N: int, r: float, square: bool) -> float:

@@ -9,11 +9,11 @@ solve goes through the spectral square root:
 
 which is manifestly real and non-negative and keeps the sort stable.
 
-Each solve carries two certified error bounds, both proportional to
-``rho_max * exp(N_D - N)``: one for individual eigenvalues (factor 0.2)
-and one for the squared Hilbert-Schmidt norm (factor ``0.4 * rho_max``),
-which :func:`omega_corrected` turns into an interval enclosing the
-converged diversity measure.
+Each solve carries two certified error bounds scaled from the tail bound
+of :mod:`divspec.specfun`, which also sets ``N`` and ``N_D``: one for each
+eigenvalue and one for the squared Hilbert-Schmidt norm, which
+:func:`omega_corrected` turns into an interval enclosing the converged
+diversity measure.
 
 :func:`nystrom_oracle` solves the same eigenvalue problem by direct
 kernel discretisation.  It takes its nodes from
@@ -43,7 +43,7 @@ from .aperture import (
     centering_transform,
     enclosing_radius,
 )
-from .operators import DEFAULT_ORDER_MARGIN, TruncatedOperator, rho_n_kernel
+from .operators import TruncatedOperator, rho_n_kernel
 from .pas import PasModel
 
 __all__ = [
@@ -127,7 +127,7 @@ def solve_spectrum(op: TruncatedOperator) -> DiversitySpectrum:
             "the Gram or correlation matrix is broken"
         )
     np.clip(lam, 0.0, None, out=lam)
-    decay = math.exp(op.N_D - op.N)
+    eig_error_bound = op.rho_max * specfun.bessel_abs_tail_bound(op.N, op.r1)
     trace = float(lam.sum())
     hs_norm_sq = float(np.sum(lam * lam))
     # norm hierarchy: operator norm <= Hilbert-Schmidt norm <= trace norm
@@ -141,8 +141,8 @@ def solve_spectrum(op: TruncatedOperator) -> DiversitySpectrum:
         omega=omega,
         inv_omega=hs_norm_sq / (trace * trace),
         hs_norm_sq=hs_norm_sq,
-        eig_error_bound=0.2 * op.rho_max * decay,
-        hs_error_bound=0.4 * op.rho_max * op.rho_max * decay,
+        eig_error_bound=eig_error_bound,
+        hs_error_bound=2.0 * op.rho_max * eig_error_bound,
         N=op.N,
         N_D=op.N_D,
         r1=op.r1,
@@ -193,23 +193,14 @@ def discrete_correlation(positions, model: PasModel, N: int | None = None) -> np
     """Correlation matrix of a finite antenna array.
 
     Entry ``(i, k)`` is the truncated correlation kernel at the antenna
-    displacement ``x_i - x_k``; the truncation order must cover the
-    largest pairwise distance.  The result is Hermitian with unit
-    diagonal by construction.
+    displacement ``x_i - x_k``, so ``N`` is chosen or refused at the largest
+    pairwise distance.  The result is Hermitian with unit diagonal.
     """
     pts = np.asarray(positions, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
         raise ValueError("positions must be a non-empty (L, 2) array")
     L = pts.shape[0]
     diffs = pts[:, None, :] - pts[None, :, :]
-    max_dist = float(np.max(np.hypot(diffs[..., 0], diffs[..., 1])))
-    n_critical = specfun.truncation_order(max_dist)
-    if N is None:
-        N = n_critical + DEFAULT_ORDER_MARGIN
-    if N < n_critical:
-        raise ValueError(
-            f"discrete_correlation requires N >= {n_critical} for this array"
-        )
     iu, ku = np.triu_indices(L, k=1)
     R = np.eye(L, dtype=complex)
     if iu.size:

@@ -8,7 +8,7 @@ import pytest
 import divspec as ds
 from divspec import cli
 from divspec.cli import main
-from divspec.operators import DEFAULT_ORDER_MARGIN
+from divspec.specfun import DEFAULT_ORDER_MARGIN
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -73,11 +73,6 @@ class TestSpectrumCommand:
         rc = main(["spectrum", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "o.csv")])
         assert rc == 2
         assert "not found" in capsys.readouterr().err
-
-    def test_quadrature_order_override(self, tmp_path):
-        cfg = write_cfg(tmp_path / "c.cfg", dict(UCA_CFG, quadrature_order=96))
-        out = tmp_path / "out.csv"
-        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
 
     def test_bad_json_reports_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -159,6 +154,76 @@ class TestSpectrumCommand:
         assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
         _, _, rows = read_rows(out)
         assert float(rows[0][2]) <= 1.0 + 1e-9
+
+
+DIRECTION_SWEEP = {"kind": "direction", "start": 0.0, "stop": 90.0, "steps": 3}
+ISOTROPIC_DOPPLER = {"pas": {"kind": "isotropic"}}
+NAN = float("nan")
+
+BAD_CONFIGS = {
+    "n_override-list": ("spectrum", dict(UCA_CFG, n_override=[1]), "config.n_override"),
+    "n_override-text": ("spectrum", dict(UCA_CFG, n_override="abc"), "config.n_override"),
+    "sweep-steps": ("sweep", dict(UCA_CFG, sweep=dict(DIRECTION_SWEEP, steps="x")), "sweep.steps"),
+    "doppler-nu_max": (
+        "doppler",
+        dict(ISOTROPIC_DOPPLER, doppler={"nu_max": "q"}),
+        "doppler.nu_max",
+    ),
+    "doppler-sweep-nu_max": (
+        "sweep",
+        dict(
+            ISOTROPIC_DOPPLER,
+            doppler={"nu_max": "q"},
+            sweep={"kind": "doppler", "start": -0.5, "stop": 0.5, "steps": 3},
+        ),
+        "doppler.nu_max",
+    ),
+    "alpha0-text": (
+        "spectrum",
+        dict(UCA_CFG, pas={"kind": "isotropic", "alpha0_deg": "x"}),
+        "pas.alpha0_deg",
+    ),
+    "segment-length-nan": (
+        "spectrum",
+        dict(UCA_CFG, aperture={"kind": "segment", "length": NAN}),
+        "config.aperture.length",
+    ),
+    "disk-radius-nan": (
+        "spectrum",
+        dict(UCA_CFG, aperture={"kind": "disk", "radius": NAN}),
+        "config.aperture.radius",
+    ),
+    "kappa-nan": ("spectrum", dict(UCA_CFG, pas={"kind": "von_mises", "kappa": NAN}), "config.pas.kappa"),
+    "delta-infinity": (
+        "spectrum",
+        dict(UCA_CFG, pas={"kind": "uniform", "delta_deg": float("inf")}),
+        "config.pas.delta_deg",
+    ),
+    "points-overflow": (
+        "spectrum",
+        dict(UCA_CFG, aperture={"kind": "discrete_array", "points": [[0.0, 0.0], ["1e400", 0.0]]}),
+        "config.aperture.points[1][0]",
+    ),
+    "table-nan-cell": (
+        "spectrum",
+        dict(UCA_CFG, pas={"kind": "tabulated", "table": "TABLE"}),
+        "pas.table",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_config_error_exit_2_names_field(tmp_path, capsys, case):
+    command, payload, field = BAD_CONFIGS[case]
+    table = tmp_path / "table.csv"
+    table.write_text("0,1.0\n90,nan\n180,0.5\n")
+    text = json.dumps(payload).replace('"TABLE"', json.dumps(str(table)))
+    # json.dumps cannot write an overflowing literal; json.load reads it as inf
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text.replace('"1e400"', "1e400"))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: ")
 
 
 class TestSweepCommand:

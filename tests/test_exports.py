@@ -12,6 +12,7 @@ REMOVED = [
     "discrete_report",
     "_gauss_line",
     "_oracle_nodes",
+    "_check_tail_args",
 ]
 
 

@@ -6,8 +6,8 @@ import pytest
 from scipy import integrate
 
 import divspec as ds
+from divspec import operators
 from divspec.operators import (
-    DEFAULT_ORDER_MARGIN,
     QuadratureConvergenceError,
     basis_matrix,
     build_truncated_operator,
@@ -15,6 +15,7 @@ from divspec.operators import (
     rho_n_kernel,
     rtilde_matrix,
 )
+from divspec.specfun import DEFAULT_ORDER_MARGIN
 
 TWO_PI = 2.0 * math.pi
 
@@ -131,10 +132,11 @@ class TestGram:
         assert all(b >= a - 1e-14 for a, b in zip(traces, traces[1:]))
         assert traces[-1] <= 1.0 + 1e-12
 
-    def test_doubling_failure_detected(self):
+    def test_doubling_failure_detected(self, monkeypatch):
         # two nodes cannot resolve the oscillatory integrands on a long segment
+        monkeypatch.setattr(operators, "_default_order", lambda N: 2)
         with pytest.raises(QuadratureConvergenceError):
-            gram_matrix(ds.Segment(4.0), 12, order=2)
+            gram_matrix(ds.Segment(4.0), 12)
 
     def test_oversized_rule_refused_before_assembly(self):
         # default Disk(10): 1.2M doubled-rule nodes at N = 96, a 3.5 GiB basis
@@ -147,11 +149,6 @@ class TestGram:
         finally:
             tracemalloc.stop()
         assert peak < 100e6
-
-    def test_quad_order_override(self):
-        default = build_truncated_operator(ds.Segment(1.0), ds.IsotropicPas())
-        custom = build_truncated_operator(ds.Segment(1.0), ds.IsotropicPas(), quad_order=96)
-        assert np.max(np.abs(default.gram - custom.gram)) < 1e-11
 
 
 class TestRtilde:
@@ -277,3 +274,38 @@ class TestBuild:
     def test_rho_max_recorded(self):
         op = build_truncated_operator(ds.Segment(0.5), ds.UniformPas(delta=math.pi / 2))
         assert op.rho_max == pytest.approx(4.0)
+
+
+def _skew(M):
+    M = M.copy()
+    M[0, 1] += 1e-6
+    return M
+
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "target, breakage, message",
+        [
+            ("gram_matrix", _skew, "Gram matrix lost Hermitian symmetry"),
+            ("rtilde_matrix", _skew, "correlation matrix is not Hermitian"),
+            ("rtilde_matrix", lambda R: R + 1e-9 * np.eye(len(R)), "diagonal is not 1"),
+            ("gram_matrix", lambda G: G - 1e-6 * np.eye(len(G)), "Gram matrix indefinite"),
+            ("rtilde_matrix", lambda R: 2.0 * R - np.eye(len(R)), "correlation matrix indefinite"),
+            ("gram_matrix", lambda G: G * (1.0 + 1e-9), r"trace .* outside \[0, 1\]"),
+            ("gram_matrix", lambda G: G * (1.0 - 1e-3), "trace deficit .* exceeds the tail bound"),
+        ],
+        ids=[
+            "gram-not-hermitian",
+            "rtilde-not-hermitian",
+            "rtilde-diagonal",
+            "gram-indefinite",
+            "rtilde-indefinite",
+            "trace-above-one",
+            "trace-deficit",
+        ],
+    )
+    def test_broken_matrix_refused(self, monkeypatch, target, breakage, message):
+        build = getattr(operators, target)
+        monkeypatch.setattr(operators, target, lambda *args: breakage(build(*args)))
+        with pytest.raises(ArithmeticError, match=message):
+            build_truncated_operator(ds.Segment(1.0), ds.UniformPas(delta=math.pi / 2))

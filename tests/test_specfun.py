@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import divspec as ds
 from divspec import specfun
 
 
@@ -107,6 +108,49 @@ class TestTruncationOrder:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             specfun.truncation_order(-0.5)
+
+
+class TestSeriesOrder:
+    def test_default_margin(self):
+        assert specfun.series_order(1.0) == (9 + specfun.DEFAULT_ORDER_MARGIN, 9)
+
+    def test_explicit_order_kept(self):
+        assert specfun.series_order(1.0, 9) == (9, 9)
+        assert specfun.series_order(0.0, 0) == (0, 0)
+
+    def test_below_critical_order_refused(self):
+        with pytest.raises(ValueError, match="N=8 below the critical order N_D=9"):
+            specfun.series_order(1.0, 8)
+
+
+def _segment_operator(N):
+    # the centred Segment(2) has enclosing radius 1
+    return ds.build_truncated_operator(ds.Segment(2.0), ds.IsotropicPas(), N)
+
+
+#: Every truncated series of the package, each evaluated at radius 1.
+SERIES_AT_UNIT_RADIUS = {
+    "build_truncated_operator": _segment_operator,
+    "rho_n_kernel": lambda N: ds.rho_n_kernel(ds.IsotropicPas(), (1.0, 0.0), N),
+    "discrete_correlation": lambda N: ds.discrete_correlation(
+        [(0.0, 0.0), (1.0, 0.0)], ds.IsotropicPas(), N
+    ),
+    "time_acf": lambda N: ds.time_acf(ds.IsotropicPas(), ds.DopplerSpec(1.0), 1.0, N),
+    "bessel_abs_tail_bound": lambda N: specfun.bessel_abs_tail_bound(N, 1.0),
+    "bessel_sq_tail_bound": lambda N: specfun.bessel_sq_tail_bound(N, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SERIES_AT_UNIT_RADIUS))
+def test_one_critical_order_policy(name):
+    series = SERIES_AT_UNIT_RADIUS[name]
+    n_d = specfun.truncation_order(1.0)
+    series(n_d)
+    with pytest.raises(ValueError) as expected:
+        specfun.series_order(1.0, n_d - 1)
+    with pytest.raises(ValueError, match="critical order") as refused:
+        series(n_d - 1)
+    assert str(refused.value) == str(expected.value)
 
 
 class TestTailBounds:
