@@ -9,8 +9,8 @@ Curve kinds use the normalised arc length as parameter, two-dimensional
 kinds the area measure, parallel lines the average of the per-line
 measures, and discrete arrays a uniform point mass per antenna.
 :func:`build_quadrature` is the single node layout of every kind: the
-Gram assembly and the kernel-discretisation oracle both take their nodes
-from it.
+kernel-discretisation oracle takes its nodes from it, and so does the
+Gram assembly of curves and arrays.
 
 Lengths are wavelengths, angles radians.  All types are immutable.
 """

@@ -69,12 +69,18 @@ def _require(cfg: dict, field: str, path: str):
 
 
 def _number(cfg: dict, field: str, path: str, kind=float, default=None):
-    """``cfg[field]`` converted by ``kind``; required unless ``default`` is given."""
+    """``cfg[field]`` converted by ``kind``; required unless ``default`` is given.
+
+    An ``int`` field refuses a value that ``int`` would truncate.
+    """
     value = _require(cfg, field, path) if default is None else cfg.get(field, default)
     try:
-        return kind(value)
+        number = kind(value)
+        if kind is int and number != float(value):
+            raise ValueError(f"{value!r} is not an integer")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}.{field}: {exc}")
+    return number
 
 
 def _check_finite(value, path: str) -> None:
@@ -143,7 +149,7 @@ def make_aperture(cfg: dict, path: str = "aperture"):
             )
         if kind == "parallel_lines":
             return ParallelLines(
-                count=int(_require(cfg, "count", path)),
+                count=_number(cfg, "count", path, int),
                 length=float(_require(cfg, "length", path)),
                 span=float(_require(cfg, "span", path)),
                 angle=float(cfg.get("angle_deg", 0.0)) * _RAD,
@@ -363,10 +369,16 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _nu_max(dop: dict, default=None) -> float:
+    nu_max = _number(dop, "nu_max", "doppler", default=default)
+    if not nu_max > 0.0:
+        raise ConfigError("doppler.nu_max: must be > 0")
+    return nu_max
+
+
 def _doppler_csv(cfg: dict, nus, out_path: str) -> int:
     model = make_pas(_require(cfg, "pas", "config"))
-    dop = cfg.get("doppler", {})
-    spec = DopplerSpec(nu_max=_number(dop, "nu_max", "doppler", default=1.0))
+    spec = DopplerSpec(nu_max=_nu_max(cfg.get("doppler", {}), default=1.0))
     lines = [f"# nu_max = {_fmt(spec.nu_max)}", "nu,S_doppler"]
     for nu in nus:
         try:
@@ -381,7 +393,7 @@ def _doppler_csv(cfg: dict, nus, out_path: str) -> int:
 def cmd_doppler(args) -> int:
     cfg = _load_config(args.config)
     dop = _require(cfg, "doppler", "config")
-    nu_max = _number(dop, "nu_max", "doppler")
+    nu_max = _nu_max(dop)
     start = _number(dop, "start", "doppler", default=-0.99 * nu_max)
     stop = _number(dop, "stop", "doppler", default=0.99 * nu_max)
     steps = _number(dop, "steps", "doppler", int, default=201)

@@ -14,7 +14,14 @@ whole problem:
   Toeplitz with unit diagonal).
 
 The eigenvalues of their product approximate the diversity spectrum; see
-:mod:`divspec.spectrum`.  The orders ``N`` and ``N_D`` and the tail bounds
+:mod:`divspec.spectrum`.
+
+``G`` is assembled in the angle domain.  By Jacobi-Anger each ``v_n`` is
+an angle integral of plane waves, so ``G`` is the 2-D DFT of the
+aperture measure's Fourier transform sampled on a periodic grid of ``Q``
+angles.  The grid's aliasing is certified by the same Bessel tail bound
+as the truncation, and a grid above ``Q = 4096`` is refused; see
+:func:`gram_matrix`.  The orders ``N`` and ``N_D`` and the tail bounds
 that certify the truncation come from :mod:`divspec.specfun`.
 
 Index convention used everywhere: matrix row/column ``i`` corresponds to
@@ -31,8 +38,14 @@ from scipy.linalg import toeplitz
 
 from . import specfun
 from .aperture import (
+    Circle,
     DiscreteArray,
-    QuadratureRule,
+    Disk,
+    ParallelLines,
+    PiecewiseCurve,
+    Rectangle,
+    Segment,
+    UnsupportedApertureError,
     build_quadrature,
     centering_transform,
     enclosing_radius,
@@ -49,8 +62,13 @@ __all__ = [
     "build_truncated_operator",
 ]
 
-#: Largest basis matrix ``V`` (bytes) that :func:`gram_matrix` assembles.
-_MAX_BASIS_BYTES = 1 << 30
+#: Angle-grid orders above ``N + N_D`` that :func:`gram_matrix` keeps clear
+#: of aliasing; the aliased Bessel tail is below ``0.2*exp(-_ALIAS_MARGIN)``.
+_ALIAS_MARGIN = 40
+
+#: Largest complex matrix (bytes) of the angle-domain Gram assembly: the
+#: ``Q x Q`` transform (``Q = 4096``) or a node sum's ``K x Q`` exponentials.
+_MAX_GRID_BYTES = 1 << 28
 
 #: Elementwise tolerance of the quadrature doubling test.
 _DOUBLING_TOL = 1e-10
@@ -96,9 +114,93 @@ def basis_matrix(points, N: int) -> np.ndarray:
     return rows.T
 
 
-def _gram_from_rule(rule: QuadratureRule, N: int) -> np.ndarray:
-    V = basis_matrix(rule.nodes, N)
-    G = V.conj().T @ (rule.weights[:, None] * V)
+def _angle_grid_size(N: int, r1: float) -> int:
+    """Smallest 5-smooth ``Q >= max(2N+1, N + 1 + N_D + _ALIAS_MARGIN)``."""
+    Q = max(2 * N + 1, N + 1 + specfun.truncation_order(r1) + _ALIAS_MARGIN)
+    while True:
+        rest = Q
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return Q
+        Q += 1
+
+
+def _check_grid_bytes(rows: int, Q: int, N: int) -> None:
+    nbytes = rows * Q * np.dtype(complex).itemsize
+    if nbytes > _MAX_GRID_BYTES:
+        raise ValueError(
+            f"Gram assembly at N={N} on a Q={Q} angle grid needs a {rows}x{Q} "
+            f"{nbytes}-byte matrix, above the {_MAX_GRID_BYTES}-byte limit"
+        )
+
+
+def _point_masses(nodes, weights, u: np.ndarray, N: int) -> np.ndarray:
+    """``sum_k w_k exp(j*2*pi*x_k.(u_q - u_p))`` as one product ``E^H diag(w) E``."""
+    nodes = np.asarray(nodes, dtype=float)
+    _check_grid_bytes(len(nodes), len(u), N)
+    E = np.exp(2j * math.pi * (nodes @ u.T))
+    return (E.conj().T * np.asarray(weights, dtype=float)) @ E
+
+
+def _sinc_factor(length: float, angle: float, u: np.ndarray) -> np.ndarray:
+    """Transform factor ``sinc(length * d.(u_q - u_p))`` of a centred line along ``d``."""
+    s = u @ np.array([math.cos(angle), math.sin(angle)])
+    return np.sinc(length * (s[None, :] - s[:, None]))
+
+
+def _radial_factor(aperture, Q: int) -> np.ndarray:
+    """Transform factor of a centred circle, ``J0(z)``, or disk, ``2*J1(z)/z``.
+
+    ``z = 2*pi*radius*|u_q - u_p|`` and ``|u_q - u_p| = 2*sin(pi*d/Q)``
+    depend only on ``d = (q - p) mod Q``, so ``Q`` values are evaluated,
+    not ``Q**2``.
+    """
+    d = np.arange(Q)
+    z = 4.0 * math.pi * aperture.radius * np.sin(math.pi * d / Q)
+    if isinstance(aperture, Circle):
+        values = specfun.bessel_j(0, z)
+    else:
+        values = np.ones(Q)
+        nonzero = z > 0.0
+        values[nonzero] = 2.0 * specfun.bessel_j(1, z[nonzero]) / z[nonzero]
+    return values[(d[None, :] - d[:, None]) % Q]
+
+
+def _aperture_transform(aperture, u: np.ndarray, N: int) -> np.ndarray:
+    """``Phi_pq = mu_hat(u_q - u_p)``, the aperture measure's Fourier transform.
+
+    Each kind is point masses (its centre, its line centres or its
+    antennas) times the closed-form transform of its shape about them.
+    """
+    if isinstance(aperture, DiscreteArray):
+        pts = aperture.as_array()
+        return _point_masses(pts, np.full(len(pts), 1.0 / len(pts)), u, N)
+    if isinstance(aperture, ParallelLines):
+        centers = aperture.line_centers()
+        weights = np.full(aperture.count, 1.0 / aperture.count)
+        shape = _sinc_factor(aperture.length, aperture.angle, u)
+    else:
+        centers, weights = [aperture.center], [1.0]
+        if isinstance(aperture, Segment):
+            shape = _sinc_factor(aperture.length, aperture.angle, u)
+        elif isinstance(aperture, Rectangle):
+            shape = _sinc_factor(aperture.width, aperture.angle, u)
+            shape *= _sinc_factor(aperture.height, aperture.angle + math.pi / 2.0, u)
+        elif isinstance(aperture, (Circle, Disk)):
+            shape = _radial_factor(aperture, len(u))
+        else:
+            raise UnsupportedApertureError(f"unknown aperture kind: {type(aperture).__name__}")
+    phi = _point_masses(centers, weights, u, N)
+    phi *= shape
+    return phi
+
+
+def _gram_from_transform(phi: np.ndarray, N: int) -> np.ndarray:
+    Q = phi.shape[0]
+    idx = np.arange(-N, N + 1) % Q
+    G = np.fft.fft(np.fft.ifft(phi, axis=1)[:, idx], axis=0)[idx] / Q
     return 0.5 * (G + G.conj().T)
 
 
@@ -106,35 +208,40 @@ def _default_order(N: int) -> int:
     return 4 * (int(N) + 1)
 
 
-def _check_basis_size(rule: QuadratureRule, N: int) -> None:
-    nbytes = len(rule) * (2 * N + 1) * np.dtype(complex).itemsize
-    if nbytes > _MAX_BASIS_BYTES:
-        raise ValueError(
-            f"Gram assembly over {len(rule)} nodes at N={N} needs a {nbytes}-byte "
-            f"basis matrix, above the {_MAX_BASIS_BYTES}-byte limit"
-        )
-
-
 def gram_matrix(aperture, N: int) -> np.ndarray:
     """Gram matrix ``G_mn = <v_m, v_n>`` over the aperture measure.
 
-    A rule of order ``4*(N+1)`` is built and verified by doubling the
-    order: any entry moving by more than 1e-10 raises
-    :class:`QuadratureConvergenceError` and the doubled rule's result is
-    returned otherwise.  A discrete array's point masses are exact and
-    skip the doubling.  A rule whose basis matrix would exceed 1 GiB is
-    refused with ``ValueError`` before any assembly.
+    By Jacobi-Anger, ``v_n(x) = (1/2pi) int exp(j*2*pi*x.u(a)) exp(j*n*a) da``
+    with ``u(a) = (cos a, sin a)``, so ``G`` is the 2-D DFT of the
+    aperture's Fourier transform ``mu_hat(u(a_q) - u(a_p))`` sampled on a
+    periodic grid of ``Q`` angles.  The grid aliases order ``n`` only onto
+    orders ``|n + lQ| >= Q - N``; ``Q`` is the smallest 5-smooth integer
+    with ``Q - N - 1 >= N_D + 40`` (and ``Q >= 2N+1``), so each basis value
+    is off by at most ``bessel_abs_tail_bound(Q-N-1, r1) <= 0.2*exp(-40)``
+    and each entry of ``G`` by at most twice that, ``r1`` being the radius
+    of the aperture about the origin.
+
+    Every kind has a closed-form transform except piecewise curves, whose
+    transform is a node sum over a rule of order ``4*(N+1)``, verified by
+    doubling the order: any entry moving by more than 1e-10 raises
+    :class:`QuadratureConvergenceError`, and the doubled rule's result is
+    returned otherwise.  A discrete array's point masses are exact.
+    ``Q > 4096``, or a node matrix above the same 256 MiB, is refused with
+    ``ValueError`` before it is allocated.
     """
     N = int(N)
+    Q = _angle_grid_size(N, enclosing_radius(aperture))
+    _check_grid_bytes(Q, Q, N)
+    alpha = 2.0 * math.pi * np.arange(Q) / Q
+    u = np.stack([np.cos(alpha), np.sin(alpha)], axis=1)
+    if not isinstance(aperture, PiecewiseCurve):
+        return _gram_from_transform(_aperture_transform(aperture, u, N), N)
     q = _default_order(N)
     rule = build_quadrature(aperture, q)
-    if isinstance(aperture, DiscreteArray):
-        _check_basis_size(rule, N)
-        return _gram_from_rule(rule, N)
     fine = build_quadrature(aperture, 2 * q)
-    _check_basis_size(fine, N)
-    G = _gram_from_rule(rule, N)
-    G2 = _gram_from_rule(fine, N)
+    _check_grid_bytes(len(fine), Q, N)
+    G = _gram_from_transform(_point_masses(rule.nodes, rule.weights, u, N), N)
+    G2 = _gram_from_transform(_point_masses(fine.nodes, fine.weights, u, N), N)
     drift = float(np.max(np.abs(G2 - G)))
     if drift > _DOUBLING_TOL:
         raise QuadratureConvergenceError(

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 import divspec as ds
-from divspec import cli
+from divspec import cli, operators
 from divspec.cli import main
 from divspec.specfun import DEFAULT_ORDER_MARGIN
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
+BENCH_CONFIG_DIR = Path(__file__).resolve().parents[1] / "divbench" / "configs"
 
 
 def write_cfg(path, payload):
@@ -224,6 +225,71 @@ def test_config_error_exit_2_names_field(tmp_path, capsys, case):
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field}: ")
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        ("spectrum", dict(UCA_CFG, n_override=19.9), "config.n_override"),
+        ("sweep", dict(UCA_CFG, sweep=dict(DIRECTION_SWEEP, steps=2.9)), "sweep.steps"),
+        (
+            "doppler",
+            dict(ISOTROPIC_DOPPLER, doppler={"nu_max": 1.0, "steps": 5.5}),
+            "doppler.steps",
+        ),
+        (
+            "spectrum",
+            dict(UCA_CFG, aperture={"kind": "parallel_lines", "count": 2.5, "length": 1.0, "span": 1.0}),
+            "aperture.count",
+        ),
+    ],
+    ids=["n_override", "sweep-steps", "doppler-steps", "aperture-count"],
+)
+def test_non_integral_field_refused(tmp_path, capsys, case):
+    command, payload, field = case
+    cfg = write_cfg(tmp_path / "c.cfg", payload)
+    out = tmp_path / "o.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: ") and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["doppler", "sweep"])
+def test_non_positive_nu_max_refused(tmp_path, capsys, command):
+    payload = dict(ISOTROPIC_DOPPLER, doppler={"nu_max": -1.0})
+    if command == "sweep":
+        payload["sweep"] = {"kind": "doppler", "start": -0.5, "stop": 0.5, "steps": 3}
+    cfg = write_cfg(tmp_path / "c.cfg", payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+    assert capsys.readouterr().err == "error: doppler.nu_max: must be > 0\n"
+
+
+def _gram_inputs(cfg):
+    """Every config the ``spectrum`` or a continuous ``sweep`` would solve."""
+    sweep = cfg.get("sweep")
+    if sweep is None:
+        return [cfg]
+    kind, values = cli._sweep_values(sweep)
+    if kind in ("antennas", "doppler"):
+        return []
+    return [cli._apply_sweep(cfg, kind, float(v)) for v in values]
+
+
+def test_angle_grid_certified_on_shipped_inputs(monkeypatch):
+    grids = []
+    choose = operators._angle_grid_size
+
+    def spy(N, r1):
+        grids.append((N, r1, choose(N, r1)))
+        return grids[-1][2]
+
+    monkeypatch.setattr(operators, "_angle_grid_size", spy)
+    paths = sorted(SCENARIO_DIR.glob("*.cfg")) + sorted(BENCH_CONFIG_DIR.glob("*.cfg"))
+    for path in paths:
+        for cfg in _gram_inputs(json.loads(path.read_text())):
+            cli._solve_scenario(cfg)
+    assert len(grids) == 2 + 90 + 5
+    for N, r1, Q in grids:
+        assert ds.bessel_abs_tail_bound(Q - N - 1, r1) <= 1e-17
 
 
 class TestSweepCommand:

@@ -32,6 +32,28 @@ def gram_segment_simpson(length, N, samples=8193):
     return G
 
 
+def node_sum_gram(aperture, N, order):
+    """Gram matrix contracted from a ``build_quadrature`` rule through ``basis_matrix``."""
+    rule = ds.build_quadrature(aperture, order)
+    V = basis_matrix(rule.nodes, N)
+    return V.conj().T @ (rule.weights[:, None] * V)
+
+
+NODE_SUM_CASES = {
+    "segment": ds.Segment(2.0, angle=0.3, center=(0.2, -0.1)),
+    "circle": ds.Circle(0.7, center=(0.3, 0.2)),
+    "disk": ds.Disk(0.8, center=(-0.2, 0.3)),
+    "rectangle-rotated-off-centre": ds.Rectangle(1.5, 0.7, angle=0.4, center=(0.8, -0.3)),
+    "lines-angled": ds.ParallelLines(3, 1.2, 0.8, angle=0.6, center=(0.1, 0.2)),
+    "curve-line-arc": ds.PiecewiseCurve(
+        (ds.LinePiece((-1.0, 0.0), (0.0, 0.0)), ds.ArcPiece((0.0, 0.5), 0.5, -math.pi / 2, math.pi / 2))
+    ),
+    "array-random": ds.DiscreteArray(
+        tuple(map(tuple, np.random.default_rng(7).uniform(-1.0, 1.0, size=(12, 2))))
+    ),
+}
+
+
 def basis_at(n, point):
     """Single basis value ``v_n(point)`` read from a one-point basis matrix."""
     N = abs(n)
@@ -132,23 +154,41 @@ class TestGram:
         assert all(b >= a - 1e-14 for a, b in zip(traces, traces[1:]))
         assert traces[-1] <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("name", sorted(NODE_SUM_CASES))
+    def test_matches_node_sum(self, name):
+        aperture = NODE_SUM_CASES[name]
+        N = ds.truncation_order(ds.enclosing_radius(aperture)) + DEFAULT_ORDER_MARGIN
+        reference = node_sum_gram(aperture, N, 6 * (N + 1))
+        assert np.max(np.abs(gram_matrix(aperture, N) - reference)) <= 1e-12
+
+    @pytest.mark.parametrize("radius", [3.0, 10.0])
+    def test_isotropic_disk_spectrum_closed_form(self, radius):
+        # G is diagonal with G_nn = J_n(z)^2 - J_{n-1}(z) J_{n+1}(z), z = 2 pi R
+        op = build_truncated_operator(ds.Disk(radius), ds.IsotropicPas())
+        J = ds.bessel_j_orders(op.N + 1, TWO_PI * radius)[0]
+        n = np.arange(1, 2 * op.N + 2)
+        expected = np.sort(J[n] ** 2 - J[n - 1] * J[n + 1])[::-1]
+        lam = ds.solve_spectrum(op).eigenvalues
+        assert np.max(np.abs(lam - expected)) <= 1e-14
+
     def test_doubling_failure_detected(self, monkeypatch):
-        # two nodes cannot resolve the oscillatory integrands on a long segment
+        # two nodes cannot resolve the oscillatory transform of a long curve
         monkeypatch.setattr(operators, "_default_order", lambda N: 2)
+        curve = ds.PiecewiseCurve((ds.LinePiece((-2.0, 0.0), (2.0, 0.0)),))
         with pytest.raises(QuadratureConvergenceError):
-            gram_matrix(ds.Segment(4.0), 12)
+            gram_matrix(curve, 12)
 
     def test_oversized_rule_refused_before_assembly(self):
-        # default Disk(10): 1.2M doubled-rule nodes at N = 96, a 3.5 GiB basis
-        N = ds.truncation_order(10.0) + DEFAULT_ORDER_MARGIN
+        # default Segment(3000): N = 12820 needs a Q = 25920 angle grid, 10.7 GB
+        N = ds.truncation_order(1500.0) + DEFAULT_ORDER_MARGIN
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=r"1205128 nodes at N=96 .* 3721435264-byte"):
-                gram_matrix(ds.Disk(10.0), N)
+            with pytest.raises(ValueError, match=r"N=12820 on a Q=25920 .* 10749542400-byte"):
+                gram_matrix(ds.Segment(3000.0), N)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 100e6
+        assert peak < 10e6
 
 
 class TestRtilde:
