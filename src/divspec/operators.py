@@ -16,13 +16,15 @@ whole problem:
 The eigenvalues of their product approximate the diversity spectrum; see
 :mod:`divspec.spectrum`.
 
-``G`` is assembled in the angle domain.  By Jacobi-Anger each ``v_n`` is
-an angle integral of plane waves, so ``G`` is the 2-D DFT of the
-aperture measure's Fourier transform sampled on a periodic grid of ``Q``
-angles.  The grid's aliasing is certified by the same Bessel tail bound
-as the truncation, and a grid above ``Q = 4096`` is refused; see
-:func:`gram_matrix`.  The orders ``N`` and ``N_D`` and the tail bounds
-that certify the truncation come from :mod:`divspec.specfun`.
+``G`` and the correlation kernel are evaluated in the angle domain.  By
+Jacobi-Anger each ``v_n`` is an angle integral of plane waves, so ``G``
+is the 2-D DFT of the aperture measure's Fourier transform sampled on a
+periodic grid of ``Q`` angles, and the kernel is one weighted sum of
+plane waves on the same grid.  The grid's aliasing is certified by the
+same Bessel tail bound as the truncation, and a grid above ``Q = 4096``
+is refused for ``G``; see :func:`gram_matrix` and :func:`rho_n_kernel`.
+The orders ``N`` and ``N_D`` and the tail bounds that certify the
+truncation come from :mod:`divspec.specfun`.
 
 Index convention used everywhere: matrix row/column ``i`` corresponds to
 order ``n = i - N``.
@@ -66,14 +68,20 @@ __all__ = [
 #: of aliasing; the aliased Bessel tail is below ``0.2*exp(-_ALIAS_MARGIN)``.
 _ALIAS_MARGIN = 40
 
-#: Largest complex matrix (bytes) of the angle-domain Gram assembly: the
-#: ``Q x Q`` transform (``Q = 4096``) or a node sum's ``K x Q`` exponentials.
+#: Largest complex matrix (bytes) of an angle-grid evaluation: the Gram
+#: assembly's ``Q x Q`` transform (``Q = 4096``), a node sum's or an
+#: array's ``K x Q`` plane waves, or an array's correlation matrix.
 _MAX_GRID_BYTES = 1 << 28
+
+#: Row-block size (bytes) of the streamed kernel evaluation, small enough
+#: to stay in cache.
+_KERNEL_BLOCK_BYTES = 1 << 22
 
 #: Elementwise tolerance of the quadrature doubling test.
 _DOUBLING_TOL = 1e-10
 
-#: Tolerated relative magnitude of negative Gram eigenvalues.
+#: Tolerated magnitude of negative eigenvalues of ``G`` and ``R``: each
+#: must admit a Cholesky factor once shifted by ``_PSD_TOL * I``.
 _PSD_TOL = 1e-10
 
 _I_POWERS = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
@@ -131,16 +139,27 @@ def _check_grid_bytes(rows: int, Q: int, N: int) -> None:
     nbytes = rows * Q * np.dtype(complex).itemsize
     if nbytes > _MAX_GRID_BYTES:
         raise ValueError(
-            f"Gram assembly at N={N} on a Q={Q} angle grid needs a {rows}x{Q} "
+            f"evaluation at N={N} on a Q={Q} angle grid needs a {rows}x{Q} "
             f"{nbytes}-byte matrix, above the {_MAX_GRID_BYTES}-byte limit"
         )
 
 
+def _angle_grid(Q: int) -> np.ndarray:
+    """Unit vectors ``u_q = (cos a_q, sin a_q)``, ``a_q = 2*pi*q/Q``."""
+    alpha = 2.0 * math.pi * np.arange(Q) / Q
+    return np.stack([np.cos(alpha), np.sin(alpha)], axis=1)
+
+
+def _plane_waves(points, u: np.ndarray, N: int) -> np.ndarray:
+    """``E_kq = exp(j*2*pi*x_k.u_q)``, refused above ``_MAX_GRID_BYTES`` before allocation."""
+    points = np.asarray(points, dtype=float)
+    _check_grid_bytes(len(points), len(u), N)
+    return np.exp(2j * math.pi * (points @ u.T))
+
+
 def _point_masses(nodes, weights, u: np.ndarray, N: int) -> np.ndarray:
     """``sum_k w_k exp(j*2*pi*x_k.(u_q - u_p))`` as one product ``E^H diag(w) E``."""
-    nodes = np.asarray(nodes, dtype=float)
-    _check_grid_bytes(len(nodes), len(u), N)
-    E = np.exp(2j * math.pi * (nodes @ u.T))
+    E = _plane_waves(nodes, u, N)
     return (E.conj().T * np.asarray(weights, dtype=float)) @ E
 
 
@@ -232,8 +251,7 @@ def gram_matrix(aperture, N: int) -> np.ndarray:
     N = int(N)
     Q = _angle_grid_size(N, enclosing_radius(aperture))
     _check_grid_bytes(Q, Q, N)
-    alpha = 2.0 * math.pi * np.arange(Q) / Q
-    u = np.stack([np.cos(alpha), np.sin(alpha)], axis=1)
+    u = _angle_grid(Q)
     if not isinstance(aperture, PiecewiseCurve):
         return _gram_from_transform(_aperture_transform(aperture, u, N), N)
     q = _default_order(N)
@@ -262,21 +280,49 @@ def rtilde_matrix(model: PasModel, N: int) -> np.ndarray:
     return toeplitz(model.fourier(ns), model.fourier(-ns))
 
 
+def _kernel_grid(model: PasModel, radius: float, N: int | None):
+    """``(N, u, c)`` with ``rho_N(x) = sum_q c_q exp(j*2*pi*x.u_q)`` for ``|x| <= radius``.
+
+    ``N`` is chosen or refused by :func:`~divspec.specfun.series_order` at
+    ``radius``; ``u`` is the angle grid of :func:`gram_matrix` for that
+    radius, and ``c_q = p_N(a_q)/Q`` samples the truncated PAS series
+    ``p_N(a) = sum_{|n|<=N} s_n exp(j*n*a)``, real since ``s_{-n} = conj(s_n)``.
+    A grid whose single row of plane waves would exceed ``_MAX_GRID_BYTES``
+    is refused before anything of size ``Q`` is allocated.
+    """
+    N, _ = specfun.series_order(radius, N)
+    Q = _angle_grid_size(N, radius)
+    _check_grid_bytes(1, Q, N)
+    coeffs = np.zeros(Q, dtype=complex)
+    orders = np.arange(-N, N + 1)
+    coeffs[orders % Q] = model.fourier(orders)
+    return N, _angle_grid(Q), np.fft.ifft(coeffs).real
+
+
 def rho_n_kernel(model: PasModel, x, N: int | None = None):
     """Truncated spatial correlation kernel at displacement(s) ``x``.
 
-    Evaluates ``sum_{|n|<=N} s_n exp(j*beta*n) j**n J_n(2*pi*|x|)``; the
-    omitted tail is bounded by :func:`~divspec.specfun.bessel_abs_tail_bound`
-    at radius ``max |x|``, where :func:`~divspec.specfun.series_order`
-    chooses or refuses ``N``.
+    Evaluates ``rho_N(x) = sum_{|n|<=N} s_n exp(j*beta*n) j**n J_n(2*pi*|x|)``,
+    where :func:`~divspec.specfun.series_order` chooses or refuses ``N`` at
+    radius ``r = max |x|``; the omitted tail is bounded by
+    :func:`~divspec.specfun.bessel_abs_tail_bound` ``(N, r)``.  By
+    Jacobi-Anger ``rho_N`` is the angle integral of ``p_N(a)/(2*pi)``
+    times plane waves, evaluated by the trapezoidal rule on the ``Q``
+    angles of :func:`gram_matrix`: each point is ``exp(j*2*pi*x.u) @ c``
+    (see ``_kernel_grid``), in row blocks of about 4 MiB.  The rule aliases
+    only orders ``|m| >= Q - N``, and ``|s_n| <= 1``, so each value moves
+    by at most ``bessel_abs_tail_bound(Q-N-1, r) <= 0.2*exp(-40)``.
     """
     pts = np.asarray(x, dtype=float)
     scalar = pts.ndim == 1
     if scalar:
         pts = pts[None, :]
     r_max = float(np.max(np.hypot(pts[:, 0], pts[:, 1])))
-    N, _ = specfun.series_order(r_max, N)
-    values = basis_matrix(pts, N) @ model.fourier(np.arange(-N, N + 1))
+    N, u, c = _kernel_grid(model, r_max, N)
+    rows = max(1, _KERNEL_BLOCK_BYTES // (len(u) * np.dtype(complex).itemsize))
+    values = np.concatenate(
+        [_plane_waves(pts[lo : lo + rows], u, N) @ c for lo in range(0, len(pts), rows)]
+    )
     return complex(values[0]) if scalar else values
 
 
@@ -306,6 +352,20 @@ class TruncatedOperator:
         return np.arange(-self.N, self.N + 1)
 
 
+def _check_psd(M: np.ndarray, label: str) -> None:
+    """Refuse ``M`` unless ``M + _PSD_TOL*I`` has a Cholesky factor.
+
+    That admits every ``M`` whose smallest eigenvalue exceeds ``-_PSD_TOL``
+    (up to round-off in the factorisation); only a refusal pays for
+    ``eigvalsh``, to name that eigenvalue.
+    """
+    try:
+        np.linalg.cholesky(M + _PSD_TOL * np.eye(len(M)))
+    except np.linalg.LinAlgError:
+        lam_min = float(np.linalg.eigvalsh(M)[0])
+        raise ArithmeticError(f"{label} indefinite: min eigenvalue {lam_min:.3e}") from None
+
+
 def _validate_operator(op: TruncatedOperator) -> None:
     G, R = op.gram, op.rtilde
     scale = max(1.0, float(np.max(np.abs(G))))
@@ -315,14 +375,8 @@ def _validate_operator(op: TruncatedOperator) -> None:
         raise ArithmeticError("coefficient correlation matrix is not Hermitian")
     if float(np.max(np.abs(np.diag(R) - 1.0))) > 1e-12:
         raise ArithmeticError("coefficient correlation matrix diagonal is not 1")
-    g_eigs = np.linalg.eigvalsh(G)
-    if g_eigs[0] < -_PSD_TOL * max(g_eigs[-1], 1.0):
-        raise ArithmeticError(f"Gram matrix indefinite: min eigenvalue {g_eigs[0]:.3e}")
-    r_eigs = np.linalg.eigvalsh(R)
-    if r_eigs[0] < -_PSD_TOL * max(r_eigs[-1], 1.0):
-        raise ArithmeticError(
-            f"coefficient correlation matrix indefinite: min eigenvalue {r_eigs[0]:.3e}"
-        )
+    _check_psd(G, "Gram matrix")
+    _check_psd(R, "coefficient correlation matrix")
     trace = float(np.trace(G).real)
     if trace > 1.0 + 1e-12 or trace < -1e-12:
         raise ArithmeticError(f"Gram trace {trace} outside [0, 1]")

@@ -236,13 +236,14 @@ def doppler_spectrum(model: PasModel, spec: DopplerSpec, nu: float) -> float:
     return dens / math.sqrt(nu_max * nu_max - nu * nu)
 
 
-def time_acf(model: PasModel, spec: DopplerSpec, t: float, N: int) -> complex:
+def time_acf(model: PasModel, spec: DopplerSpec, t: float, N: int | None = None) -> complex:
     """Time autocorrelation of the fading seen by a receiver at speed nu_max.
 
     This is the spatial correlation kernel at displacement ``(nu_max*t, 0)``:
     the truncated series ``sum_{|n|<=N} s_n j**n J_n(2*pi*nu_max*t)``, whose
     absolute truncation error is bounded by
-    :func:`specfun.bessel_abs_tail_bound` at radius ``nu_max*|t|``.
+    :func:`specfun.bessel_abs_tail_bound` at radius ``nu_max*|t|``, where
+    :func:`specfun.series_order` chooses or refuses ``N``.
     """
     from .operators import rho_n_kernel  # operators imports this module
 

@@ -17,10 +17,10 @@ diversity measure.
 
 :func:`nystrom_oracle` solves the same eigenvalue problem by direct
 kernel discretisation.  It takes its nodes from
-:func:`~divspec.aperture.build_quadrature` but samples the kernel itself
-instead of assembling the Gram and coefficient matrices, so it stays an
-independent verification of the matrix route.  It converges more slowly
-and is kept only for that purpose.
+:func:`~divspec.aperture.build_quadrature` and samples the kernel at every
+node pair with :func:`discrete_correlation` instead of assembling the Gram
+and coefficient matrices, so it stays an independent verification of the
+matrix route.  It converges more slowly and is kept only for that purpose.
 """
 
 from __future__ import annotations
@@ -43,7 +43,12 @@ from .aperture import (
     centering_transform,
     enclosing_radius,
 )
-from .operators import TruncatedOperator, rho_n_kernel
+from .operators import (
+    _MAX_GRID_BYTES,
+    TruncatedOperator,
+    _kernel_grid,
+    _plane_waves,
+)
 from .pas import PasModel
 
 __all__ = [
@@ -189,24 +194,48 @@ def omega_corrected(spectrum: DiversitySpectrum) -> tuple[float, float]:
     return h / denom, delta / denom
 
 
+def _max_distance(pts: np.ndarray) -> float:
+    """Largest pairwise distance, scanned in row blocks of about 1 MB."""
+    rows = max(1, (1 << 16) // len(pts))
+    d_max = 0.0
+    for lo in range(0, len(pts), rows):
+        diff = pts[lo : lo + rows, None, :] - pts[None, :, :]
+        d_max = max(d_max, float(np.max(np.hypot(diff[..., 0], diff[..., 1]))))
+    return d_max
+
+
 def discrete_correlation(positions, model: PasModel, N: int | None = None) -> np.ndarray:
     """Correlation matrix of a finite antenna array.
 
     Entry ``(i, k)`` is the truncated correlation kernel at the antenna
     displacement ``x_i - x_k``, so ``N`` is chosen or refused at the largest
-    pairwise distance.  The result is Hermitian with unit diagonal.
+    pairwise distance ``d_max``.  On the angle grid of
+    :func:`~divspec.operators.rho_n_kernel` for radius ``d_max`` the kernel
+    factors, ``rho_N(x_i - x_k) = sum_q E_iq c_q conj(E_kq)`` with
+    ``E_iq = exp(j*2*pi*x_i.u_q)``, so the matrix is the one product
+    ``E diag(c) E^H``, each entry within ``bessel_abs_tail_bound(Q-N-1,
+    d_max) <= 0.2*exp(-40)`` of the series.  The positions are centred
+    first, which keeps the phases small.  The result is Hermitian with unit
+    diagonal.  An ``L x Q`` matrix ``E`` or an ``L x L`` result above
+    256 MiB is refused with ``ValueError`` before it is allocated.
     """
     pts = np.asarray(positions, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
         raise ValueError("positions must be a non-empty (L, 2) array")
     L = pts.shape[0]
-    diffs = pts[:, None, :] - pts[None, :, :]
-    iu, ku = np.triu_indices(L, k=1)
-    R = np.eye(L, dtype=complex)
-    if iu.size:
-        vals = rho_n_kernel(model, diffs[iu, ku], N)
-        R[iu, ku] = vals
-        R[ku, iu] = np.conj(vals)
+    nbytes = L * L * np.dtype(complex).itemsize
+    if nbytes > _MAX_GRID_BYTES:
+        raise ValueError(
+            f"a {L}x{L} correlation matrix needs {nbytes} bytes, "
+            f"above the {_MAX_GRID_BYTES}-byte limit"
+        )
+    pts = pts - pts.mean(axis=0)
+    N, u, c = _kernel_grid(model, _max_distance(pts), N)
+    E = _plane_waves(pts, u, N)
+    weighted = E * c
+    R = weighted @ np.conj(E, out=E).T
+    R = 0.5 * (R + R.conj().T)
+    np.fill_diagonal(R, 1.0)
     return R
 
 
@@ -251,19 +280,9 @@ _ORACLE_CAP_RADIAL = 64
 
 def _oracle_eigs(aperture, model, m, n_kernel):
     rule = build_quadrature(aperture, m)
-    nodes = rule.nodes
-    n = len(nodes)
-    K = np.empty((n, n), dtype=complex)
-    # row blocks keep the intermediate basis evaluations small
-    block = max(1, 500_000 // max(n, 1))
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        diffs = nodes[lo:hi, None, :] - nodes[None, :, :]
-        K[lo:hi] = rho_n_kernel(model, diffs.reshape(-1, 2), n_kernel).reshape(hi - lo, n)
+    K = discrete_correlation(rule.nodes, model, n_kernel)
     sw = np.sqrt(rule.weights)
-    A = sw[:, None] * K * sw[None, :]
-    A = 0.5 * (A + A.conj().T)
-    return np.linalg.eigvalsh(A)[::-1]
+    return np.linalg.eigvalsh(sw[:, None] * K * sw[None, :])[::-1]
 
 
 def _top_diff(a: np.ndarray, b: np.ndarray, k: int = 10) -> float:

@@ -271,6 +271,42 @@ class TestKernel:
         with pytest.raises(ValueError):
             rho_n_kernel(ds.IsotropicPas(), (2.0, 0.0), 5)
 
+    def test_oversized_grid_refused_before_allocation(self):
+        # |x| = 1e6 wavelengths needs N = 8539745 on a Q = 17280000 grid:
+        # one row of plane waves alone would be 276 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"N=8539745 on a Q=17280000 angle grid needs a 1x17280000"):
+                rho_n_kernel(ds.IsotropicPas(), (1e6, 0.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+
+    @pytest.mark.parametrize("margin", [0, DEFAULT_ORDER_MARGIN])
+    @pytest.mark.parametrize("radius", [0.0, 0.3, 20.0])
+    @pytest.mark.parametrize(
+        "model",
+        [
+            ds.IsotropicPas(),
+            ds.VonMisesPas(kappa=4.0, alpha0=0.7),
+            ds.VonMisesPas(kappa=200.0, alpha0=-2.0),
+            ds.UniformPas(delta=math.pi / 2, alpha0=1.1),
+            ds.UniformPas(delta=1e-3, alpha0=0.4),
+            ds.TabulatedPas([-2.0, 0.0, 2.0], [1.0, 0.2, 0.8], alpha0=0.3),
+        ],
+        ids=["isotropic", "von_mises_4", "von_mises_200", "uniform_90", "uniform_1e-3", "tabulated"],
+    )
+    def test_angle_grid_matches_bessel_series(self, model, radius, margin):
+        rng = np.random.default_rng(11)
+        r = radius * np.sqrt(rng.uniform(0.0, 1.0, 40))
+        r[0] = radius
+        beta = rng.uniform(0.0, TWO_PI, 40)
+        pts = np.stack([r * np.cos(beta), r * np.sin(beta)], axis=1)
+        N = ds.truncation_order(radius) + margin
+        series = basis_matrix(pts, N) @ model.fourier(np.arange(-N, N + 1))
+        assert np.max(np.abs(rho_n_kernel(model, pts, N) - series)) <= 1e-13
+
 
 class TestBuild:
     def test_default_truncation_for_unit_radius(self):
@@ -349,3 +385,52 @@ class TestValidation:
         monkeypatch.setattr(operators, target, lambda *args: breakage(build(*args)))
         with pytest.raises(ArithmeticError, match=message):
             build_truncated_operator(ds.Segment(1.0), ds.UniformPas(delta=math.pi / 2))
+
+    @staticmethod
+    def _gram_with_min_eig(G, target):
+        # move only the smallest eigenvalue; the trace moves by ~1e-10
+        lam, vecs = np.linalg.eigh(G)
+        v = vecs[:, :1]
+        G = G + (target - lam[0]) * (v @ v.conj().T)
+        return 0.5 * (G + G.conj().T)
+
+    @staticmethod
+    def _rtilde_with_min_eig(R, target):
+        # (R - mu*I)/(1 - mu) keeps the unit diagonal and the Toeplitz form
+        lam_min = np.linalg.eigvalsh(R)[0]
+        mu = (lam_min - target) / (1.0 - target)
+        return (R - mu * np.eye(len(R))) / (1.0 - mu)
+
+    @pytest.mark.parametrize(
+        "target, label",
+        [("gram_matrix", "Gram matrix"), ("rtilde_matrix", "coefficient correlation matrix")],
+        ids=["gram", "rtilde"],
+    )
+    @pytest.mark.parametrize("lam_min, refused", [(-2e-10, True), (-1e-12, False)])
+    def test_psd_threshold(self, monkeypatch, target, label, lam_min, refused):
+        shift = self._gram_with_min_eig if target == "gram_matrix" else self._rtilde_with_min_eig
+        build = getattr(operators, target)
+        monkeypatch.setattr(operators, target, lambda *args: shift(build(*args), lam_min))
+        aperture, model = ds.Segment(1.0), ds.UniformPas(delta=math.pi / 2)
+        if refused:
+            with pytest.raises(ArithmeticError, match=f"{label} indefinite: min eigenvalue -2.000e-10"):
+                build_truncated_operator(aperture, model)
+        else:
+            op = build_truncated_operator(aperture, model)
+            matrix = op.gram if target == "gram_matrix" else op.rtilde
+            assert np.linalg.eigvalsh(matrix)[0] == pytest.approx(lam_min, abs=1e-14)
+
+    def test_two_eigensolves_per_solve(self, monkeypatch):
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        for aperture in [ds.Segment(1.0), ds.Disk(0.8), ds.DiscreteArray(((0.0, 0.0), (0.5, 0.2)))]:
+            calls.clear()
+            ds.solve_spectrum(build_truncated_operator(aperture, ds.VonMisesPas(kappa=3.0)))
+            assert len(calls) <= 2, calls

@@ -259,6 +259,18 @@ class TestTimeAcf:
         with pytest.raises(ValueError):
             time_acf(IsotropicPas(), DopplerSpec(1.0), 1.3, N=5)
 
+    def test_default_order(self):
+        from divspec.specfun import bessel_j, series_order
+
+        spec = DopplerSpec(2.0)
+        model = UniformPas(delta=1.0, alpha0=0.6)
+        for t in [0.0, 0.4, -1.3]:
+            N, _ = series_order(spec.nu_max * abs(t))
+            assert time_acf(model, spec, t) == time_acf(model, spec, t, N=N)
+            assert time_acf(IsotropicPas(), spec, t) == pytest.approx(
+                bessel_j(0, TWO_PI * spec.nu_max * abs(t)), abs=1e-12
+            )
+
     def test_negative_lag_conjugates(self):
         model = UniformPas(delta=1.0, alpha0=0.6)
         spec = DopplerSpec(1.0)

@@ -1,9 +1,13 @@
+import importlib.util
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import divspec as ds
+from divspec import cli, spectrum
 from divspec.spectrum import (
     BoundTooLooseError,
     DiversitySpectrum,
@@ -208,6 +212,59 @@ class TestDiscrete:
         with pytest.raises(ValueError):
             ds.discrete_correlation([(0.0, 0.0), (1.0, 0.0)], ds.IsotropicPas(), N=3)
 
+    @pytest.mark.parametrize(
+        "model",
+        [ds.IsotropicPas(), ds.VonMisesPas(kappa=4.0, alpha0=1.0), ds.UniformPas(delta=1e-3, alpha0=0.5)],
+        ids=["isotropic", "von_mises", "uniform_narrow"],
+    )
+    def test_translation_invariant(self, model):
+        rng = np.random.default_rng(3)
+        r = 1.5 * np.sqrt(rng.uniform(0.0, 1.0, 16))
+        beta = rng.uniform(0.0, TWO_PI, 16)
+        pts = np.stack([r * np.cos(beta), r * np.sin(beta)], axis=1)
+        here = ds.discrete_correlation(pts, model)
+        far = ds.discrete_correlation(pts + np.array([1000.0, -500.0]), model)
+        assert np.max(np.abs(far - here)) <= 1e-12
+
+    def test_matches_kernel_at_displacements(self):
+        model = ds.UniformPas(delta=math.pi / 3, alpha0=0.8)
+        pts = np.random.default_rng(4).uniform(-1.0, 1.0, size=(9, 2))
+        R = ds.discrete_correlation(pts, model)
+        diffs = (pts[:, None, :] - pts[None, :, :]).reshape(-1, 2)
+        d_max = float(np.max(np.hypot(diffs[:, 0], diffs[:, 1])))
+        N, _ = ds.series_order(d_max)
+        expected = ds.rho_n_kernel(model, diffs, N).reshape(9, 9)
+        np.fill_diagonal(expected, 1.0)
+        assert np.max(np.abs(R - expected)) <= 1e-13
+        assert np.all(np.diag(R) == 1.0)
+        assert np.array_equal(R, R.conj().T)
+
+    def test_oversized_plane_waves_refused_before_allocation(self):
+        # 2,000 antennas over 1000 wavelengths: N = 8550 on a Q = 17280 grid
+        # makes E 553 MB; the pairwise-distance scan stays in ~1 MB blocks
+        L = 2000
+        line = np.stack([np.linspace(0.0, 1000.0, L), np.zeros(L)], axis=1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"N=8550 on a Q=17280 .* 2000x17280 552960000-byte"):
+                ds.discrete_correlation(line, ds.IsotropicPas())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+
+    def test_oversized_result_refused_before_allocation(self):
+        L = 6000
+        line = np.stack([0.5 * np.arange(L), np.zeros(L)], axis=1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"6000x6000 correlation matrix needs 576000000 bytes"):
+                ds.discrete_correlation(line, ds.IsotropicPas())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+
     def test_identity_gives_antenna_count(self):
         for L in [2, 5, 16]:
             assert ds.discrete_diversity(np.eye(L)) == float(L)
@@ -237,6 +294,42 @@ class TestDiscrete:
             omegas.append(ds.discrete_diversity(ds.discrete_correlation(pts, pas)))
         assert abs(omegas[-1] - continuous) / continuous < 0.05
         assert abs(omegas[-1] - continuous) < abs(omegas[0] - continuous)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _array_workload_inputs(seed):
+    spec = importlib.util.spec_from_file_location("divbench_workloads", ROOT / "divbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.array_inputs(seed)
+
+
+def test_array_grid_aliasing_certified(monkeypatch, tmp_path):
+    """Every angle grid chosen for fig9, fig10 and the benchmark arrays aliases below 1e-17."""
+    grids = []
+    choose = spectrum._kernel_grid
+
+    def recorded(model, radius, N):
+        N, u, c = choose(model, radius, N)
+        grids.append((radius, N, len(u)))
+        return N, u, c
+
+    monkeypatch.setattr(spectrum, "_kernel_grid", recorded)
+    rows = 0
+    for fig in ("fig9", "fig10"):
+        out = tmp_path / f"{fig}.csv"
+        assert cli.main(["sweep", "--config", str(ROOT / "scenarios" / f"{fig}.cfg"), "--out", str(out)]) == 0
+        rows += len(out.read_text().splitlines()) - 2
+    arrays = 0
+    for seed in (1, 2, 3):
+        for arr in _array_workload_inputs(seed):
+            ds.discrete_correlation(arr["points"], cli.make_pas(arr["pas"]))
+            arrays += 1
+    assert len(grids) == rows + arrays
+    for radius, N, Q in grids:
+        assert ds.bessel_abs_tail_bound(Q - N - 1, radius) <= 1e-17
 
 
 class TestMimoSlope:
