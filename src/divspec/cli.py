@@ -5,7 +5,6 @@ Subcommands
 spectrum   solve one scenario, write the eigenvalue spectrum as CSV
 sweep      vary one parameter of a base scenario, write omega per point
 doppler    tabulate the Doppler power density of a PAS
-plot       emit a matplotlib script rendering a previously written CSV
 
 Configs are JSON; angles are degrees and lengths wavelengths there (the
 library API itself is radians).  Output CSVs are byte-deterministic for a
@@ -402,86 +401,6 @@ def cmd_doppler(args) -> int:
     return _doppler_csv(cfg, np.linspace(start, stop, steps), args.out)
 
 
-_PLOT_KINDS = ("spectrum", "sweep", "doppler")
-
-_PLOT_TEMPLATE = '''#!/usr/bin/env python3
-"""Render {kind} data from {csv!r}; written by divspec plot."""
-import csv
-
-import matplotlib
-matplotlib.use("Agg")
-import matplotlib.pyplot as plt
-
-rows = []
-with open({csv!r}) as fh:
-    for line in fh:
-        if line.startswith("#") or not line.strip():
-            continue
-        rows.append(line.strip().split(","))
-header, data = rows[0], rows[1:]
-cols = {{name: [row[i] for row in data] for i, name in enumerate(header)}}
-
-fig, ax = plt.subplots(figsize=(7, 4.5))
-{body}
-ax.grid(True, which="both", alpha=0.3)
-fig.tight_layout()
-fig.savefig({png!r}, dpi=150)
-print("wrote", {png!r})
-'''
-
-_PLOT_BODIES = {
-    "spectrum": """idx = [int(v) for v in cols["index"]]
-lam = [float(v) for v in cols["eigenvalue"]]
-floor = 1e-20
-ax.semilogy(idx, [max(v, floor) for v in lam], "o-", markersize=3)
-ax.set_xlabel("eigenvalue index")
-ax.set_ylabel("eigenvalue")""",
-    "sweep": """x = [float(v) for v in cols["param"]]
-pairs = [(a, b) for a, b in zip(x, cols["omega"]) if b]
-ax.plot([p[0] for p in pairs], [float(p[1]) for p in pairs], "o-", label="omega", markersize=3)
-if "omega_corrected" in cols:
-    pairs = [(a, b) for a, b in zip(x, cols["omega_corrected"]) if b]
-    ax.plot([p[0] for p in pairs], [float(p[1]) for p in pairs], "--", label="corrected")
-ax.set_xlabel("parameter")
-ax.set_ylabel("diversity measure")
-ax.legend()""",
-    "doppler": """x = [float(v) for v in cols["nu"]]
-pairs = [(a, b) for a, b in zip(x, cols["S_doppler"]) if b]
-ax.plot([p[0] for p in pairs], [float(p[1]) for p in pairs])
-ax.set_xlabel("Doppler frequency")
-ax.set_ylabel("power density")""",
-}
-
-_EXPECTED_HEADERS = {
-    "spectrum": "index,eigenvalue,cumulative",
-    "sweep": "param,omega,omega_corrected,error_bound",
-    "doppler": "nu,S_doppler",
-}
-
-
-def cmd_plot(args) -> int:
-    kind = args.kind.lower()
-    if kind not in _PLOT_KINDS:
-        raise ConfigError(f"plot.kind: unknown kind '{args.kind}'; valid: {', '.join(_PLOT_KINDS)}")
-    try:
-        with open(args.csv, "r", encoding="utf-8") as fh:
-            header = None
-            for line in fh:
-                if not line.startswith("#") and line.strip():
-                    header = line.strip()
-                    break
-    except FileNotFoundError:
-        raise ConfigError(f"plot.csv: file not found: {args.csv}")
-    if header is None or not header.startswith(_EXPECTED_HEADERS[kind]):
-        raise ConfigError(
-            f"plot.csv: {args.csv} does not carry the '{_EXPECTED_HEADERS[kind]}' header"
-        )
-    png = (args.csv[:-4] if args.csv.endswith(".csv") else args.csv) + ".png"
-    script = _PLOT_TEMPLATE.format(kind=kind, csv=args.csv, png=png, body=_PLOT_BODIES[kind])
-    _write_lines(args.out, script.splitlines())
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="divspec",
@@ -506,12 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_doppler)
-
-    p = sub.add_parser("plot", help="write a matplotlib script for a CSV")
-    p.add_argument("--csv", required=True)
-    p.add_argument("--kind", required=True, help="spectrum, sweep, or doppler")
-    p.add_argument("--out", required=True, help="output script path")
-    p.set_defaults(func=cmd_plot)
     return parser
 
 

@@ -190,12 +190,9 @@ def _radial_factor(aperture, Q: int) -> np.ndarray:
 def _aperture_transform(aperture, u: np.ndarray, N: int) -> np.ndarray:
     """``Phi_pq = mu_hat(u_q - u_p)``, the aperture measure's Fourier transform.
 
-    Each kind is point masses (its centre, its line centres or its
-    antennas) times the closed-form transform of its shape about them.
+    Each kind is point masses (its centre or its line centres) times the
+    closed-form transform of its shape about them.
     """
-    if isinstance(aperture, DiscreteArray):
-        pts = aperture.as_array()
-        return _point_masses(pts, np.full(len(pts), 1.0 / len(pts)), u, N)
     if isinstance(aperture, ParallelLines):
         centers = aperture.line_centers()
         weights = np.full(aperture.count, 1.0 / aperture.count)
@@ -223,6 +220,34 @@ def _gram_from_transform(phi: np.ndarray, N: int) -> np.ndarray:
     return 0.5 * (G + G.conj().T)
 
 
+def _gram_grid(aperture, N: int) -> np.ndarray:
+    """Angle grid of :func:`gram_matrix`; ``Q > 4096`` is refused before allocation."""
+    Q = _angle_grid_size(N, enclosing_radius(aperture))
+    _check_grid_bytes(Q, Q, N)
+    return _angle_grid(Q)
+
+
+def _array_factor(aperture: DiscreteArray, N: int) -> np.ndarray:
+    """``L x (2N+1)`` factor ``F`` of an array's Gram matrix, ``G = F^H F``.
+
+    ``F = L**-0.5 * ifft(E, axis=1)[:, n mod Q]`` with ``E`` the antennas'
+    plane waves on the angle grid, so ``F_kn`` is ``v_n(x_k)/sqrt(L)`` to
+    the grid's aliasing bound.  The point-mass transform
+    ``E^H diag(1/L) E`` taken through the 2-D DFT of
+    ``_gram_from_transform`` reduces to ``F^H F``, each DFT acting on one
+    factor, without the ``Q x Q`` intermediate.
+    """
+    u = _gram_grid(aperture, N)
+    pts = aperture.as_array()
+    idx = np.arange(-N, N + 1) % len(u)
+    return np.fft.ifft(_plane_waves(pts, u, N), axis=1)[:, idx] / math.sqrt(len(pts))
+
+
+def _factor_gram(F: np.ndarray) -> np.ndarray:
+    G = F.conj().T @ F
+    return 0.5 * (G + G.conj().T)
+
+
 def _default_order(N: int) -> int:
     return 4 * (int(N) + 1)
 
@@ -244,20 +269,21 @@ def gram_matrix(aperture, N: int) -> np.ndarray:
     transform is a node sum over a rule of order ``4*(N+1)``, verified by
     doubling the order: any entry moving by more than 1e-10 raises
     :class:`QuadratureConvergenceError`, and the doubled rule's result is
-    returned otherwise.  A discrete array's point masses are exact.
-    ``Q > 4096``, or a node matrix above the same 256 MiB, is refused with
-    ``ValueError`` before it is allocated.
+    returned otherwise.  A discrete array's point masses are exact: its
+    ``G`` is ``F^H F`` with the ``L x (2N+1)`` factor ``F_kn = v_n(x_k)/sqrt(L)``
+    evaluated on the same grid.  ``Q > 4096``, or a node matrix above the
+    same 256 MiB, is refused with ``ValueError`` before it is allocated.
     """
     N = int(N)
-    Q = _angle_grid_size(N, enclosing_radius(aperture))
-    _check_grid_bytes(Q, Q, N)
-    u = _angle_grid(Q)
+    if isinstance(aperture, DiscreteArray):
+        return _factor_gram(_array_factor(aperture, N))
+    u = _gram_grid(aperture, N)
     if not isinstance(aperture, PiecewiseCurve):
         return _gram_from_transform(_aperture_transform(aperture, u, N), N)
     q = _default_order(N)
     rule = build_quadrature(aperture, q)
     fine = build_quadrature(aperture, 2 * q)
-    _check_grid_bytes(len(fine), Q, N)
+    _check_grid_bytes(len(fine), len(u), N)
     G = _gram_from_transform(_point_masses(rule.nodes, rule.weights, u, N), N)
     G2 = _gram_from_transform(_point_masses(fine.nodes, fine.weights, u, N), N)
     drift = float(np.max(np.abs(G2 - G)))
@@ -333,7 +359,10 @@ class TruncatedOperator:
     ``N`` is the truncation order, ``N_D`` the critical order for the
     enclosing radius ``r1`` of the centred aperture, ``rho_max`` the PAS
     peak factor entering the error bounds, and ``offset`` the translation
-    removed by centring.
+    removed by centring.  For a discrete array of ``L`` antennas
+    ``gram_factor`` is the ``L x (2N+1)`` factor ``F`` with ``gram = F^H F``,
+    so ``G R`` has rank at most ``L`` and its other eigenvalues are exact
+    zeros; it is ``None`` for every other aperture kind.
     """
 
     N: int
@@ -343,6 +372,7 @@ class TruncatedOperator:
     rtilde: np.ndarray
     rho_max: float
     offset: np.ndarray
+    gram_factor: np.ndarray | None = None
 
     @property
     def size(self) -> int:
@@ -392,13 +422,19 @@ def build_truncated_operator(aperture, model: PasModel, N: int | None = None) ->
 
     The aperture is centred first (the kernel is stationary, so this only
     shrinks the enclosing radius ``r1``).  ``N`` is chosen or refused by
-    :func:`~divspec.specfun.series_order` at ``r1``.  All structural
-    invariants are verified on the result.
+    :func:`~divspec.specfun.series_order` at ``r1``.  A discrete array
+    also keeps the factor ``F`` of its Gram matrix (see
+    :class:`TruncatedOperator`).  All structural invariants are verified on
+    the result.
     """
     centered, offset = centering_transform(aperture)
     r1 = enclosing_radius(centered)
     N, n_critical = specfun.series_order(r1, N)
-    G = gram_matrix(centered, N)
+    if isinstance(centered, DiscreteArray):
+        F = _array_factor(centered, N)
+        G = _factor_gram(F)
+    else:
+        F, G = None, gram_matrix(centered, N)
     op = TruncatedOperator(
         N=N,
         N_D=n_critical,
@@ -407,6 +443,7 @@ def build_truncated_operator(aperture, model: PasModel, N: int | None = None) ->
         rtilde=rtilde_matrix(model, N),
         rho_max=float(model.rho_max()),
         offset=np.asarray(offset, dtype=float),
+        gram_factor=F,
     )
     _validate_operator(op)
     return op

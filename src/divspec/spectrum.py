@@ -8,6 +8,10 @@ solve goes through the spectral square root:
     eig(R^(1/2) G R^(1/2)) = eig(G R),
 
 which is manifestly real and non-negative and keeps the sort stable.
+For an array of ``L < 2N+1`` antennas ``G = F^H F`` with an ``L x (2N+1)``
+factor ``F``, and the nonzero eigenvalues of ``G R`` are those of the
+``L x L`` matrix ``F R F^H``; the solve takes that one eigendecomposition
+and pads with exact zeros.
 
 Each solve carries two certified error bounds scaled from the tail bound
 of :mod:`divspec.specfun`, which also sets ``N`` and ``N_D``: one for each
@@ -88,12 +92,13 @@ class OracleConvergenceError(RuntimeError):
 class DiversitySpectrum:
     """Descending eigenvalues of a solved aperture/PAS pair with bounds.
 
-    ``eigenvalues`` sum to ``trace`` (equal to one up to the certified
-    truncation residual), ``omega`` is the effective number of equal-power
-    uncorrelated branches, and ``inv_omega`` its reciprocal computed from
-    the same truncated sums.  ``eig_error_bound`` certifies each
-    eigenvalue, ``hs_error_bound`` the squared Hilbert-Schmidt norm
-    ``hs_norm_sq``.
+    ``eigenvalues`` (``2N+1`` of them; for an array of ``L`` antennas
+    those beyond the first ``L`` are exact zeros) sum to ``trace`` (equal
+    to one up to the certified truncation residual), ``omega`` is the
+    effective number of equal-power uncorrelated branches, and
+    ``inv_omega`` its reciprocal computed from the same truncated sums.
+    ``eig_error_bound`` certifies each eigenvalue, ``hs_error_bound`` the
+    squared Hilbert-Schmidt norm ``hs_norm_sq``.
     """
 
     eigenvalues: np.ndarray
@@ -121,9 +126,20 @@ def _hermitian_sqrt(mat: np.ndarray, label: str) -> np.ndarray:
 
 
 def solve_spectrum(op: TruncatedOperator) -> DiversitySpectrum:
-    """Solve the truncated eigenvalue problem and attach certified bounds."""
-    root = _hermitian_sqrt(op.rtilde, "coefficient correlation matrix")
-    sym = root @ op.gram @ root
+    """Solve the truncated eigenvalue problem and attach certified bounds.
+
+    The general route is ``eigvalsh(R^(1/2) G R^(1/2))``, two
+    eigendecompositions of order ``2N+1``.  An operator whose Gram factor
+    ``F`` (``L x (2N+1)``, see :class:`~divspec.operators.TruncatedOperator`)
+    has ``L < 2N+1`` rows takes one ``L x L`` ``eigvalsh(F R F^H)`` instead;
+    its eigenvalues beyond rank ``L`` are exact zeros.
+    """
+    F = op.gram_factor
+    if F is not None and len(F) < op.size:
+        sym = F @ op.rtilde @ F.conj().T
+    else:
+        root = _hermitian_sqrt(op.rtilde, "coefficient correlation matrix")
+        sym = root @ op.gram @ root
     sym = 0.5 * (sym + sym.conj().T)
     lam = np.linalg.eigvalsh(sym)[::-1].copy()
     if lam[-1] < -_CLAMP_FLOOR:
@@ -132,6 +148,7 @@ def solve_spectrum(op: TruncatedOperator) -> DiversitySpectrum:
             "the Gram or correlation matrix is broken"
         )
     np.clip(lam, 0.0, None, out=lam)
+    lam = np.concatenate([lam, np.zeros(op.size - len(lam))])
     eig_error_bound = op.rho_max * specfun.bessel_abs_tail_bound(op.N, op.r1)
     trace = float(lam.sum())
     hs_norm_sq = float(np.sum(lam * lam))

@@ -426,52 +426,6 @@ class TestDopplerCommand:
         assert header == ["nu", "S_doppler"] and len(rows) == 7
 
 
-class TestPlotCommand:
-    def _spectrum_csv(self, tmp_path):
-        cfg = write_cfg(tmp_path / "c.cfg", UCA_CFG)
-        out = tmp_path / "spec.csv"
-        main(["spectrum", "--config", cfg, "--out", str(out)])
-        return out
-
-    def test_emits_runnable_script(self, tmp_path):
-        csv = self._spectrum_csv(tmp_path)
-        script = tmp_path / "plot.py"
-        assert main(["plot", "--csv", str(csv), "--kind", "spectrum", "--out", str(script)]) == 0
-        compile(script.read_text(), str(script), "exec")  # syntactically valid
-
-    def test_script_renders_image(self, tmp_path):
-        pytest.importorskip("matplotlib")  # the emitted script imports it
-        import subprocess
-        import sys as _sys
-
-        csv = self._spectrum_csv(tmp_path)
-        script = tmp_path / "plot.py"
-        main(["plot", "--csv", str(csv), "--kind", "spectrum", "--out", str(script)])
-        result = subprocess.run(
-            [_sys.executable, str(script)], capture_output=True, text=True, timeout=120
-        )
-        assert result.returncode == 0, result.stderr
-        assert (tmp_path / "spec.png").exists()
-
-    def test_unknown_kind_lists_valid(self, tmp_path, capsys):
-        csv = self._spectrum_csv(tmp_path)
-        rc = main(["plot", "--csv", str(csv), "--kind", "pie", "--out", str(tmp_path / "p.py")])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "spectrum" in err and "sweep" in err and "doppler" in err
-
-    def test_missing_csv(self, tmp_path):
-        rc = main(
-            ["plot", "--csv", str(tmp_path / "nope.csv"), "--kind", "spectrum", "--out", str(tmp_path / "p.py")]
-        )
-        assert rc == 2
-
-    def test_header_mismatch(self, tmp_path):
-        csv = self._spectrum_csv(tmp_path)
-        rc = main(["plot", "--csv", str(csv), "--kind", "sweep", "--out", str(tmp_path / "p.py")])
-        assert rc == 2
-
-
 class TestDeterminism:
     def test_back_to_back_runs_identical(self, tmp_path):
         cfg = write_cfg(

@@ -161,6 +161,26 @@ class TestGram:
         reference = node_sum_gram(aperture, N, 6 * (N + 1))
         assert np.max(np.abs(gram_matrix(aperture, N) - reference)) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "points",
+        [
+            NODE_SUM_CASES["array-random"].points,
+            tuple((1.2 * math.cos(b), 1.2 * math.sin(b)) for b in np.arange(16) * TWO_PI / 16),
+            tuple((0.3 + 0.5 * k, -0.2) for k in range(20)) + ((0.3, -0.2),),
+        ],
+        ids=["random-12", "circle-16", "offset-line-with-coincident"],
+    )
+    def test_array_factor_matches_point_mass_transform(self, points):
+        # the Q x Q point-mass transform and its 2-D DFT, as assembled before the factor
+        aperture = ds.DiscreteArray(points)
+        pts = aperture.as_array()
+        r1 = ds.enclosing_radius(aperture)
+        N = ds.truncation_order(r1) + DEFAULT_ORDER_MARGIN
+        u = operators._angle_grid(operators._angle_grid_size(N, r1))
+        phi = operators._point_masses(pts, np.full(len(pts), 1.0 / len(pts)), u, N)
+        reference = operators._gram_from_transform(phi, N)
+        assert np.max(np.abs(gram_matrix(aperture, N) - reference)) <= 1e-14
+
     @pytest.mark.parametrize("radius", [3.0, 10.0])
     def test_isotropic_disk_spectrum_closed_form(self, radius):
         # G is diagonal with G_nn = J_n(z)^2 - J_{n-1}(z) J_{n+1}(z), z = 2 pi R
@@ -425,12 +445,18 @@ class TestValidation:
         for name in ("eigh", "eigvalsh"):
             original = getattr(np.linalg, name)
 
-            def counted(*args, _original=original, _name=name, **kwargs):
-                calls.append(_name)
-                return _original(*args, **kwargs)
+            def counted(a, *args, _original=original, _name=name, **kwargs):
+                calls.append((_name, np.shape(a)))
+                return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
-        for aperture in [ds.Segment(1.0), ds.Disk(0.8), ds.DiscreteArray(((0.0, 0.0), (0.5, 0.2)))]:
+        for aperture in [ds.Segment(1.0), ds.Disk(0.8)]:
             calls.clear()
             ds.solve_spectrum(build_truncated_operator(aperture, ds.VonMisesPas(kappa=3.0)))
             assert len(calls) <= 2, calls
+        # two antennas against 2N+1 = 27 orders: one 2 x 2 eigvalsh, no eigh
+        calls.clear()
+        aperture = ds.DiscreteArray(((0.0, 0.0), (0.5, 0.2)))
+        op = build_truncated_operator(aperture, ds.VonMisesPas(kappa=3.0))
+        ds.solve_spectrum(op)
+        assert op.size == 27 and calls == [("eigvalsh", (2, 2))]

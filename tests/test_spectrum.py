@@ -332,6 +332,68 @@ def test_array_grid_aliasing_certified(monkeypatch, tmp_path):
         assert ds.bessel_abs_tail_bound(Q - N - 1, radius) <= 1e-17
 
 
+def _full_route(op):
+    """Eigenvalues and omega of ``R^(1/2) G R^(1/2)`` from the operator's own ``G`` and ``R``."""
+    vals, vecs = np.linalg.eigh(op.rtilde)
+    root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+    sym = root @ op.gram @ root
+    lam = np.clip(np.linalg.eigvalsh(0.5 * (sym + sym.conj().T))[::-1], 0.0, None)
+    return lam, lam.sum() ** 2 / np.sum(lam * lam)
+
+
+def _array_cases():
+    rng = np.random.default_rng(3)
+    cases = [
+        pytest.param(arr["points"], cli.make_pas(arr["pas"]), None, id=f"{arr['name']}-seed{seed}")
+        for seed in (1, 2, 3)
+        for arr in _array_workload_inputs(seed)
+    ]
+    return cases + [
+        pytest.param(np.array([[0.3, -0.1]]), ds.VonMisesPas(kappa=3.0, alpha0=0.2), None, id="one-antenna"),
+        pytest.param(
+            np.array([[0.0, 0.0], [0.0, 0.0], [0.5, 0.2]]), ds.IsotropicPas(), None, id="coincident"
+        ),
+        pytest.param(
+            rng.uniform(-1.0, 1.0, (10, 2)), ds.UniformPas(delta=1.0, alpha0=0.4), 40, id="n-override"
+        ),
+    ]
+
+
+class TestArrayFactorRoute:
+    @pytest.mark.parametrize("points, model, N", _array_cases())
+    def test_matches_full_route(self, points, model, N):
+        op = ds.build_truncated_operator(ds.DiscreteArray(tuple(map(tuple, points.tolist()))), model, N)
+        spec = ds.solve_spectrum(op)
+        lam, omega = _full_route(op)
+        L = len(points)
+        assert op.gram_factor.shape == (L, op.size)
+        assert len(spec.eigenvalues) == op.size
+        assert np.all(spec.eigenvalues[L:] == 0.0)
+        assert np.max(np.abs(spec.eigenvalues - lam)) <= 1e-13
+        assert abs(spec.omega - omega) <= 1e-13 * omega
+
+    def test_wide_array_takes_full_route(self, monkeypatch):
+        # 30 antennas within radius 0.2 exceed 2N+1 = 25
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counted(a, *args, _original=original, _name=name, **kwargs):
+                calls.append((_name, np.shape(a)))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        rng = np.random.default_rng(30)
+        r = 0.2 * np.sqrt(rng.uniform(0.0, 1.0, 30))
+        beta = rng.uniform(0.0, TWO_PI, 30)
+        points = np.stack([r * np.cos(beta), r * np.sin(beta)], axis=1)
+        aperture = ds.DiscreteArray(tuple(map(tuple, points.tolist())))
+        op = ds.build_truncated_operator(aperture, ds.VonMisesPas(kappa=2.0))
+        calls.clear()
+        ds.solve_spectrum(op)
+        assert op.size == 25 and calls == [("eigh", (25, 25)), ("eigvalsh", (25, 25))]
+
+
 class TestMimoSlope:
     def test_anchors(self):
         assert ds.mimo_slope(1.0, 1.0) == 1.0
