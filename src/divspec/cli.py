@@ -37,8 +37,16 @@ from .aperture import (
     centering_transform,
     enclosing_radius,
 )
-from .pas import DopplerSpec, IsotropicPas, TabulatedPas, UniformPas, VonMisesPas, doppler_spectrum
-from .operators import build_truncated_operator
+from .pas import (
+    DopplerSpec,
+    IsotropicPas,
+    TabulatedPas,
+    UniformPas,
+    VonMisesPas,
+    doppler_spectrum,
+    wrap_angle,
+)
+from .operators import _operator_builder, _rotated, build_truncated_operator
 from .specfun import bessel_abs_tail_bound, series_order
 from .spectrum import (
     discrete_correlation,
@@ -211,10 +219,16 @@ def make_pas(cfg: dict, path: str = "pas"):
     raise ConfigError(f"{path}.kind: unknown pas kind '{kind}'")
 
 
-def _solve_scenario(cfg: dict):
+def _scenario(cfg: dict):
+    """``(aperture, model, N)`` of a scenario config; ``N`` is ``None`` unless overridden."""
     aperture = make_aperture(_require(cfg, "aperture", "config"))
     model = make_pas(_require(cfg, "pas", "config"))
     N = None if cfg.get("n_override") is None else _number(cfg, "n_override", "config", int)
+    return aperture, model, N
+
+
+def _solve_scenario(cfg: dict):
+    aperture, model, N = _scenario(cfg)
     op = build_truncated_operator(aperture, model, N)
     return aperture, model, op, solve_spectrum(op)
 
@@ -326,7 +340,43 @@ def _apply_sweep(cfg: dict, kind: str, value: float) -> dict:
     return out
 
 
+def _sweep_operators(cfg: dict, kind: str, values):
+    """``operator(value)`` of a radius, length or direction sweep point.
+
+    Only what the swept parameter changes is built per point.  A direction
+    sweep builds and checks one operator, with the PAS at ``alpha0 = 0``,
+    and rotates it to each point (``operators._rotated``); a refused build
+    is tried again, and refused again, at every point.  Radius and length
+    sweeps take the PAS model and ``N`` from the first point's config,
+    build ``G`` per point, and share ``R`` and ``R^(1/2)`` among the
+    points of each order (``operators._operator_builder``).
+    """
+    if kind == "direction":
+        aperture, model, N = _scenario(_apply_sweep(cfg, kind, 0.0))
+        base = None
+
+        def operator(value):
+            nonlocal base
+            if base is None:
+                base = build_truncated_operator(aperture, model, N)
+            return _rotated(base, wrap_angle(value * _RAD))
+
+        return operator
+    _, model, N = _scenario(_apply_sweep(cfg, kind, float(values[0])))
+    build = _operator_builder(model)
+    return lambda value: build(make_aperture(_apply_sweep(cfg, kind, value)["aperture"]), N)
+
+
 def cmd_sweep(args) -> int:
+    """Write one row per sweep value: ``param,omega,omega_corrected,error_bound``.
+
+    Every point of a radius, length or direction sweep is solved by
+    :func:`~divspec.spectrum.solve_spectrum` on an operator that shares
+    the work its parameter leaves unchanged (see ``_sweep_operators``); an
+    antennas sweep evaluates ``discrete_correlation`` per antenna count.
+    A point that fails numerically writes a warning to stderr and a row
+    of empty cells; a configuration error stops the sweep with exit 2.
+    """
     cfg = _load_config(args.config)
     kind, values = _sweep_values(_require(cfg, "sweep", "config"))
     if kind == "doppler":
@@ -352,9 +402,10 @@ def cmd_sweep(args) -> int:
                 print(f"warning: L={int(L)}: {exc}", file=sys.stderr)
                 lines.append(f"{int(L)},,,")
     else:
+        operator = _sweep_operators(cfg, kind, values)
         for value in values:
             try:
-                _, _, _, spec = _solve_scenario(_apply_sweep(cfg, kind, float(value)))
+                spec = solve_spectrum(operator(float(value)))
                 center, half_width = omega_corrected(spec)
                 lines.append(
                     f"{_fmt(value)},{_fmt(spec.omega)},{_fmt(center)},{_fmt(half_width)}"

@@ -32,8 +32,9 @@ order ``n = i - N``.
 
 from __future__ import annotations
 
+import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import toeplitz
@@ -63,6 +64,8 @@ __all__ = [
     "rho_n_kernel",
     "build_truncated_operator",
 ]
+
+logger = logging.getLogger(__name__)
 
 #: Angle-grid orders above ``N + N_D`` that :func:`gram_matrix` keeps clear
 #: of aliasing; the aliased Bessel tail is below ``0.2*exp(-_ALIAS_MARGIN)``.
@@ -362,7 +365,11 @@ class TruncatedOperator:
     removed by centring.  For a discrete array of ``L`` antennas
     ``gram_factor`` is the ``L x (2N+1)`` factor ``F`` with ``gram = F^H F``,
     so ``G R`` has rank at most ``L`` and its other eigenvalues are exact
-    zeros; it is ``None`` for every other aperture kind.
+    zeros; it is ``None`` for every other aperture kind.  ``rtilde_root``
+    is the Hermitian square root ``R^(1/2)``, taken once when ``R`` is
+    built and shared by every operator of a sweep with the same ``R``; it
+    is ``None`` for an array, whose solve may not need it, and then
+    :func:`~divspec.spectrum.solve_spectrum` takes it when it does.
     """
 
     N: int
@@ -373,6 +380,7 @@ class TruncatedOperator:
     rho_max: float
     offset: np.ndarray
     gram_factor: np.ndarray | None = None
+    rtilde_root: np.ndarray | None = None
 
     @property
     def size(self) -> int:
@@ -396,36 +404,29 @@ def _check_psd(M: np.ndarray, label: str) -> None:
         raise ArithmeticError(f"{label} indefinite: min eigenvalue {lam_min:.3e}") from None
 
 
-def _validate_operator(op: TruncatedOperator) -> None:
-    G, R = op.gram, op.rtilde
-    scale = max(1.0, float(np.max(np.abs(G))))
-    if float(np.max(np.abs(G - G.conj().T))) > 1e-14 * scale:
-        raise ArithmeticError("Gram matrix lost Hermitian symmetry")
-    if float(np.max(np.abs(R - R.conj().T))) > 1e-14:
-        raise ArithmeticError("coefficient correlation matrix is not Hermitian")
-    if float(np.max(np.abs(np.diag(R) - 1.0))) > 1e-12:
-        raise ArithmeticError("coefficient correlation matrix diagonal is not 1")
-    _check_psd(G, "Gram matrix")
-    _check_psd(R, "coefficient correlation matrix")
-    trace = float(np.trace(G).real)
-    if trace > 1.0 + 1e-12 or trace < -1e-12:
-        raise ArithmeticError(f"Gram trace {trace} outside [0, 1]")
-    residual = specfun.bessel_sq_tail_bound(op.N, op.r1)
-    if 1.0 - trace > residual + 1e-9:
-        raise ArithmeticError(
-            f"Gram trace deficit {1.0 - trace:.3e} exceeds the tail bound {residual:.3e}"
-        )
+def _hermitian_sqrt(R: np.ndarray) -> np.ndarray:
+    """``R^(1/2)`` of a Hermitian PSD ``R``; negative eigenvalues clamp to zero.
+
+    A checked ``R`` has none below ``-_PSD_TOL``; one that was not checked
+    is logged when it has one below ``-1e-8``.
+    """
+    vals, vecs = np.linalg.eigh(R)
+    if vals[0] < 0.0:
+        if vals[0] < -1e-8:
+            logger.warning(
+                "coefficient correlation matrix has negative eigenvalue %.3e; "
+                "clamping to zero",
+                vals[0],
+            )
+        vals = np.clip(vals, 0.0, None)
+    return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
-def build_truncated_operator(aperture, model: PasModel, N: int | None = None) -> TruncatedOperator:
-    """Assemble the truncated operator for an aperture and a PAS.
+def _gram_half(aperture, N: int | None) -> dict:
+    """Geometry half of an operator: its ``G`` (and ``F``), checked, with the metadata.
 
-    The aperture is centred first (the kernel is stationary, so this only
-    shrinks the enclosing radius ``r1``).  ``N`` is chosen or refused by
-    :func:`~divspec.specfun.series_order` at ``r1``.  A discrete array
-    also keeps the factor ``F`` of its Gram matrix (see
-    :class:`TruncatedOperator`).  All structural invariants are verified on
-    the result.
+    Returns the :class:`TruncatedOperator` fields that depend only on the
+    aperture and ``N``.
     """
     centered, offset = centering_transform(aperture)
     r1 = enclosing_radius(centered)
@@ -435,15 +436,87 @@ def build_truncated_operator(aperture, model: PasModel, N: int | None = None) ->
         G = _factor_gram(F)
     else:
         F, G = None, gram_matrix(centered, N)
-    op = TruncatedOperator(
-        N=N,
-        N_D=n_critical,
-        r1=r1,
-        gram=G,
-        rtilde=rtilde_matrix(model, N),
-        rho_max=float(model.rho_max()),
-        offset=np.asarray(offset, dtype=float),
-        gram_factor=F,
+    scale = max(1.0, float(np.max(np.abs(G))))
+    if float(np.max(np.abs(G - G.conj().T))) > 1e-14 * scale:
+        raise ArithmeticError("Gram matrix lost Hermitian symmetry")
+    _check_psd(G, "Gram matrix")
+    trace = float(np.trace(G).real)
+    if trace > 1.0 + 1e-12 or trace < -1e-12:
+        raise ArithmeticError(f"Gram trace {trace} outside [0, 1]")
+    residual = specfun.bessel_sq_tail_bound(N, r1)
+    if 1.0 - trace > residual + 1e-9:
+        raise ArithmeticError(
+            f"Gram trace deficit {1.0 - trace:.3e} exceeds the tail bound {residual:.3e}"
+        )
+    offset = np.asarray(offset, dtype=float)
+    return dict(N=N, N_D=n_critical, r1=r1, gram=G, offset=offset, gram_factor=F)
+
+
+def _pas_half(model: PasModel, N: int) -> np.ndarray:
+    """PAS half of an operator: ``R`` of order ``N``, checked."""
+    R = rtilde_matrix(model, N)
+    if float(np.max(np.abs(R - R.conj().T))) > 1e-14:
+        raise ArithmeticError("coefficient correlation matrix is not Hermitian")
+    if float(np.max(np.abs(np.diag(R) - 1.0))) > 1e-12:
+        raise ArithmeticError("coefficient correlation matrix diagonal is not 1")
+    _check_psd(R, "coefficient correlation matrix")
+    return R
+
+
+def _operator_builder(model: PasModel):
+    """:func:`build_truncated_operator` for one PAS and any number of apertures.
+
+    The returned ``build(aperture, N=None)`` builds and checks the geometry
+    half for every aperture.  The PAS half, ``R``, its checks and
+    ``R^(1/2)``, depends only on ``N``, so it is made once per distinct
+    order and shared by the operators built with that order.  That table
+    belongs to the returned function, not to the module.
+    """
+    rho_max = float(model.rho_max())
+    pas_halves = {}
+
+    def build(aperture, N: int | None = None) -> TruncatedOperator:
+        geometry = _gram_half(aperture, N)
+        N = geometry["N"]
+        if N not in pas_halves:
+            R = _pas_half(model, N)
+            root = None if geometry["gram_factor"] is not None else _hermitian_sqrt(R)
+            pas_halves[N] = R, root
+        R, root = pas_halves[N]
+        return TruncatedOperator(**geometry, rtilde=R, rho_max=rho_max, rtilde_root=root)
+
+    return build
+
+
+def _rotated(op: TruncatedOperator, alpha: float) -> TruncatedOperator:
+    """``op`` with its PAS rotated by ``alpha``, as ``D^H G D`` against the same ``R``.
+
+    Rotating a PAS by ``alpha`` multiplies ``s_n`` by ``exp(-j*n*alpha)``,
+    so ``R(alpha) = D R D^H`` exactly, with ``D = diag(exp(-j*n*alpha))``,
+    and ``eig(G R(alpha)) = eig(D^H G D R)``.  The rotated operator keeps
+    ``R`` and ``R^(1/2)`` and carries ``D^H G D`` (and ``F D``).  A
+    diagonal unitary similarity keeps ``G`` Hermitian, PSD and its trace,
+    and ``N``, ``r1`` and ``rho_max`` do not depend on the rotation, so
+    the checks made on ``op`` and its bounds hold for the result.
+    """
+    d = np.exp(-1j * alpha * op.orders())
+    F = op.gram_factor
+    return replace(
+        op,
+        gram=op.gram * np.outer(d.conj(), d),
+        gram_factor=None if F is None else F * d,
     )
-    _validate_operator(op)
-    return op
+
+
+def build_truncated_operator(aperture, model: PasModel, N: int | None = None) -> TruncatedOperator:
+    """Assemble the truncated operator for an aperture and a PAS.
+
+    The aperture is centred first (the kernel is stationary, so this only
+    shrinks the enclosing radius ``r1``).  ``N`` is chosen or refused by
+    :func:`~divspec.specfun.series_order` at ``r1``.  A discrete array
+    also keeps the factor ``F`` of its Gram matrix, any other aperture the
+    square root of ``R`` (see :class:`TruncatedOperator`).  Every
+    structural invariant of ``G`` and ``R`` is verified: Hermitian, PSD,
+    ``R``'s unit diagonal, and ``G``'s trace against the tail bound.
+    """
+    return _operator_builder(model)(aperture, N)

@@ -29,7 +29,6 @@ matrix route.  It converges more slowly and is kept only for that purpose.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -50,6 +49,7 @@ from .aperture import (
 from .operators import (
     _MAX_GRID_BYTES,
     TruncatedOperator,
+    _hermitian_sqrt,
     _kernel_grid,
     _plane_waves,
 )
@@ -68,8 +68,6 @@ __all__ = [
     "mimo_slope",
     "nystrom_oracle",
 ]
-
-logger = logging.getLogger(__name__)
 
 #: Eigenvalues in (-1e-8, 0) are rounding noise and are clamped to zero;
 #: anything below signals a broken matrix pair and raises.
@@ -114,31 +112,26 @@ class DiversitySpectrum:
     rho_max: float
 
 
-def _hermitian_sqrt(mat: np.ndarray, label: str) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(mat)
-    if vals[0] < 0.0:
-        if vals[0] < -_CLAMP_FLOOR:
-            logger.warning(
-                "%s has negative eigenvalue %.3e; clamping to zero", label, vals[0]
-            )
-        vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
-
-
 def solve_spectrum(op: TruncatedOperator) -> DiversitySpectrum:
     """Solve the truncated eigenvalue problem and attach certified bounds.
 
-    The general route is ``eigvalsh(R^(1/2) G R^(1/2))``, two
-    eigendecompositions of order ``2N+1``.  An operator whose Gram factor
-    ``F`` (``L x (2N+1)``, see :class:`~divspec.operators.TruncatedOperator`)
-    has ``L < 2N+1`` rows takes one ``L x L`` ``eigvalsh(F R F^H)`` instead;
-    its eigenvalues beyond rank ``L`` are exact zeros.
+    The general route is ``eigvalsh(R^(1/2) G R^(1/2))`` of order
+    ``2N+1``, with the operator's ``rtilde_root`` (an ``eigh`` of ``R``
+    made when ``R`` was built, once for a whole sweep) or, when it carries
+    none, an ``eigh`` of ``R`` here.  An operator whose Gram factor ``F``
+    (``L x (2N+1)``, see :class:`~divspec.operators.TruncatedOperator`)
+    has ``L < 2N+1`` rows takes one ``L x L`` ``eigvalsh(F R F^H)``
+    instead; its eigenvalues beyond rank ``L`` are exact zeros.  Every
+    sweep point goes through here, so each solve runs the clamp and
+    norm-hierarchy checks and attaches its own bounds.
     """
     F = op.gram_factor
     if F is not None and len(F) < op.size:
         sym = F @ op.rtilde @ F.conj().T
     else:
-        root = _hermitian_sqrt(op.rtilde, "coefficient correlation matrix")
+        root = op.rtilde_root
+        if root is None:
+            root = _hermitian_sqrt(op.rtilde)
         sym = root @ op.gram @ root
     sym = 0.5 * (sym + sym.conj().T)
     lam = np.linalg.eigvalsh(sym)[::-1].copy()

@@ -388,6 +388,122 @@ class TestSweepCommand:
         assert "warning" in capsys.readouterr().err
 
 
+def _point_rows(cfg):
+    """CSV rows of a continuous sweep with every point built and solved alone."""
+    kind, values = cli._sweep_values(cfg["sweep"])
+    rows, warnings = [], []
+    for value in values:
+        try:
+            *_, spec = cli._solve_scenario(cli._apply_sweep(cfg, kind, float(value)))
+            center, half_width = ds.omega_corrected(spec)
+        except (ValueError, ArithmeticError, RuntimeError) as exc:
+            warnings.append(f"warning: param={value}: {exc}\n")
+            rows.append([cli._fmt(value), "", "", ""])
+            continue
+        rows.append([cli._fmt(v) for v in (value, spec.omega, center, half_width)])
+    return rows, "".join(warnings)
+
+
+def _sweep(tmp_path, cfg):
+    config = write_cfg(tmp_path / "sweep.cfg", cfg)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", config, "--out", str(out)]) == 0
+    return read_rows(out)[2]
+
+
+def _count_work(monkeypatch):
+    counts = {"gram_matrix": 0, "eigh": 0, "eigvalsh": 0}
+    for module, name in ((operators, "gram_matrix"), (np.linalg, "eigh"), (np.linalg, "eigvalsh")):
+        original = getattr(module, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+TABLE_DIRECTION = {
+    "aperture": {"kind": "rectangle", "width": 1.2, "height": 0.5, "angle_deg": 10.0},
+    "pas": {"kind": "tabulated", "table": "TABLE"},
+    "sweep": {"kind": "direction", "start": -170.0, "stop": 170.0, "steps": 7},
+}
+
+
+class TestSweepReuse:
+    """Sweeps share work across points and print what per-point solves print."""
+
+    @pytest.mark.parametrize("fig", ["fig4", "fig5", "fig6"])
+    def test_shared_rtilde_rows_byte_identical(self, fig, tmp_path):
+        cfg = json.loads((SCENARIO_DIR / f"{fig}.cfg").read_text())
+        assert _sweep(tmp_path, cfg) == _point_rows(cfg)[0]
+
+    @pytest.mark.parametrize("fig", ["fig7", "fig8", "tabulated"])
+    def test_rotated_rows_match_per_point_solves(self, fig, tmp_path):
+        if fig == "tabulated":
+            table = tmp_path / "table.csv"
+            table.write_text("0,1.0\n70,3.0\n160,0.5\n250,2.0\n")
+            cfg = json.loads(json.dumps(TABLE_DIRECTION).replace('"TABLE"', json.dumps(str(table))))
+        else:
+            cfg = json.loads((SCENARIO_DIR / f"{fig}.cfg").read_text())
+        rows = _sweep(tmp_path, cfg)
+        expected = _point_rows(cfg)[0]
+        assert [r[0] for r in rows] == [r[0] for r in expected]
+        for row, ref in zip(rows, expected):
+            for got, want in zip(row[1:], ref[1:]):
+                assert abs(float(got) - float(want)) <= 1e-13 * abs(float(want)), (row, ref)
+
+    def test_direction_sweep_builds_once(self, tmp_path, monkeypatch):
+        cfg = json.loads((SCENARIO_DIR / "fig7.cfg").read_text())
+        counts = _count_work(monkeypatch)
+        assert len(_sweep(tmp_path, cfg)) == 10
+        assert counts == {"gram_matrix": 1, "eigh": 1, "eigvalsh": 10}
+
+    def test_radius_sweep_shares_rtilde_per_order(self, tmp_path, monkeypatch):
+        cfg = json.loads((SCENARIO_DIR / "fig4.cfg").read_text())
+        counts = _count_work(monkeypatch)
+        assert len(_sweep(tmp_path, cfg)) == 25
+        assert counts == {"gram_matrix": 25, "eigh": 5, "eigvalsh": 25}
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            dict(json.loads((SCENARIO_DIR / "fig7.cfg").read_text()), n_override=20),
+            {
+                "aperture": {"kind": "segment", "length": 600.0},
+                "pas": {"kind": "uniform", "delta_deg": 45.0},
+                "sweep": {"kind": "direction", "start": 0.0, "stop": 90.0, "steps": 3},
+            },
+        ],
+        ids=["below-critical-order", "grid-guard"],
+    )
+    def test_refused_direction_build_fails_every_point(self, cfg, tmp_path, capsys):
+        rows, warnings = _point_rows(cfg)
+        capsys.readouterr()
+        assert _sweep(tmp_path, cfg) == rows
+        assert all(r[1:] == ["", "", ""] for r in rows)
+        err = capsys.readouterr().err
+        assert err == warnings and err.count("warning: param=") == len(rows)
+        assert "below the critical order N_D=43" in err or "Q=5184" in err
+
+    def test_partial_failures_keep_surviving_rows(self, tmp_path, capsys):
+        # N = 14 serves the small radii, is too loose at 1.1 and 1.55 and
+        # below the critical order at 2.0
+        cfg = {
+            "aperture": {"kind": "circle", "radius": 1.0},
+            "pas": {"kind": "von_mises", "kappa": 3.0},
+            "n_override": 14,
+            "sweep": {"kind": "radius", "start": 0.2, "stop": 2.0, "steps": 5},
+        }
+        rows, warnings = _point_rows(cfg)
+        capsys.readouterr()
+        assert _sweep(tmp_path, cfg) == rows
+        assert capsys.readouterr().err == warnings
+        assert [r[1] != "" for r in rows] == [True, True, False, False, False]
+        assert "critical order" in warnings and "certified relative error" in warnings
+
+
 class TestDopplerCommand:
     def test_jakes_center_value(self, tmp_path):
         cfg = write_cfg(

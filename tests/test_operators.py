@@ -346,7 +346,7 @@ class TestBuild:
         trace = float(np.trace(op.gram).real)
         # The exact deficit here is ~5e-19, far below one ulp of 1.0, so the
         # computed trace lands on 1 plus a few ulp of round-off; the lower end
-        # grants the same 1e-12 that _validate_operator allows above one.
+        # grants the same 1e-12 that the build's trace check allows above one.
         assert -1e-12 <= 1.0 - trace <= ds.bessel_sq_tail_bound(op.N, op.r1) + 1e-12
 
     def test_rejects_low_order(self):
@@ -460,3 +460,52 @@ class TestValidation:
         op = build_truncated_operator(aperture, ds.VonMisesPas(kappa=3.0))
         ds.solve_spectrum(op)
         assert op.size == 27 and calls == [("eigvalsh", (2, 2))]
+
+
+ROTATED_MODELS = {
+    "isotropic": lambda alpha: ds.IsotropicPas(alpha0=alpha),
+    "uniform": lambda alpha: ds.UniformPas(delta=math.pi / 2, alpha0=alpha),
+    "von-mises": lambda alpha: ds.VonMisesPas(kappa=10.0, alpha0=alpha),
+    "tabulated": lambda alpha: ds.TabulatedPas(
+        np.radians([0.0, 40.0, 150.0, 260.0]), [1.0, 3.0, 0.5, 2.0], alpha0=alpha
+    ),
+}
+ROTATIONS = [0.3, 1.2, -2.0, math.pi]
+
+
+class TestRotation:
+    @pytest.mark.parametrize("name", sorted(ROTATED_MODELS))
+    def test_rtilde_rotates_by_diagonal_similarity(self, name):
+        model_at = ROTATED_MODELS[name]
+        N = 12
+        R0 = rtilde_matrix(model_at(0.0), N)
+        for alpha in ROTATIONS:
+            model = model_at(alpha)
+            # (D R0 D^H)_mn = exp(-j*m*a) R0_mn exp(j*n*a) with the model's own
+            # (wrapped) angle a, its phase rounded once as exp(-j*(m-n)*a)
+            n = np.arange(-N, N + 1)
+            expected = R0 * np.exp(-1j * model.alpha0 * (n[:, None] - n[None, :]))
+            assert np.max(np.abs(rtilde_matrix(model, N) - expected)) <= 1e-15
+
+    @pytest.mark.parametrize("name", sorted(ROTATED_MODELS))
+    @pytest.mark.parametrize(
+        "aperture, N",
+        [
+            (ds.Segment(2.0, angle=0.4), None),
+            (ds.ParallelLines(count=3, length=0.8, span=0.6), None),
+            (ds.Rectangle(0.7, 0.3, angle=0.2), 25),
+            (ds.DiscreteArray(((0.0, 0.0), (0.5, 0.1), (-0.2, 0.4))), None),
+        ],
+        ids=["segment", "lines", "rectangle-n-override", "array"],
+    )
+    def test_rotated_operator_matches_direct_build(self, name, aperture, N):
+        model_at = ROTATED_MODELS[name]
+        base = build_truncated_operator(aperture, model_at(0.0), N)
+        for alpha in ROTATIONS:
+            model = model_at(alpha)
+            rotated = ds.solve_spectrum(operators._rotated(base, model.alpha0))
+            direct = ds.solve_spectrum(build_truncated_operator(aperture, model, N))
+            assert rotated.N == direct.N and rotated.rho_max == direct.rho_max
+            assert np.max(np.abs(rotated.eigenvalues - direct.eigenvalues)) <= 1e-13
+            assert abs(rotated.omega - direct.omega) <= 1e-13 * direct.omega
+            assert rotated.eig_error_bound == direct.eig_error_bound
