@@ -404,29 +404,18 @@ def build_quadrature(aperture, order: int) -> QuadratureRule:
 
 
 def enclosing_radius(aperture) -> float:
-    """Radius of the smallest origin-centred disk containing the aperture."""
-    if isinstance(aperture, Segment):
-        if aperture.length == 0.0:
-            return float(np.hypot(*aperture.center))
-        half = 0.5 * aperture.length * _direction(aperture.angle)
-        c = np.asarray(aperture.center)
-        return max(float(np.hypot(*(c + half))), float(np.hypot(*(c - half))))
+    """Radius of the smallest origin-centred disk containing the aperture.
+
+    Segments, rectangles, parallel lines and arrays lie in the convex hull
+    of their extent points, so their radius is the largest of those
+    points' norms.
+    """
     if isinstance(aperture, (Circle, Disk)):
         return float(np.hypot(*aperture.center)) + aperture.radius
-    if isinstance(aperture, Rectangle):
-        return float(np.max(np.hypot(aperture.corners()[:, 0], aperture.corners()[:, 1])))
     if isinstance(aperture, PiecewiseCurve):
         return max(p.max_origin_distance() for p in aperture.pieces)
-    if isinstance(aperture, ParallelLines):
-        half = 0.5 * aperture.length * _direction(aperture.angle)
-        ends = np.concatenate(
-            [aperture.line_centers() + half[None, :], aperture.line_centers() - half[None, :]]
-        )
-        return float(np.max(np.hypot(ends[:, 0], ends[:, 1])))
-    if isinstance(aperture, DiscreteArray):
-        pts = aperture.as_array()
-        return float(np.max(np.hypot(pts[:, 0], pts[:, 1])))
-    raise UnsupportedApertureError(f"unknown aperture kind: {type(aperture).__name__}")
+    pts = _extent_points(aperture)
+    return float(np.max(np.hypot(pts[:, 0], pts[:, 1])))
 
 
 def _extent_points(aperture) -> np.ndarray:

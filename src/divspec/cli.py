@@ -46,7 +46,7 @@ from .pas import (
     doppler_spectrum,
     wrap_angle,
 )
-from .operators import _operator_builder, _rotated, build_truncated_operator
+from .operators import _build, _rotated, build_truncated_operator
 from .specfun import bessel_abs_tail_bound, series_order
 from .spectrum import (
     discrete_correlation,
@@ -349,7 +349,7 @@ def _sweep_operators(cfg: dict, kind: str, values):
     is tried again, and refused again, at every point.  Radius and length
     sweeps take the PAS model and ``N`` from the first point's config,
     build ``G`` per point, and share ``R`` and ``R^(1/2)`` among the
-    points of each order (``operators._operator_builder``).
+    points of each order through one table per sweep (``operators._build``).
     """
     if kind == "direction":
         aperture, model, N = _scenario(_apply_sweep(cfg, kind, 0.0))
@@ -363,8 +363,10 @@ def _sweep_operators(cfg: dict, kind: str, values):
 
         return operator
     _, model, N = _scenario(_apply_sweep(cfg, kind, float(values[0])))
-    build = _operator_builder(model)
-    return lambda value: build(make_aperture(_apply_sweep(cfg, kind, value)["aperture"]), N)
+    pas_by_order = {}
+    return lambda value: _build(
+        make_aperture(_apply_sweep(cfg, kind, value)["aperture"]), model, N, pas_by_order
+    )
 
 
 def cmd_sweep(args) -> int:

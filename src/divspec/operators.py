@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import toeplitz
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import specfun
 from .aperture import (
@@ -72,7 +72,7 @@ logger = logging.getLogger(__name__)
 _ALIAS_MARGIN = 40
 
 #: Largest complex matrix (bytes) of an angle-grid evaluation: the Gram
-#: assembly's ``Q x Q`` transform (``Q = 4096``), a node sum's or an
+#: assembly's ``Q x Q`` transform (``Q = 4096``), a curve's or an
 #: array's ``K x Q`` plane waves, or an array's correlation matrix.
 _MAX_GRID_BYTES = 1 << 28
 
@@ -230,20 +230,20 @@ def _gram_grid(aperture, N: int) -> np.ndarray:
     return _angle_grid(Q)
 
 
-def _array_factor(aperture: DiscreteArray, N: int) -> np.ndarray:
-    """``L x (2N+1)`` factor ``F`` of an array's Gram matrix, ``G = F^H F``.
+def _node_factor(rule, u: np.ndarray, N: int) -> np.ndarray:
+    """``K x (2N+1)`` factor ``F`` of a node sum's Gram matrix, ``G = F^H F``.
 
-    ``F = L**-0.5 * ifft(E, axis=1)[:, n mod Q]`` with ``E`` the antennas'
-    plane waves on the angle grid, so ``F_kn`` is ``v_n(x_k)/sqrt(L)`` to
-    the grid's aliasing bound.  The point-mass transform
-    ``E^H diag(1/L) E`` taken through the 2-D DFT of
-    ``_gram_from_transform`` reduces to ``F^H F``, each DFT acting on one
-    factor, without the ``Q x Q`` intermediate.
+    ``F = sqrt(w) * ifft(E, axis=1)[:, n mod Q]`` with ``E`` the nodes'
+    plane waves on the angle grid ``u``, so ``F_kn`` is ``sqrt(w_k)*v_n(x_k)``
+    to the grid's aliasing bound.  The point-mass transform
+    ``E^H diag(w) E`` taken through the 2-D DFT of ``_gram_from_transform``
+    reduces to ``F^H F``, each DFT acting on one factor, without the
+    ``Q x Q`` intermediate.
     """
-    u = _gram_grid(aperture, N)
-    pts = aperture.as_array()
     idx = np.arange(-N, N + 1) % len(u)
-    return np.fft.ifft(_plane_waves(pts, u, N), axis=1)[:, idx] / math.sqrt(len(pts))
+    F = np.fft.ifft(_plane_waves(rule.nodes, u, N), axis=1)[:, idx]
+    F *= np.sqrt(rule.weights)[:, None]
+    return F
 
 
 def _factor_gram(F: np.ndarray) -> np.ndarray:
@@ -268,27 +268,26 @@ def gram_matrix(aperture, N: int) -> np.ndarray:
     and each entry of ``G`` by at most twice that, ``r1`` being the radius
     of the aperture about the origin.
 
-    Every kind has a closed-form transform except piecewise curves, whose
-    transform is a node sum over a rule of order ``4*(N+1)``, verified by
-    doubling the order: any entry moving by more than 1e-10 raises
-    :class:`QuadratureConvergenceError`, and the doubled rule's result is
-    returned otherwise.  A discrete array's point masses are exact: its
-    ``G`` is ``F^H F`` with the ``L x (2N+1)`` factor ``F_kn = v_n(x_k)/sqrt(L)``
-    evaluated on the same grid.  ``Q > 4096``, or a node matrix above the
-    same 256 MiB, is refused with ``ValueError`` before it is allocated.
+    Segments, circles, disks, rectangles and parallel lines have closed-form
+    transforms.  Discrete arrays and piecewise curves are weighted point
+    masses, whose ``G`` is ``F^H F`` with the ``K x (2N+1)`` factor
+    ``F_kn = sqrt(w_k)*v_n(x_k)`` evaluated on the same grid.  An array's
+    antennas are exact point masses; a curve's are a Gauss rule of order
+    ``4*(N+1)``, verified by doubling the order: any entry moving by more
+    than 1e-10 raises :class:`QuadratureConvergenceError`, and the doubled
+    rule's result is returned otherwise.  ``Q > 4096``, or a node matrix
+    above the same 256 MiB, is refused with ``ValueError`` before it is
+    allocated.
     """
     N = int(N)
-    if isinstance(aperture, DiscreteArray):
-        return _factor_gram(_array_factor(aperture, N))
     u = _gram_grid(aperture, N)
+    if isinstance(aperture, DiscreteArray):
+        return _factor_gram(_node_factor(build_quadrature(aperture, 1), u, N))
     if not isinstance(aperture, PiecewiseCurve):
         return _gram_from_transform(_aperture_transform(aperture, u, N), N)
     q = _default_order(N)
-    rule = build_quadrature(aperture, q)
-    fine = build_quadrature(aperture, 2 * q)
-    _check_grid_bytes(len(fine), len(u), N)
-    G = _gram_from_transform(_point_masses(rule.nodes, rule.weights, u, N), N)
-    G2 = _gram_from_transform(_point_masses(fine.nodes, fine.weights, u, N), N)
+    G = _factor_gram(_node_factor(build_quadrature(aperture, q), u, N))
+    G2 = _factor_gram(_node_factor(build_quadrature(aperture, 2 * q), u, N))
     drift = float(np.max(np.abs(G2 - G)))
     if drift > _DOUBLING_TOL:
         raise QuadratureConvergenceError(
@@ -305,8 +304,9 @@ def rtilde_matrix(model: PasModel, N: int) -> np.ndarray:
     the diagonal is exactly one by the unit-power normalisation.
     """
     N = int(N)
-    ns = np.arange(0, 2 * N + 1)
-    return toeplitz(model.fourier(ns), model.fourier(-ns))
+    s = model.fourier(np.arange(-2 * N, 2 * N + 1))
+    # window m of s_(-2N..2N), reversed, is s_(m-n) for n = 0..2N
+    return sliding_window_view(s, 2 * N + 1)[:, ::-1].copy()
 
 
 def _kernel_grid(model: PasModel, radius: float, N: int | None):
@@ -422,17 +422,20 @@ def _hermitian_sqrt(R: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
-def _gram_half(aperture, N: int | None) -> dict:
-    """Geometry half of an operator: its ``G`` (and ``F``), checked, with the metadata.
+def _build(aperture, model: PasModel, N: int | None, pas_by_order: dict) -> TruncatedOperator:
+    """:func:`build_truncated_operator` with ``R`` shared through ``pas_by_order``.
 
-    Returns the :class:`TruncatedOperator` fields that depend only on the
-    aperture and ``N``.
+    ``G`` (and ``F``) and their checks are built for every call.  ``R``,
+    its checks and ``R^(1/2)`` depend only on the PAS and ``N``: they are
+    made on the first call of each order and kept in ``pas_by_order``,
+    keyed by ``N``, so a caller that passes one dict for one PAS shares
+    them among all its apertures.  The dict belongs to the caller.
     """
     centered, offset = centering_transform(aperture)
     r1 = enclosing_radius(centered)
     N, n_critical = specfun.series_order(r1, N)
     if isinstance(centered, DiscreteArray):
-        F = _array_factor(centered, N)
+        F = _node_factor(build_quadrature(centered, 1), _gram_grid(centered, N), N)
         G = _factor_gram(F)
     else:
         F, G = None, gram_matrix(centered, N)
@@ -448,44 +451,26 @@ def _gram_half(aperture, N: int | None) -> dict:
         raise ArithmeticError(
             f"Gram trace deficit {1.0 - trace:.3e} exceeds the tail bound {residual:.3e}"
         )
-    offset = np.asarray(offset, dtype=float)
-    return dict(N=N, N_D=n_critical, r1=r1, gram=G, offset=offset, gram_factor=F)
-
-
-def _pas_half(model: PasModel, N: int) -> np.ndarray:
-    """PAS half of an operator: ``R`` of order ``N``, checked."""
-    R = rtilde_matrix(model, N)
-    if float(np.max(np.abs(R - R.conj().T))) > 1e-14:
-        raise ArithmeticError("coefficient correlation matrix is not Hermitian")
-    if float(np.max(np.abs(np.diag(R) - 1.0))) > 1e-12:
-        raise ArithmeticError("coefficient correlation matrix diagonal is not 1")
-    _check_psd(R, "coefficient correlation matrix")
-    return R
-
-
-def _operator_builder(model: PasModel):
-    """:func:`build_truncated_operator` for one PAS and any number of apertures.
-
-    The returned ``build(aperture, N=None)`` builds and checks the geometry
-    half for every aperture.  The PAS half, ``R``, its checks and
-    ``R^(1/2)``, depends only on ``N``, so it is made once per distinct
-    order and shared by the operators built with that order.  That table
-    belongs to the returned function, not to the module.
-    """
-    rho_max = float(model.rho_max())
-    pas_halves = {}
-
-    def build(aperture, N: int | None = None) -> TruncatedOperator:
-        geometry = _gram_half(aperture, N)
-        N = geometry["N"]
-        if N not in pas_halves:
-            R = _pas_half(model, N)
-            root = None if geometry["gram_factor"] is not None else _hermitian_sqrt(R)
-            pas_halves[N] = R, root
-        R, root = pas_halves[N]
-        return TruncatedOperator(**geometry, rtilde=R, rho_max=rho_max, rtilde_root=root)
-
-    return build
+    if N not in pas_by_order:
+        R = rtilde_matrix(model, N)
+        if float(np.max(np.abs(R - R.conj().T))) > 1e-14:
+            raise ArithmeticError("coefficient correlation matrix is not Hermitian")
+        if float(np.max(np.abs(np.diag(R) - 1.0))) > 1e-12:
+            raise ArithmeticError("coefficient correlation matrix diagonal is not 1")
+        _check_psd(R, "coefficient correlation matrix")
+        pas_by_order[N] = R, None if F is not None else _hermitian_sqrt(R)
+    R, root = pas_by_order[N]
+    return TruncatedOperator(
+        N=N,
+        N_D=n_critical,
+        r1=r1,
+        gram=G,
+        rtilde=R,
+        rho_max=float(model.rho_max()),
+        offset=np.asarray(offset, dtype=float),
+        gram_factor=F,
+        rtilde_root=root,
+    )
 
 
 def _rotated(op: TruncatedOperator, alpha: float) -> TruncatedOperator:
@@ -519,4 +504,4 @@ def build_truncated_operator(aperture, model: PasModel, N: int | None = None) ->
     structural invariant of ``G`` and ``R`` is verified: Hermitian, PSD,
     ``R``'s unit diagonal, and ``G``'s trace against the tail bound.
     """
-    return _operator_builder(model)(aperture, N)
+    return _build(aperture, model, N, {})

@@ -40,9 +40,10 @@ TWO_PI = 2.0 * math.pi
 
 
 def wrap_angle(alpha):
-    """Wrap angle(s) into the interval (-pi, pi]."""
+    """Wrap angle(s) into the interval (-pi, pi]; angles already in it are returned unchanged."""
     alpha = np.asarray(alpha, dtype=float)
-    wrapped = np.remainder(alpha + math.pi, TWO_PI) - math.pi
+    inside = (alpha > -math.pi) & (alpha <= math.pi)
+    wrapped = np.where(inside, alpha, np.remainder(alpha + math.pi, TWO_PI) - math.pi)
     wrapped = np.where(wrapped == -math.pi, math.pi, wrapped)
     return float(wrapped) if np.ndim(alpha) == 0 else wrapped
 

@@ -304,7 +304,6 @@ def nystrom_oracle(
     aperture,
     model: PasModel,
     points: int | None = None,
-    n_kernel: int | None = None,
     tol: float = 1e-7,
 ) -> np.ndarray:
     """Eigenvalues by direct quadrature discretisation of the kernel.
@@ -312,16 +311,15 @@ def nystrom_oracle(
     The kernel is sampled on an ``M``-point grid, scaled symmetrically by
     the square roots of the weights, and diagonalised; the grid is refined
     by doubling until the ten largest eigenvalues move by less than
-    ``tol``.  ``points`` seeds the resolution, ``n_kernel`` defaults to a
-    comfortably converged kernel truncation for the aperture diameter.
+    ``tol``.  ``points`` seeds the resolution; the kernel is truncated at
+    ``N_D + 15`` for the aperture diameter, comfortably converged.
 
     This is the slow, assumption-free route; use it to validate
     :func:`solve_spectrum`, not to replace it.
     """
     centered, _ = centering_transform(aperture)
     r1 = enclosing_radius(centered)
-    if n_kernel is None:
-        n_kernel = specfun.truncation_order(2.0 * r1) + 15
+    n_kernel = specfun.truncation_order(2.0 * r1) + 15
     degenerate = (
         isinstance(centered, DiscreteArray)
         or (isinstance(centered, Segment) and centered.length == 0.0)

@@ -1,4 +1,8 @@
 import importlib
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -13,6 +17,9 @@ REMOVED = [
     "_gauss_line",
     "_oracle_nodes",
     "_check_tail_args",
+    "_operator_builder",
+    "_gram_half",
+    "_pas_half",
 ]
 
 
@@ -27,3 +34,15 @@ def test_all_names_resolve(name):
 def test_removed_names_gone(name):
     module = importlib.import_module("divspec" if name is None else f"divspec.{name}")
     assert [attr for attr in REMOVED if hasattr(module, attr)] == []
+
+
+def test_cli_import_leaves_scipy_linalg_out():
+    # divspec needs only scipy.special; scipy.linalg costs import time
+    code = "import sys, divspec.cli; print('scipy.linalg' in sys.modules)"
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

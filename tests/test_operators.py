@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.linalg import toeplitz
 
 import divspec as ds
 from divspec import operators
@@ -52,6 +53,14 @@ NODE_SUM_CASES = {
         tuple(map(tuple, np.random.default_rng(7).uniform(-1.0, 1.0, size=(12, 2))))
     ),
 }
+
+LINE_ARC_LINE = ds.PiecewiseCurve(
+    (
+        ds.LinePiece((-4.0, 0.0), (0.0, 0.0)),
+        ds.ArcPiece((0.0, 2.0), 2.0, -math.pi / 2, math.pi / 2),
+        ds.LinePiece((0.0, 4.0), (-4.0, 4.0)),
+    )
+)
 
 
 def basis_at(n, point):
@@ -162,22 +171,25 @@ class TestGram:
         assert np.max(np.abs(gram_matrix(aperture, N) - reference)) <= 1e-12
 
     @pytest.mark.parametrize(
-        "points",
+        "aperture",
         [
-            NODE_SUM_CASES["array-random"].points,
-            tuple((1.2 * math.cos(b), 1.2 * math.sin(b)) for b in np.arange(16) * TWO_PI / 16),
-            tuple((0.3 + 0.5 * k, -0.2) for k in range(20)) + ((0.3, -0.2),),
+            NODE_SUM_CASES["array-random"],
+            ds.DiscreteArray(
+                tuple((1.2 * math.cos(b), 1.2 * math.sin(b)) for b in np.arange(16) * TWO_PI / 16)
+            ),
+            ds.DiscreteArray(tuple((0.3 + 0.5 * k, -0.2) for k in range(20)) + ((0.3, -0.2),)),
+            LINE_ARC_LINE,
         ],
-        ids=["random-12", "circle-16", "offset-line-with-coincident"],
+        ids=["random-12", "circle-16", "offset-line-with-coincident", "curve-line-arc-line"],
     )
-    def test_array_factor_matches_point_mass_transform(self, points):
-        # the Q x Q point-mass transform and its 2-D DFT, as assembled before the factor
-        aperture = ds.DiscreteArray(points)
-        pts = aperture.as_array()
+    def test_array_factor_matches_point_mass_transform(self, aperture):
+        # the Q x Q point-mass transform and its 2-D DFT, as assembled before the factor;
+        # a curve's G is that of its doubled rule, 8(N+1) Gauss nodes per piece
         r1 = ds.enclosing_radius(aperture)
         N = ds.truncation_order(r1) + DEFAULT_ORDER_MARGIN
+        rule = ds.build_quadrature(aperture, 8 * (N + 1))
         u = operators._angle_grid(operators._angle_grid_size(N, r1))
-        phi = operators._point_masses(pts, np.full(len(pts), 1.0 / len(pts)), u, N)
+        phi = operators._point_masses(rule.nodes, rule.weights, u, N)
         reference = operators._gram_from_transform(phi, N)
         assert np.max(np.abs(gram_matrix(aperture, N) - reference)) <= 1e-14
 
@@ -211,7 +223,27 @@ class TestGram:
         assert peak < 10e6
 
 
+RTILDE_MODELS = {
+    "isotropic": ds.IsotropicPas(),
+    "uniform-90deg": ds.UniformPas(delta=math.pi / 2, alpha0=0.7),
+    "uniform-0.01rad": ds.UniformPas(delta=0.01),
+    "vonmises-10": ds.VonMisesPas(kappa=10.0, alpha0=-1.1),
+    "vonmises-200": ds.VonMisesPas(kappa=200.0),
+    "tabulated": ds.TabulatedPas([-2.0, 0.0, 2.0], [1.0, 0.2, 0.8], alpha0=0.3),
+}
+
+
 class TestRtilde:
+    @pytest.mark.parametrize("N", [0, 1, 19, 181, 300])
+    @pytest.mark.parametrize("name", sorted(RTILDE_MODELS))
+    def test_bit_identical_to_scipy_toeplitz(self, name, N):
+        model = RTILDE_MODELS[name]
+        ns = np.arange(0, 2 * N + 1)
+        reference = toeplitz(model.fourier(ns), model.fourier(-ns))
+        R = rtilde_matrix(model, N)
+        assert R.shape == reference.shape and R.dtype == reference.dtype
+        assert R.tobytes() == np.ascontiguousarray(reference).tobytes()
+
     def test_isotropic_identity(self):
         R = rtilde_matrix(ds.IsotropicPas(), 7)
         assert np.array_equal(R, np.eye(15, dtype=complex))

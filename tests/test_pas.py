@@ -288,6 +288,15 @@ class TestWrapAngle:
             assert math.cos(w) == pytest.approx(math.cos(alpha), abs=1e-12)
             assert math.sin(w) == pytest.approx(math.sin(alpha), abs=1e-12)
 
+    def test_inside_interval_unchanged(self):
+        grid = np.linspace(-math.pi, math.pi, 6284)[1:]
+        grid = np.concatenate([grid, [1.2, -1.2, 0.0, -0.0, np.nextafter(-math.pi, 0.0)]])
+        assert np.array_equal(wrap_angle(grid), grid)
+        assert all(wrap_angle(float(a)) == float(a) for a in grid)
+        assert wrap_angle(-math.pi) == math.pi
+        assert wrap_angle(3 * math.pi) == math.pi
+        assert np.array_equal(wrap_angle(np.array([-math.pi, 3 * math.pi])), [math.pi, math.pi])
+
     def test_doppler_spec_validation(self):
         with pytest.raises(ValueError):
             DopplerSpec(0.0)
