@@ -246,6 +246,11 @@ def _node_factor(rule, u: np.ndarray, N: int) -> np.ndarray:
     return F
 
 
+def _array_factor(array: DiscreteArray, N: int) -> np.ndarray:
+    """Factor ``F`` of an array's ``G``: its antennas are exact point masses."""
+    return _node_factor(build_quadrature(array, 1), _gram_grid(array, N), N)
+
+
 def _factor_gram(F: np.ndarray) -> np.ndarray:
     G = F.conj().T @ F
     return 0.5 * (G + G.conj().T)
@@ -280,9 +285,9 @@ def gram_matrix(aperture, N: int) -> np.ndarray:
     allocated.
     """
     N = int(N)
-    u = _gram_grid(aperture, N)
     if isinstance(aperture, DiscreteArray):
-        return _factor_gram(_node_factor(build_quadrature(aperture, 1), u, N))
+        return _factor_gram(_array_factor(aperture, N))
+    u = _gram_grid(aperture, N)
     if not isinstance(aperture, PiecewiseCurve):
         return _gram_from_transform(_aperture_transform(aperture, u, N), N)
     q = _default_order(N)
@@ -435,7 +440,7 @@ def _build(aperture, model: PasModel, N: int | None, pas_by_order: dict) -> Trun
     r1 = enclosing_radius(centered)
     N, n_critical = specfun.series_order(r1, N)
     if isinstance(centered, DiscreteArray):
-        F = _node_factor(build_quadrature(centered, 1), _gram_grid(centered, N), N)
+        F = _array_factor(centered, N)
         G = _factor_gram(F)
     else:
         F, G = None, gram_matrix(centered, N)

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import pathlib
@@ -5,8 +6,10 @@ import subprocess
 import sys
 
 import pytest
+import scipy
 
 MODULES = ["aperture", "cli", "operators", "pas", "specfun", "spectrum"]
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 # removed from the API; nothing may still provide them
 REMOVED = [
@@ -36,11 +39,31 @@ def test_removed_names_gone(name):
     assert [attr for attr in REMOVED if hasattr(module, attr)] == []
 
 
+def _imported_names(path):
+    """Dotted name of everything a source file imports, at any depth."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+@pytest.mark.parametrize("name", MODULES + ["__init__"])
+def test_imports_only_scipy_special(name):
+    # R is built with numpy; nothing of scipy but scipy.special is needed
+    names = _imported_names(SRC / "divspec" / f"{name}.py")
+    scipy_names = [n for n in names if n.split(".")[0] == "scipy"]
+    assert [n for n in scipy_names if not n.startswith("scipy.special")] == []
+
+
+@pytest.mark.skipif(
+    tuple(int(p) for p in scipy.__version__.split(".")[:2]) < (1, 17),
+    reason="scipy.special imports scipy.linalg at module level before scipy 1.17",
+)
 def test_cli_import_leaves_scipy_linalg_out():
-    # divspec needs only scipy.special; scipy.linalg costs import time
+    # scipy.linalg costs import time and memory that divspec does not need
     code = "import sys, divspec.cli; print('scipy.linalg' in sys.modules)"
-    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
