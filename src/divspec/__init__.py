@@ -7,12 +7,9 @@ certified truncation error bounds and the resulting diversity measure.
 """
 
 from .specfun import (
-    bessel_abs_tail,
     bessel_abs_tail_bound,
     bessel_i_ratio,
     bessel_j,
-    bessel_j_orders,
-    bessel_sq_tail,
     bessel_sq_tail_bound,
     series_order,
     truncation_order,
@@ -49,7 +46,6 @@ from .aperture import (
 from .operators import (
     QuadratureConvergenceError,
     TruncatedOperator,
-    basis_matrix,
     build_truncated_operator,
     gram_matrix,
     rho_n_kernel,

@@ -58,7 +58,6 @@ from .pas import PasModel
 __all__ = [
     "QuadratureConvergenceError",
     "TruncatedOperator",
-    "basis_matrix",
     "gram_matrix",
     "rtilde_matrix",
     "rho_n_kernel",
@@ -87,42 +86,9 @@ _DOUBLING_TOL = 1e-10
 #: must admit a Cholesky factor once shifted by ``_PSD_TOL * I``.
 _PSD_TOL = 1e-10
 
-_I_POWERS = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
-
 
 class QuadratureConvergenceError(RuntimeError):
     """Raised when refining the quadrature still changes the Gram matrix."""
-
-
-def basis_matrix(points, N: int) -> np.ndarray:
-    """Evaluate all basis functions at all points.
-
-    Returns the complex matrix ``V[k, i] = v_{i-N}(points[k])``.  At the
-    origin the polar angle is taken as 0; this is immaterial because every
-    order except 0 vanishes there.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    r = np.hypot(pts[:, 0], pts[:, 1])
-    beta = np.arctan2(pts[:, 1], pts[:, 0])
-    N = int(N)
-    jn = specfun.bessel_j_orders(N, 2.0 * math.pi * r)
-    jn_rows = jn.T
-    # row-major order blocks with exp(j*beta*n) built by cumulative
-    # products keep large point sets cache friendly
-    rows = np.empty((2 * N + 1, pts.shape[0]), dtype=complex)
-    np.multiply(_I_POWERS[0], jn_rows[N], out=rows[N])
-    if N > 0:
-        unit = np.exp(1j * beta)
-        current = unit.copy()
-        for n in range(1, N + 1):
-            ipow = _I_POWERS[n % 4]
-            np.multiply(ipow * current, jn_rows[N + n], out=rows[N + n])
-            np.multiply(np.conj(ipow * current), jn_rows[N - n], out=rows[N - n])
-            if n < N:
-                current *= unit
-    return rows.T
 
 
 def _angle_grid_size(N: int, r1: float) -> int:

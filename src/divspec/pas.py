@@ -48,6 +48,13 @@ def wrap_angle(alpha):
     return float(wrapped) if np.ndim(alpha) == 0 else wrapped
 
 
+def _check_finite(owner: str, **params) -> None:
+    # a NaN or infinite parameter would turn every coefficient into NaN
+    for name, value in params.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{owner} requires finite {name}")
+
+
 class PasModel:
     """Common behaviour of all PAS models.
 
@@ -58,6 +65,9 @@ class PasModel:
     """
 
     alpha0: float = 0.0
+
+    def __post_init__(self):
+        _check_finite(type(self).__name__, **vars(self))
 
     def _centered_value(self, alpha):
         raise NotImplementedError
@@ -109,6 +119,7 @@ class UniformPas(PasModel):
     alpha0: float = 0.0
 
     def __post_init__(self):
+        super().__post_init__()
         if not 0.0 < self.delta <= TWO_PI:
             raise ValueError("UniformPas requires delta in (0, 2*pi]")
         object.__setattr__(self, "alpha0", wrap_angle(self.alpha0))
@@ -137,6 +148,7 @@ class VonMisesPas(PasModel):
     alpha0: float = 0.0
 
     def __post_init__(self):
+        super().__post_init__()
         if self.kappa < 0.0:
             raise ValueError("VonMisesPas requires kappa >= 0")
         object.__setattr__(self, "alpha0", wrap_angle(self.alpha0))
@@ -165,6 +177,7 @@ class TabulatedPas(PasModel):
     def __init__(self, angles, densities, alpha0: float = 0.0):
         angles = np.asarray(angles, dtype=float)
         densities = np.asarray(densities, dtype=float)
+        _check_finite("TabulatedPas", angles=angles, densities=densities, alpha0=alpha0)
         if angles.ndim != 1 or angles.shape != densities.shape or angles.size == 0:
             raise ValueError("TabulatedPas requires matching non-empty angle/density arrays")
         if np.any(densities < 0.0):
@@ -213,6 +226,7 @@ class DopplerSpec:
     nu_max: float
 
     def __post_init__(self):
+        _check_finite("DopplerSpec", nu_max=self.nu_max)
         if self.nu_max <= 0.0:
             raise ValueError("DopplerSpec requires nu_max > 0")
 

@@ -259,6 +259,8 @@ def discrete_diversity(R: np.ndarray) -> float:
     R = np.asarray(R)
     if R.ndim != 2 or R.shape[0] != R.shape[1]:
         raise ValueError("discrete_diversity requires a square matrix")
+    if not np.all(np.isfinite(R)):
+        raise ValueError("discrete_diversity requires a finite matrix")
     if float(np.max(np.abs(R - R.conj().T))) > 1e-10:
         raise ValueError("discrete_diversity requires a Hermitian matrix")
     if float(np.max(np.abs(np.diag(R) - 1.0))) > 1e-10:

@@ -23,6 +23,10 @@ REMOVED = [
     "_operator_builder",
     "_gram_half",
     "_pas_half",
+    "basis_matrix",
+    "bessel_j_orders",
+    "bessel_abs_tail",
+    "bessel_sq_tail",
 ]
 
 

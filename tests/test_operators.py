@@ -3,14 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 from scipy.linalg import toeplitz
 
 import divspec as ds
 from divspec import operators
 from divspec.operators import (
     QuadratureConvergenceError,
-    basis_matrix,
     build_truncated_operator,
     gram_matrix,
     rho_n_kernel,
@@ -19,6 +18,15 @@ from divspec.operators import (
 from divspec.specfun import DEFAULT_ORDER_MARGIN
 
 TWO_PI = 2.0 * math.pi
+
+
+def basis_matrix(points, N):
+    """``V[k, n + N] = exp(j*n*beta_k) * j**n * J_n(2*pi*r_k)``, the plain series definition."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    r = np.hypot(pts[:, 0], pts[:, 1])[:, None]
+    beta = np.arctan2(pts[:, 1], pts[:, 0])[:, None]
+    n = np.arange(-N, N + 1)
+    return np.exp(1j * n * beta) * 1j**n * special.jv(n, TWO_PI * r)
 
 
 def gram_segment_simpson(length, N, samples=8193):
@@ -61,40 +69,6 @@ LINE_ARC_LINE = ds.PiecewiseCurve(
         ds.LinePiece((0.0, 4.0), (-4.0, 4.0)),
     )
 )
-
-
-def basis_at(n, point):
-    """Single basis value ``v_n(point)`` read from a one-point basis matrix."""
-    N = abs(n)
-    return complex(basis_matrix(np.asarray([point], dtype=float), N)[0, n + N])
-
-
-class TestBasis:
-    def test_origin(self):
-        assert basis_at(0, (0.0, 0.0)) == 1.0
-        assert basis_at(3, (0.0, 0.0)) == 0.0
-        assert basis_at(-2, (0.0, 0.0)) == 0.0
-
-    def test_positive_x_axis(self):
-        r = 0.37
-        expected = 1j * ds.bessel_j(1, TWO_PI * r)
-        assert basis_at(1, (r, 0.0)) == pytest.approx(expected, rel=1e-14)
-
-    def test_factor_by_factor(self):
-        # each factor of exp(j*beta*n) * j**n * J_n(2*pi*r) checked separately
-        for n, point in [(-2, (0.0, 0.5)), (3, (-0.2, 0.4)), (5, (0.1, -0.9))]:
-            x, y = point
-            r = math.hypot(x, y)
-            beta = math.atan2(y, x)
-            expected = np.exp(1j * beta * n) * 1j**n * ds.bessel_j(n, TWO_PI * r)
-            assert basis_at(n, point) == pytest.approx(expected, rel=1e-13)
-
-    def test_matrix_matches_scalar(self):
-        pts = np.array([[0.1, 0.2], [0.0, 0.0], [-0.5, 0.3]])
-        V = basis_matrix(pts, 4)
-        for k, pt in enumerate(pts):
-            for n in range(-4, 5):
-                assert V[k, n + 4] == pytest.approx(basis_at(n, pt), rel=1e-14, abs=1e-15)
 
 
 class TestGram:
@@ -197,7 +171,7 @@ class TestGram:
     def test_isotropic_disk_spectrum_closed_form(self, radius):
         # G is diagonal with G_nn = J_n(z)^2 - J_{n-1}(z) J_{n+1}(z), z = 2 pi R
         op = build_truncated_operator(ds.Disk(radius), ds.IsotropicPas())
-        J = ds.bessel_j_orders(op.N + 1, TWO_PI * radius)[0]
+        J = special.jv(np.arange(-op.N - 1, op.N + 2), TWO_PI * radius)
         n = np.arange(1, 2 * op.N + 2)
         expected = np.sort(J[n] ** 2 - J[n - 1] * J[n + 1])[::-1]
         lam = ds.solve_spectrum(op).eigenvalues
@@ -394,9 +368,7 @@ class TestBuild:
         pts = ds.DiscreteArray(((0.25, 0.0), (-0.25, 0.0)))
         op = build_truncated_operator(pts, ds.IsotropicPas())
         # trace is the average of sum_n J_n(2 pi |x|)^2 over the two points
-        expected = float(
-            np.sum(ds.bessel_j_orders(op.N, TWO_PI * 0.25)[0] ** 2)
-        )
+        expected = float(np.sum(special.jv(np.arange(-op.N, op.N + 1), TWO_PI * 0.25) ** 2))
         assert float(np.trace(op.gram).real) == pytest.approx(expected, rel=1e-12)
 
     def test_rho_max_recorded(self):

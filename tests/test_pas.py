@@ -181,6 +181,31 @@ class TestTabulated:
             TabulatedPas([0.0, 1.0], [0.0, 0.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "name, make",
+    [
+        ("alpha0", lambda x: IsotropicPas(alpha0=x)),
+        ("delta", lambda x: UniformPas(delta=x)),
+        ("alpha0", lambda x: UniformPas(delta=1.0, alpha0=x)),
+        ("kappa", lambda x: VonMisesPas(kappa=x)),
+        ("alpha0", lambda x: VonMisesPas(kappa=2.0, alpha0=x)),
+        ("angles", lambda x: TabulatedPas([0.0, x], [1.0, 1.0])),
+        ("densities", lambda x: TabulatedPas([0.0, 1.0], [1.0, x])),
+        ("alpha0", lambda x: TabulatedPas([0.0, 1.0], [1.0, 1.0], alpha0=x)),
+        ("nu_max", lambda x: DopplerSpec(x)),
+    ],
+    ids=[
+        "isotropic", "uniform-delta", "uniform", "von_mises-kappa", "von_mises",
+        "tabulated-angles", "tabulated-densities", "tabulated", "doppler",
+    ],
+)
+def test_refuses_non_finite_parameter(name, make, bad):
+    # a NaN or infinite parameter would reach the kernel and the solve as NaN
+    with pytest.raises(ValueError, match=f"requires finite {name}$"):
+        make(bad)
+
+
 class TestDoppler:
     def test_jakes_at_zero(self):
         value = doppler_spectrum(IsotropicPas(), DopplerSpec(1.0), 0.0)

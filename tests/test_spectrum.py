@@ -285,6 +285,15 @@ class TestDiscrete:
         with pytest.raises(ValueError):
             ds.discrete_diversity(R)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("entry", [(0, 1), (2, 2)], ids=["off-diagonal", "diagonal"])
+    def test_non_finite_rejected(self, entry, bad):
+        # NaN fails no comparison, so the Hermitian and diagonal checks alone let it through
+        R = np.eye(3)
+        R[entry] = R[entry[::-1]] = bad
+        with pytest.raises(ValueError, match="discrete_diversity requires a finite matrix"):
+            ds.discrete_diversity(R)
+
     def test_dense_sampling_approaches_continuous(self):
         pas = ds.UniformPas(delta=math.pi / 2, alpha0=0.4)
         continuous = ds.solve_spectrum(ds.build_truncated_operator(ds.Segment(1.0), pas)).omega
