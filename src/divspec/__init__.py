@@ -8,8 +8,6 @@ certified truncation error bounds and the resulting diversity measure.
 
 from .specfun import (
     bessel_abs_tail_bound,
-    bessel_i_ratio,
-    bessel_j,
     bessel_sq_tail_bound,
     series_order,
     truncation_order,

@@ -23,6 +23,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .pas import _check_finite
+
 __all__ = [
     "QuadratureRule",
     "UnsupportedApertureError",
@@ -102,9 +104,9 @@ class Segment:
     center: tuple = (0.0, 0.0)
 
     def __post_init__(self):
+        _finite_fields(self)
         if self.length < 0.0:
             raise ValueError("Segment length must be >= 0")
-        object.__setattr__(self, "center", _as_point(self.center))
 
 
 @dataclass(frozen=True)
@@ -115,9 +117,9 @@ class Circle:
     center: tuple = (0.0, 0.0)
 
     def __post_init__(self):
+        _finite_fields(self)
         if self.radius <= 0.0:
             raise ValueError("Circle radius must be > 0")
-        object.__setattr__(self, "center", _as_point(self.center))
 
 
 @dataclass(frozen=True)
@@ -128,9 +130,9 @@ class Disk:
     center: tuple = (0.0, 0.0)
 
     def __post_init__(self):
+        _finite_fields(self)
         if self.radius < 0.0:
             raise ValueError("Disk radius must be >= 0")
-        object.__setattr__(self, "center", _as_point(self.center))
 
 
 @dataclass(frozen=True)
@@ -143,9 +145,9 @@ class Rectangle:
     center: tuple = (0.0, 0.0)
 
     def __post_init__(self):
+        _finite_fields(self)
         if self.width <= 0.0 or self.height <= 0.0:
             raise ValueError("Rectangle sides must be > 0")
-        object.__setattr__(self, "center", _as_point(self.center))
 
     def corners(self) -> np.ndarray:
         c = math.cos(self.angle)
@@ -170,8 +172,7 @@ class LinePiece:
     end: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "start", _as_point(self.start))
-        object.__setattr__(self, "end", _as_point(self.end))
+        _finite_fields(self)
 
     @property
     def length(self) -> float:
@@ -198,11 +199,11 @@ class ArcPiece:
     angle_stop: float
 
     def __post_init__(self):
+        _finite_fields(self)
         if self.radius <= 0.0:
             raise ValueError("ArcPiece radius must be > 0")
         if self.angle_stop == self.angle_start:
             raise ValueError("ArcPiece must span a non-empty angle")
-        object.__setattr__(self, "center", _as_point(self.center))
 
     @property
     def length(self) -> float:
@@ -270,6 +271,7 @@ class ParallelLines:
     center: tuple = (0.0, 0.0)
 
     def __post_init__(self):
+        _finite_fields(self)
         if int(self.count) < 1 or int(self.count) != self.count:
             raise ValueError("ParallelLines count must be a positive integer")
         if self.length <= 0.0:
@@ -277,7 +279,6 @@ class ParallelLines:
         if self.span < 0.0:
             raise ValueError("ParallelLines span must be >= 0")
         object.__setattr__(self, "count", int(self.count))
-        object.__setattr__(self, "center", _as_point(self.center))
 
     def line_centers(self) -> np.ndarray:
         if self.count == 1:
@@ -298,6 +299,7 @@ class DiscreteArray:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
             raise ValueError("DiscreteArray requires a non-empty (L, 2) point list")
+        _check_finite("DiscreteArray", points=pts)
         object.__setattr__(self, "points", tuple(map(tuple, pts.tolist())))
 
     def as_array(self) -> np.ndarray:
@@ -309,6 +311,14 @@ def _as_point(value) -> tuple:
     if arr.shape != (2,):
         raise ValueError("a point must have exactly two coordinates")
     return (float(arr[0]), float(arr[1]))
+
+
+def _finite_fields(aperture) -> None:
+    """Store each point field as a float pair, then refuse a NaN or infinite field."""
+    for name in ("center", "start", "end"):
+        if hasattr(aperture, name):
+            object.__setattr__(aperture, name, _as_point(getattr(aperture, name)))
+    _check_finite(type(aperture).__name__, **vars(aperture))
 
 
 def _point_rule(center) -> QuadratureRule:

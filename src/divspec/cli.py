@@ -90,16 +90,19 @@ def _number(cfg: dict, field: str, path: str, kind=float, default=None):
     return number
 
 
-def _check_finite(value, path: str) -> None:
-    # json accepts NaN, Infinity and overflowing literals such as 1e400
+def _check_values(value, path: str) -> None:
+    # json accepts NaN, Infinity and overflowing literals such as 1e400, and
+    # float(true) is 1.0; the format has no boolean field
+    if isinstance(value, bool):
+        raise ConfigError(f"{path}: {json.dumps(value)} is not a valid value")
     if isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"{path}: {value} is not a finite number")
     if isinstance(value, dict):
         for key, item in value.items():
-            _check_finite(item, f"{path}.{key}")
+            _check_values(item, f"{path}.{key}")
     elif isinstance(value, list):
         for i, item in enumerate(value):
-            _check_finite(item, f"{path}[{i}]")
+            _check_values(item, f"{path}[{i}]")
 
 
 def _load_config(path: str) -> dict:
@@ -110,7 +113,7 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
-    _check_finite(cfg, "config")
+    _check_values(cfg, "config")
     return cfg
 
 

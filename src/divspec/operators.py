@@ -32,12 +32,12 @@ order ``n = i - N``.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.special import jv
 
 from . import specfun
 from .aperture import (
@@ -64,8 +64,6 @@ __all__ = [
     "build_truncated_operator",
 ]
 
-logger = logging.getLogger(__name__)
-
 #: Angle-grid orders above ``N + N_D`` that :func:`gram_matrix` keeps clear
 #: of aliasing; the aliased Bessel tail is below ``0.2*exp(-_ALIAS_MARGIN)``.
 _ALIAS_MARGIN = 40
@@ -82,8 +80,8 @@ _KERNEL_BLOCK_BYTES = 1 << 22
 #: Elementwise tolerance of the quadrature doubling test.
 _DOUBLING_TOL = 1e-10
 
-#: Tolerated magnitude of negative eigenvalues of ``G`` and ``R``: each
-#: must admit a Cholesky factor once shifted by ``_PSD_TOL * I``.
+#: Tolerated magnitude of negative eigenvalues of ``G`` and ``R``: a Cholesky
+#: factor of ``M + _PSD_TOL * I``, or the ``eigh`` that takes ``R^(1/2)``, tests it.
 _PSD_TOL = 1e-10
 
 
@@ -148,11 +146,11 @@ def _radial_factor(aperture, Q: int) -> np.ndarray:
     d = np.arange(Q)
     z = 4.0 * math.pi * aperture.radius * np.sin(math.pi * d / Q)
     if isinstance(aperture, Circle):
-        values = specfun.bessel_j(0, z)
+        values = jv(0, z)
     else:
         values = np.ones(Q)
         nonzero = z > 0.0
-        values[nonzero] = 2.0 * specfun.bessel_j(1, z[nonzero]) / z[nonzero]
+        values[nonzero] = 2.0 * jv(1, z[nonzero]) / z[nonzero]
     return values[(d[None, :] - d[:, None]) % Q]
 
 
@@ -339,8 +337,7 @@ class TruncatedOperator:
     zeros; it is ``None`` for every other aperture kind.  ``rtilde_root``
     is the Hermitian square root ``R^(1/2)``, taken once when ``R`` is
     built and shared by every operator of a sweep with the same ``R``; it
-    is ``None`` for an array, whose solve may not need it, and then
-    :func:`~divspec.spectrum.solve_spectrum` takes it when it does.
+    is ``None`` for an array of ``L < 2N+1`` antennas, whose solve needs none.
     """
 
     N: int
@@ -376,20 +373,17 @@ def _check_psd(M: np.ndarray, label: str) -> None:
 
 
 def _hermitian_sqrt(R: np.ndarray) -> np.ndarray:
-    """``R^(1/2)`` of a Hermitian PSD ``R``; negative eigenvalues clamp to zero.
+    """``R^(1/2)`` of a Hermitian ``R``, whose ``eigh`` is also ``R``'s PSD test.
 
-    A checked ``R`` has none below ``-_PSD_TOL``; one that was not checked
-    is logged when it has one below ``-1e-8``.
+    An eigenvalue below ``-_PSD_TOL`` refuses ``R`` as :func:`_check_psd`
+    does; the negative ones above it are round-off and clamp to zero.
     """
     vals, vecs = np.linalg.eigh(R)
-    if vals[0] < 0.0:
-        if vals[0] < -1e-8:
-            logger.warning(
-                "coefficient correlation matrix has negative eigenvalue %.3e; "
-                "clamping to zero",
-                vals[0],
-            )
-        vals = np.clip(vals, 0.0, None)
+    if vals[0] < -_PSD_TOL:
+        raise ArithmeticError(
+            f"coefficient correlation matrix indefinite: min eigenvalue {vals[0]:.3e}"
+        )
+    np.clip(vals, 0.0, None, out=vals)
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
@@ -397,10 +391,11 @@ def _build(aperture, model: PasModel, N: int | None, pas_by_order: dict) -> Trun
     """:func:`build_truncated_operator` with ``R`` shared through ``pas_by_order``.
 
     ``G`` (and ``F``) and their checks are built for every call.  ``R``,
-    its checks and ``R^(1/2)`` depend only on the PAS and ``N``: they are
-    made on the first call of each order and kept in ``pas_by_order``,
-    keyed by ``N``, so a caller that passes one dict for one PAS shares
-    them among all its apertures.  The dict belongs to the caller.
+    its checks and ``R^(1/2)``, where the solve needs it, depend only on
+    the PAS and ``N``: they are made on the first call of each order and
+    kept in ``pas_by_order``, keyed by ``N``, so a caller that passes one
+    dict for one PAS shares them among all its apertures.  The dict
+    belongs to the caller.
     """
     centered, offset = centering_transform(aperture)
     r1 = enclosing_radius(centered)
@@ -410,10 +405,10 @@ def _build(aperture, model: PasModel, N: int | None, pas_by_order: dict) -> Trun
         G = _factor_gram(F)
     else:
         F, G = None, gram_matrix(centered, N)
-    scale = max(1.0, float(np.max(np.abs(G))))
-    if float(np.max(np.abs(G - G.conj().T))) > 1e-14 * scale:
-        raise ArithmeticError("Gram matrix lost Hermitian symmetry")
-    _check_psd(G, "Gram matrix")
+        scale = max(1.0, float(np.max(np.abs(G))))
+        if float(np.max(np.abs(G - G.conj().T))) > 1e-14 * scale:
+            raise ArithmeticError("Gram matrix lost Hermitian symmetry")
+        _check_psd(G, "Gram matrix")
     trace = float(np.trace(G).real)
     if trace > 1.0 + 1e-12 or trace < -1e-12:
         raise ArithmeticError(f"Gram trace {trace} outside [0, 1]")
@@ -428,8 +423,10 @@ def _build(aperture, model: PasModel, N: int | None, pas_by_order: dict) -> Trun
             raise ArithmeticError("coefficient correlation matrix is not Hermitian")
         if float(np.max(np.abs(np.diag(R) - 1.0))) > 1e-12:
             raise ArithmeticError("coefficient correlation matrix diagonal is not 1")
-        _check_psd(R, "coefficient correlation matrix")
-        pas_by_order[N] = R, None if F is not None else _hermitian_sqrt(R)
+        narrow = F is not None and len(F) < 2 * N + 1
+        if narrow:  # the L x L solve takes no R^(1/2) whose eigh would test R
+            _check_psd(R, "coefficient correlation matrix")
+        pas_by_order[N] = R, None if narrow else _hermitian_sqrt(R)
     R, root = pas_by_order[N]
     return TruncatedOperator(
         N=N,
@@ -470,9 +467,11 @@ def build_truncated_operator(aperture, model: PasModel, N: int | None = None) ->
     The aperture is centred first (the kernel is stationary, so this only
     shrinks the enclosing radius ``r1``).  ``N`` is chosen or refused by
     :func:`~divspec.specfun.series_order` at ``r1``.  A discrete array
-    also keeps the factor ``F`` of its Gram matrix, any other aperture the
-    square root of ``R`` (see :class:`TruncatedOperator`).  Every
-    structural invariant of ``G`` and ``R`` is verified: Hermitian, PSD,
-    ``R``'s unit diagonal, and ``G``'s trace against the tail bound.
+    also keeps the factor ``F`` of its Gram matrix, and ``R^(1/2)`` where
+    the solve needs it (see :class:`TruncatedOperator`).  Each invariant
+    that can fail is tested once: ``G``'s trace against the tail bound
+    and, unless ``G = F^H F`` makes them exact, its symmetry and PSD;
+    ``R``'s symmetry, unit diagonal and PSD, the last by the ``eigh`` that
+    takes ``R^(1/2)`` or else by a Cholesky factor.
     """
     return _build(aperture, model, N, {})

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ive
 
-from . import specfun
-
 __all__ = [
     "PasModel",
     "IsotropicPas",
@@ -49,9 +47,14 @@ def wrap_angle(alpha):
 
 
 def _check_finite(owner: str, **params) -> None:
-    # a NaN or infinite parameter would turn every coefficient into NaN
+    # NaN passes every sign check; a PAS, an aperture or a position set with a
+    # NaN or infinite parameter would come out as NaN or fail far from its input
     for name, value in params.items():
-        if not np.all(np.isfinite(value)):
+        if isinstance(value, np.ndarray):
+            finite = bool(np.isfinite(value).all())
+        else:  # a number or a point; math.isfinite costs far less than a ufunc call
+            finite = all(map(math.isfinite, value if isinstance(value, tuple) else (value,)))
+        if not finite:
             raise ValueError(f"{owner} requires finite {name}")
 
 
@@ -159,7 +162,7 @@ class VonMisesPas(PasModel):
         return np.exp(self.kappa * (np.cos(alpha) - 1.0)) / (TWO_PI * ive(0, self.kappa))
 
     def _centered_fourier(self, n):
-        return specfun.bessel_i_ratio(np.asarray(n), self.kappa)
+        return ive(np.abs(n), self.kappa) / ive(0, self.kappa)
 
     def rho_max(self) -> float:
         return 1.0 / ive(0, self.kappa)

@@ -1,25 +1,19 @@
-"""Truncation orders, certified Bessel tail bounds and two Bessel wrappers.
+"""Truncation orders and certified Bessel tail bounds.
 
 :func:`series_order` sets the order ``N`` of every truncated series in the
 package and :func:`truncation_order` its critical order ``N_D``; the
 certified bounds :func:`bessel_abs_tail_bound` and
-:func:`bessel_sq_tail_bound` cover the Bessel tails beyond ``N``.
-:func:`bessel_j` gives ``J_0`` and ``J_1`` of the circle and disk
-transforms and :func:`bessel_i_ratio` the ``I_n/I_0`` of the von Mises PAS.
-Negative orders of ``J_n`` come from ``J_{-n}(x) = (-1)^n J_n(x)``, so the
-reflection identity holds bit-exactly.
+:func:`bessel_sq_tail_bound` cover the Bessel tails beyond ``N``.  The
+package evaluates Bessel functions only through :mod:`scipy.special`: the
+``J_0`` and ``J_1`` of the circle and disk transforms and the ``I_n/I_0``
+of the von Mises PAS.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-from scipy import special
-
 __all__ = [
-    "bessel_j",
-    "bessel_i_ratio",
     "DEFAULT_ORDER_MARGIN",
     "truncation_order",
     "series_order",
@@ -29,45 +23,6 @@ __all__ = [
 
 #: Default truncation margin above the critical order.
 DEFAULT_ORDER_MARGIN = 10
-
-
-def bessel_j(n: int, x):
-    """Bessel function of the first kind of integer order.
-
-    Parameters
-    ----------
-    n : int
-        Order, may be negative.
-    x : float or ndarray
-        Argument(s), must be non-negative.
-
-    Returns
-    -------
-    float or ndarray
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
-        raise ValueError("bessel_j requires a non-negative argument")
-    n = int(n)
-    value = special.jv(abs(n), x)
-    if n < 0 and n % 2 != 0:
-        value = -value
-    return float(value) if np.ndim(value) == 0 else value
-
-
-def bessel_i_ratio(n: int, kappa: float) -> float:
-    """Ratio ``I_n(kappa) / I_0(kappa)`` of modified Bessel functions.
-
-    Evaluated through exponentially scaled functions, so it stays finite
-    for arbitrarily large ``kappa``.  The result lies in ``[0, 1]`` and
-    decreases with ``|n|`` for fixed ``kappa``.
-    """
-    kappa = np.asarray(kappa, dtype=float)
-    if np.any(kappa < 0.0):
-        raise ValueError("bessel_i_ratio requires kappa >= 0")
-    n = np.abs(np.asarray(n, dtype=int))
-    value = special.ive(n, kappa) / special.ive(0, kappa)
-    return float(value) if np.ndim(value) == 0 else value
 
 
 def truncation_order(r1: float) -> int:

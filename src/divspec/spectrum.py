@@ -53,7 +53,7 @@ from .operators import (
     _kernel_grid,
     _plane_waves,
 )
-from .pas import PasModel
+from .pas import PasModel, _check_finite
 
 __all__ = [
     "DiversitySpectrum",
@@ -118,12 +118,12 @@ def solve_spectrum(op: TruncatedOperator) -> DiversitySpectrum:
     The general route is ``eigvalsh(R^(1/2) G R^(1/2))`` of order
     ``2N+1``, with the operator's ``rtilde_root`` (an ``eigh`` of ``R``
     made when ``R`` was built, once for a whole sweep) or, when it carries
-    none, an ``eigh`` of ``R`` here.  An operator whose Gram factor ``F``
-    (``L x (2N+1)``, see :class:`~divspec.operators.TruncatedOperator`)
-    has ``L < 2N+1`` rows takes one ``L x L`` ``eigvalsh(F R F^H)``
-    instead; its eigenvalues beyond rank ``L`` are exact zeros.  Every
-    sweep point goes through here, so each solve runs the clamp and
-    norm-hierarchy checks and attaches its own bounds.
+    none, an ``eigh`` of ``R`` here, which refuses ``R`` as the build does.
+    An operator whose Gram factor ``F`` (``L x (2N+1)``, see
+    :class:`~divspec.operators.TruncatedOperator`) has ``L < 2N+1`` rows
+    takes one ``L x L`` ``eigvalsh(F R F^H)`` instead; its eigenvalues
+    beyond rank ``L`` are exact zeros.  Every sweep point goes through
+    here, so each solve runs the clamp check and attaches its own bounds.
     """
     F = op.gram_factor
     if F is not None and len(F) < op.size:
@@ -145,10 +145,6 @@ def solve_spectrum(op: TruncatedOperator) -> DiversitySpectrum:
     eig_error_bound = op.rho_max * specfun.bessel_abs_tail_bound(op.N, op.r1)
     trace = float(lam.sum())
     hs_norm_sq = float(np.sum(lam * lam))
-    # norm hierarchy: operator norm <= Hilbert-Schmidt norm <= trace norm
-    hs_norm = math.sqrt(hs_norm_sq)
-    if lam[0] > hs_norm + 1e-12 or hs_norm > trace + 1e-12:
-        raise ArithmeticError("computed spectrum violates the norm hierarchy")
     omega = trace * trace / hs_norm_sq
     return DiversitySpectrum(
         eigenvalues=lam,
@@ -232,6 +228,7 @@ def discrete_correlation(positions, model: PasModel, N: int | None = None) -> np
     pts = np.asarray(positions, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
         raise ValueError("positions must be a non-empty (L, 2) array")
+    _check_finite("discrete_correlation", positions=pts)
     L = pts.shape[0]
     nbytes = L * L * np.dtype(complex).itemsize
     if nbytes > _MAX_GRID_BYTES:

@@ -63,3 +63,18 @@ def suite_spectra():
             )
     elapsed = time.perf_counter() - start
     return {"cases": cases, "elapsed": elapsed}
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """``(name, shape)`` of every ``np.linalg`` factorisation the test calls."""
+    calls = []
+    for name in ("cholesky", "eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counted(a, *args, _original=original, _name=name, **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls

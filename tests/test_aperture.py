@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from divspec import IsotropicPas, discrete_correlation
 from divspec.aperture import (
     ArcPiece,
     Circle,
@@ -224,6 +225,47 @@ class TestSmallestEnclosingCircle:
         a = smallest_enclosing_circle(pts)
         b = smallest_enclosing_circle(pts)
         assert np.array_equal(a[0], b[0]) and a[1] == b[1]
+
+
+#: Every numeric field of every aperture kind and curve piece, and the
+#: positions of ``discrete_correlation``, each made from one bad value.
+NON_FINITE_FIELDS = {
+    "Segment-length": lambda v: Segment(v),
+    "Segment-angle": lambda v: Segment(1.0, angle=v),
+    "Segment-center": lambda v: Segment(1.0, center=(0.0, v)),
+    "Circle-radius": lambda v: Circle(v),
+    "Circle-center": lambda v: Circle(1.0, center=(v, 0.0)),
+    "Disk-radius": lambda v: Disk(v),
+    "Disk-center": lambda v: Disk(1.0, center=(v, 0.0)),
+    "Rectangle-width": lambda v: Rectangle(v, 1.0),
+    "Rectangle-height": lambda v: Rectangle(1.0, v),
+    "Rectangle-angle": lambda v: Rectangle(1.0, 1.0, angle=v),
+    "Rectangle-center": lambda v: Rectangle(1.0, 1.0, center=(v, 0.0)),
+    "LinePiece-start": lambda v: LinePiece((v, 0.0), (1.0, 0.0)),
+    "LinePiece-end": lambda v: LinePiece((0.0, 0.0), (1.0, v)),
+    "ArcPiece-center": lambda v: ArcPiece((v, 0.0), 1.0, 0.0, 1.0),
+    "ArcPiece-radius": lambda v: ArcPiece((0.0, 0.0), v, 0.0, 1.0),
+    "ArcPiece-angle_start": lambda v: ArcPiece((0.0, 0.0), 1.0, v, 1.0),
+    "ArcPiece-angle_stop": lambda v: ArcPiece((0.0, 0.0), 1.0, 0.0, v),
+    "ParallelLines-count": lambda v: ParallelLines(v, 1.0, 1.0),
+    "ParallelLines-length": lambda v: ParallelLines(2, v, 1.0),
+    "ParallelLines-span": lambda v: ParallelLines(2, 1.0, v),
+    "ParallelLines-angle": lambda v: ParallelLines(2, 1.0, 1.0, angle=v),
+    "ParallelLines-center": lambda v: ParallelLines(2, 1.0, 1.0, center=(0.0, v)),
+    "DiscreteArray-points": lambda v: DiscreteArray(((0.0, 0.0), (v, 1.0))),
+    "discrete_correlation-positions": lambda v: discrete_correlation(
+        [[0.0, 0.0], [v, 1.0]], IsotropicPas()
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("case", sorted(NON_FINITE_FIELDS))
+def test_refuses_non_finite_field(case, value):
+    # NaN passes every sign check, and the build then fails far from the input
+    owner, field = case.split("-")
+    with pytest.raises(ValueError, match=f"^{owner} requires finite {field}$"):
+        NON_FINITE_FIELDS[case](value)
 
 
 class TestValidation:

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import special
 
 import divspec as ds
 from divspec import cli, operators
@@ -49,7 +50,7 @@ class TestSpectrumCommand:
         meta, header, rows = read_rows(out)
         assert header == ["index", "eigenvalue", "cumulative"]
         assert meta["N"] == "19" and meta["N_D"] == "9"
-        top = max(ds.bessel_j(n, 2 * math.pi) ** 2 for n in range(-19, 20))
+        top = max(special.jv(n, 2 * math.pi) ** 2 for n in range(-19, 20))
         assert float(rows[0][1]) == pytest.approx(top, abs=1e-12)
         assert float(rows[0][0]) == 1
 
@@ -225,6 +226,26 @@ def test_config_error_exit_2_names_field(tmp_path, capsys, case):
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field}: ")
+
+
+@pytest.mark.parametrize(
+    "aperture, message",
+    [
+        ({"kind": "segment", "length": "nan"}, "aperture: Segment requires finite length"),
+        ({"kind": "segment", "length": "inf"}, "aperture: Segment requires finite length"),
+        ({"kind": "segment", "length": "1e400"}, "aperture: Segment requires finite length"),
+        ({"kind": "disk", "radius": 1.0, "center": ["nan", 0]}, "aperture: Disk requires finite center"),
+        ({"kind": "segment", "length": True}, "config.aperture.length: true is not a valid value"),
+        ({"kind": "circle", "radius": False}, "config.aperture.radius: false is not a valid value"),
+    ],
+    ids=["length-nan", "length-inf", "length-overflow", "center-nan", "length-true", "radius-false"],
+)
+def test_non_finite_text_and_booleans_refused(tmp_path, capsys, aperture, message):
+    # float() reads "nan", "inf" and "1e400" as non-finite and true as 1.0
+    cfg = write_cfg(tmp_path / "c.cfg", dict(UCA_CFG, aperture=aperture))
+    out = tmp_path / "o.csv"
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n" and not out.exists()
 
 
 @pytest.mark.parametrize(

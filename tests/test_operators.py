@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -76,7 +77,7 @@ class TestGram:
         r = 1.0
         N = 12
         G = gram_matrix(ds.Circle(r), N)
-        expected = np.array([ds.bessel_j(n, TWO_PI * r) ** 2 for n in range(-N, N + 1)])
+        expected = np.array([special.jv(n, TWO_PI * r) ** 2 for n in range(-N, N + 1)])
         assert np.max(np.abs(np.diag(G).real - expected)) < 1e-14
         off = G - np.diag(np.diag(G))
         assert np.max(np.abs(off)) < 1e-10
@@ -87,7 +88,7 @@ class TestGram:
         G = gram_matrix(ds.Disk(r1), N)
         for n in range(-N, N + 1):
             expected, _ = integrate.quad(
-                lambda r: (2.0 * r / r1**2) * ds.bessel_j(n, TWO_PI * r) ** 2, 0.0, r1
+                lambda r: (2.0 * r / r1**2) * special.jv(n, TWO_PI * r) ** 2, 0.0, r1
             )
             assert G[n + N, n + N].real == pytest.approx(expected, abs=1e-12)
         off = G - np.diag(np.diag(G))
@@ -262,7 +263,7 @@ class TestKernel:
     def test_isotropic_reduces_to_order_zero(self):
         for r in [0.2, 0.7, 1.4]:
             value = rho_n_kernel(ds.IsotropicPas(), (r, 0.0), ds.truncation_order(r) + 5)
-            assert value == pytest.approx(ds.bessel_j(0, TWO_PI * r), abs=1e-15)
+            assert value == pytest.approx(special.jv(0, TWO_PI * r), abs=1e-15)
 
     def test_von_mises_against_direct_quadrature(self):
         model = ds.VonMisesPas(kappa=3.0)
@@ -444,26 +445,51 @@ class TestValidation:
             matrix = op.gram if target == "gram_matrix" else op.rtilde
             assert np.linalg.eigvalsh(matrix)[0] == pytest.approx(lam_min, abs=1e-14)
 
-    def test_two_eigensolves_per_solve(self, monkeypatch):
-        calls = []
-        for name in ("eigh", "eigvalsh"):
-            original = getattr(np.linalg, name)
+    @pytest.mark.parametrize("lam_min, refused", [(-2e-10, True), (-1e-12, False)])
+    def test_array_rtilde_psd_threshold(self, monkeypatch, linalg_calls, lam_min, refused):
+        # an array's build takes no R^(1/2): R is tested by its own Cholesky
+        build = operators.rtilde_matrix
+        monkeypatch.setattr(
+            operators, "rtilde_matrix", lambda *args: self._rtilde_with_min_eig(build(*args), lam_min)
+        )
+        aperture, model = ds.DiscreteArray(((0.0, 0.0), (0.5, 0.2))), ds.UniformPas(delta=math.pi / 2)
+        if refused:
+            message = "coefficient correlation matrix indefinite: min eigenvalue -2.000e-10"
+            with pytest.raises(ArithmeticError, match=message):
+                build_truncated_operator(aperture, model)
+        else:
+            op = build_truncated_operator(aperture, model)
+            assert np.linalg.eigvalsh(op.rtilde)[0] == pytest.approx(lam_min, abs=1e-14)
+        # the eigvalsh calls are the breakage's and the refusal's message
+        assert [c for c in linalg_calls if c[0] != "eigvalsh"] == [("cholesky", (27, 27))]
 
-            def counted(a, *args, _original=original, _name=name, **kwargs):
-                calls.append((_name, np.shape(a)))
-                return _original(a, *args, **kwargs)
+    @pytest.mark.parametrize("lam_min, refused", [(-2e-10, True), (-1e-12, False)])
+    def test_hand_built_rtilde_psd_threshold(self, lam_min, refused):
+        # an operator that carries no R^(1/2) has R tested by the solve's eigh
+        op = build_truncated_operator(ds.Segment(1.0), ds.UniformPas(delta=math.pi / 2))
+        op = replace(op, rtilde=self._rtilde_with_min_eig(op.rtilde, lam_min), rtilde_root=None)
+        if refused:
+            message = "coefficient correlation matrix indefinite: min eigenvalue -2.000e-10"
+            with pytest.raises(ArithmeticError, match=message):
+                ds.solve_spectrum(op)
+        else:
+            assert np.all(np.isfinite(ds.solve_spectrum(op).eigenvalues))
 
-            monkeypatch.setattr(np.linalg, name, counted)
+    def test_two_eigensolves_per_solve(self, linalg_calls):
         for aperture in [ds.Segment(1.0), ds.Disk(0.8)]:
-            calls.clear()
-            ds.solve_spectrum(build_truncated_operator(aperture, ds.VonMisesPas(kappa=3.0)))
-            assert len(calls) <= 2, calls
-        # two antennas against 2N+1 = 27 orders: one 2 x 2 eigvalsh, no eigh
-        calls.clear()
+            linalg_calls.clear()
+            op = build_truncated_operator(aperture, ds.VonMisesPas(kappa=3.0))
+            ds.solve_spectrum(op)
+            # a Cholesky factor of G, eigh(R) for R^(1/2) and its PSD test, one eigvalsh
+            shape = (op.size, op.size)
+            assert linalg_calls == [("cholesky", shape), ("eigh", shape), ("eigvalsh", shape)]
+        # two antennas against 2N+1 = 27 orders: a Cholesky factor of R, no
+        # factorisation of G = F^H F, and one 2 x 2 eigvalsh
+        linalg_calls.clear()
         aperture = ds.DiscreteArray(((0.0, 0.0), (0.5, 0.2)))
         op = build_truncated_operator(aperture, ds.VonMisesPas(kappa=3.0))
         ds.solve_spectrum(op)
-        assert op.size == 27 and calls == [("eigvalsh", (2, 2))]
+        assert op.size == 27 and linalg_calls == [("cholesky", (27, 27)), ("eigvalsh", (2, 2))]
 
 
 ROTATED_MODELS = {
