@@ -313,12 +313,22 @@ def _as_point(value) -> tuple:
     return (float(arr[0]), float(arr[1]))
 
 
+#: The fields of an aperture or curve piece that hold a point.
+_POINT_FIELDS = ("center", "start", "end")
+
+
 def _finite_fields(aperture) -> None:
     """Store each point field as a float pair, then refuse a NaN or infinite field."""
-    for name in ("center", "start", "end"):
+    for name in _POINT_FIELDS:
         if hasattr(aperture, name):
             object.__setattr__(aperture, name, _as_point(getattr(aperture, name)))
     _check_finite(type(aperture).__name__, **vars(aperture))
+
+
+def _moved(shape, offset: np.ndarray):
+    """``shape`` with each of its point fields moved by ``offset``."""
+    names = [name for name in _POINT_FIELDS if hasattr(shape, name)]
+    return replace(shape, **{n: tuple(np.asarray(getattr(shape, n)) + offset) for n in names})
 
 
 def _point_rule(center) -> QuadratureRule:
@@ -457,24 +467,9 @@ def translate(aperture, offset):
     """Return the aperture moved rigidly by ``offset``."""
     offset = np.asarray(offset, dtype=float)
     if isinstance(aperture, (Segment, Circle, Disk, Rectangle, ParallelLines)):
-        return replace(aperture, center=tuple(np.asarray(aperture.center) + offset))
+        return _moved(aperture, offset)
     if isinstance(aperture, PiecewiseCurve):
-        moved = []
-        for piece in aperture.pieces:
-            if isinstance(piece, LinePiece):
-                moved.append(
-                    LinePiece(
-                        tuple(np.asarray(piece.start) + offset),
-                        tuple(np.asarray(piece.end) + offset),
-                    )
-                )
-            elif isinstance(piece, ArcPiece):
-                moved.append(replace(piece, center=tuple(np.asarray(piece.center) + offset)))
-            else:
-                raise UnsupportedApertureError(
-                    f"cannot translate curve piece {type(piece).__name__}"
-                )
-        return PiecewiseCurve(tuple(moved))
+        return PiecewiseCurve(tuple(_moved(piece, offset) for piece in aperture.pieces))
     if isinstance(aperture, DiscreteArray):
         return DiscreteArray(tuple(map(tuple, (aperture.as_array() + offset[None, :]).tolist())))
     raise UnsupportedApertureError(f"unknown aperture kind: {type(aperture).__name__}")

@@ -34,6 +34,8 @@ from .aperture import (
     PiecewiseCurve,
     Rectangle,
     Segment,
+    _as_point,
+    build_quadrature,
     centering_transform,
     enclosing_radius,
 )
@@ -59,6 +61,9 @@ from .spectrum import (
 __all__ = ["main", "ConfigError"]
 
 _RAD = math.pi / 180.0
+
+#: Most points a sweep or a Doppler table may have.
+_MAX_STEPS = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -131,73 +136,54 @@ def _read_two_column_csv(path: str, what: str) -> np.ndarray:
     return data
 
 
+def _piece(cfg: dict, path: str):
+    ptype = str(_require(cfg, "type", path)).lower()
+    if ptype == "line":
+        return LinePiece(*(_number(cfg, field, path, _as_point) for field in ("start", "end")))
+    if ptype == "arc":
+        return ArcPiece(
+            _number(cfg, "center", path, _as_point),
+            _number(cfg, "radius", path),
+            _number(cfg, "start_deg", path) * _RAD,
+            _number(cfg, "stop_deg", path) * _RAD,
+        )
+    raise ConfigError(f"{path}.type: unknown piece type '{ptype}'")
+
+
 def make_aperture(cfg: dict, path: str = "aperture"):
     kind = str(_require(cfg, "kind", path)).lower()
+
+    def number(field, convert=float):
+        return _number(cfg, field, path, convert)
+
+    def angle():
+        return _number(cfg, "angle_deg", path, default=0.0) * _RAD
+
+    def center():
+        return _number(cfg, "center", path, _as_point, (0.0, 0.0))
+
     try:
         if kind == "segment":
-            return Segment(
-                length=float(_require(cfg, "length", path)),
-                angle=float(cfg.get("angle_deg", 0.0)) * _RAD,
-                center=tuple(cfg.get("center", (0.0, 0.0))),
-            )
-        if kind == "circle":
-            return Circle(
-                radius=float(_require(cfg, "radius", path)),
-                center=tuple(cfg.get("center", (0.0, 0.0))),
-            )
-        if kind == "disk":
-            return Disk(
-                radius=float(_require(cfg, "radius", path)),
-                center=tuple(cfg.get("center", (0.0, 0.0))),
-            )
+            return Segment(number("length"), angle(), center())
+        if kind in ("circle", "disk"):
+            return (Circle if kind == "circle" else Disk)(number("radius"), center())
         if kind == "rectangle":
-            return Rectangle(
-                width=float(_require(cfg, "width", path)),
-                height=float(_require(cfg, "height", path)),
-                angle=float(cfg.get("angle_deg", 0.0)) * _RAD,
-                center=tuple(cfg.get("center", (0.0, 0.0))),
-            )
+            return Rectangle(number("width"), number("height"), angle(), center())
         if kind == "parallel_lines":
-            return ParallelLines(
-                count=_number(cfg, "count", path, int),
-                length=float(_require(cfg, "length", path)),
-                span=float(_require(cfg, "span", path)),
-                angle=float(cfg.get("angle_deg", 0.0)) * _RAD,
-                center=tuple(cfg.get("center", (0.0, 0.0))),
-            )
+            count = number("count", int)
+            return ParallelLines(count, number("length"), number("span"), angle(), center())
         if kind == "piecewise_curve":
-            pieces = []
-            for i, piece in enumerate(_require(cfg, "pieces", path)):
-                ppath = f"{path}.pieces[{i}]"
-                ptype = str(_require(piece, "type", ppath)).lower()
-                if ptype == "line":
-                    pieces.append(
-                        LinePiece(
-                            tuple(_require(piece, "start", ppath)),
-                            tuple(_require(piece, "end", ppath)),
-                        )
-                    )
-                elif ptype == "arc":
-                    pieces.append(
-                        ArcPiece(
-                            center=tuple(_require(piece, "center", ppath)),
-                            radius=float(_require(piece, "radius", ppath)),
-                            angle_start=float(_require(piece, "start_deg", ppath)) * _RAD,
-                            angle_stop=float(_require(piece, "stop_deg", ppath)) * _RAD,
-                        )
-                    )
-                else:
-                    raise ConfigError(f"{ppath}.type: unknown piece type '{ptype}'")
-            return PiecewiseCurve(tuple(pieces))
+            pieces = enumerate(_require(cfg, "pieces", path))
+            return PiecewiseCurve(tuple(_piece(p, f"{path}.pieces[{i}]") for i, p in pieces))
         if kind == "discrete_array":
             if "csv" in cfg:
                 pts = _read_two_column_csv(cfg["csv"], f"{path}.csv")
             else:
-                pts = np.asarray(_require(cfg, "points", path), dtype=float)
+                pts = _number(cfg, "points", path, lambda v: np.asarray(v, dtype=float))
             return DiscreteArray(tuple(map(tuple, np.atleast_2d(pts).tolist())))
     except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:  # a constructor's refusal, a malformed list
         raise ConfigError(f"{path}: {exc}")
     raise ConfigError(f"{path}.kind: unknown aperture kind '{kind}'")
 
@@ -209,9 +195,9 @@ def make_pas(cfg: dict, path: str = "pas"):
         if kind == "isotropic":
             return IsotropicPas()
         if kind == "uniform":
-            return UniformPas(delta=float(_require(cfg, "delta_deg", path)) * _RAD, alpha0=alpha0)
+            return UniformPas(delta=_number(cfg, "delta_deg", path) * _RAD, alpha0=alpha0)
         if kind == "von_mises":
-            return VonMisesPas(kappa=float(_require(cfg, "kappa", path)), alpha0=alpha0)
+            return VonMisesPas(kappa=_number(cfg, "kappa", path), alpha0=alpha0)
         if kind == "tabulated":
             table = _read_two_column_csv(_require(cfg, "table", path), f"{path}.table")
             return TabulatedPas(table[:, 0] * _RAD, table[:, 1], alpha0=alpha0)
@@ -285,11 +271,18 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
+def _steps(cfg: dict, path: str, default=None) -> int:
+    steps = _number(cfg, "steps", path, int, default)
+    if steps > _MAX_STEPS:  # before linspace allocates them
+        raise ConfigError(f"{path}.steps: must be <= {_MAX_STEPS}")
+    return steps
+
+
 def _sweep_values(sweep: dict):
     kind = str(_require(sweep, "kind", "sweep")).lower()
     start = _number(sweep, "start", "sweep")
     stop = _number(sweep, "stop", "sweep")
-    steps = _number(sweep, "steps", "sweep", int)
+    steps = _steps(sweep, "sweep")
     if steps < 2:
         raise ConfigError("sweep.steps: must be >= 2")
     if not start < stop:
@@ -304,10 +297,7 @@ def _sweep_values(sweep: dict):
 
 def _antenna_positions(aperture, L: int) -> np.ndarray:
     if isinstance(aperture, Circle):
-        beta = 2.0 * math.pi * np.arange(L) / L
-        return np.asarray(aperture.center)[None, :] + aperture.radius * np.stack(
-            [np.cos(beta), np.sin(beta)], axis=1
-        )
+        return build_quadrature(aperture, L).nodes
     if isinstance(aperture, Segment):
         d = np.array([math.cos(aperture.angle), math.sin(aperture.angle)])
         c = np.asarray(aperture.center)
@@ -321,26 +311,25 @@ def _antenna_positions(aperture, L: int) -> np.ndarray:
     )
 
 
+#: Sweep kind -> {aperture kind: the field a sweep point sets}.
+_SWEPT_FIELDS = {
+    "radius": {"circle": "radius", "disk": "radius"},
+    "length": {"segment": "length", "parallel_lines": "length", "rectangle": "width"},
+}
+
+
 def _apply_sweep(cfg: dict, kind: str, value: float) -> dict:
-    out = json.loads(json.dumps(cfg))  # deep copy without sharing
-    ap = _require(out, "aperture", "config")
+    """A copy of ``cfg`` with the one field a sweep point sets; ``cfg`` is left as it is."""
+    ap = _require(cfg, "aperture", "config")
     ap_kind = str(_require(ap, "kind", "aperture")).lower()
-    if kind == "radius":
-        if ap_kind not in ("circle", "disk"):
-            raise ConfigError("sweep.kind: radius sweep requires a circle or disk")
-        ap["radius"] = value
-    elif kind == "length":
-        if ap_kind in ("segment", "parallel_lines"):
-            ap["length"] = value
-        elif ap_kind == "rectangle":
-            ap["width"] = value
-        else:
-            raise ConfigError("sweep.kind: length sweep requires segment, lines, or rectangle")
-    elif kind == "direction":
-        out.setdefault("pas", {})["alpha0_deg"] = value
-    else:
+    if kind == "direction":
+        return dict(cfg, pas=dict(cfg.get("pas", {}), alpha0_deg=value))
+    if kind not in _SWEPT_FIELDS:
         raise ConfigError(f"sweep.kind: unknown sweep kind '{kind}'")
-    return out
+    if ap_kind not in _SWEPT_FIELDS[kind]:
+        bases = "a circle or disk" if kind == "radius" else "segment, lines, or rectangle"
+        raise ConfigError(f"sweep.kind: {kind} sweep requires {bases}")
+    return dict(cfg, aperture=dict(ap, **{_SWEPT_FIELDS[kind][ap_kind]: value}))
 
 
 def _sweep_operators(cfg: dict, kind: str, values):
@@ -451,7 +440,7 @@ def cmd_doppler(args) -> int:
     nu_max = _nu_max(dop)
     start = _number(dop, "start", "doppler", default=-0.99 * nu_max)
     stop = _number(dop, "stop", "doppler", default=0.99 * nu_max)
-    steps = _number(dop, "steps", "doppler", int, default=201)
+    steps = _steps(dop, "doppler", default=201)
     if steps < 2 or not start < stop:
         raise ConfigError("doppler: requires steps >= 2 and start < stop")
     return _doppler_csv(cfg, np.linspace(start, stop, steps), args.out)

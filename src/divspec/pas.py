@@ -36,6 +36,9 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
+#: Size (bytes) of one ``orders x rows`` block of ``TabulatedPas.fourier``.
+_FOURIER_BLOCK_BYTES = 1 << 22
+
 
 def wrap_angle(alpha):
     """Wrap angle(s) into the interval (-pi, pi]; angles already in it are returned unchanged."""
@@ -211,12 +214,16 @@ class TabulatedPas(PasModel):
     def _centered_fourier(self, n):
         n = np.asarray(n, dtype=float)
         shaped = n[..., None]
-        a = self._start[None, :]
-        b = a + self._widths[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            seg = (np.exp(-1j * shaped * a) - np.exp(-1j * shaped * b)) / (1j * shaped)
-        coeff = np.sum(self._values[None, :] * seg, axis=-1)
-        return np.where(n == 0, 1.0 + 0.0j, coeff)
+        # sum over blocks of table rows, so the orders x rows temporaries stay bounded
+        rows = max(1, _FOURIER_BLOCK_BYTES // (max(n.size, 1) * np.dtype(complex).itemsize))
+        parts = []
+        for lo in range(0, self._start.size, rows):
+            a = self._start[None, lo : lo + rows]
+            b = a + self._widths[None, lo : lo + rows]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                seg = (np.exp(-1j * shaped * a) - np.exp(-1j * shaped * b)) / (1j * shaped)
+            parts.append(np.sum(self._values[None, lo : lo + rows] * seg, axis=-1))
+        return np.where(n == 0, 1.0 + 0.0j, np.sum(parts, axis=0))
 
     def rho_max(self) -> float:
         return TWO_PI * float(np.max(self._values))

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 from pathlib import Path
@@ -248,6 +249,90 @@ def test_non_finite_text_and_booleans_refused(tmp_path, capsys, aperture, messag
     assert capsys.readouterr().err == f"error: {message}\n" and not out.exists()
 
 
+FIELD_BLOCKS = [
+    ("aperture", {"kind": "segment", "length": 1.0, "angle_deg": 10.0, "center": [0.1, 0.2]}),
+    ("aperture", {"kind": "circle", "radius": 0.5, "center": [0.1, 0.2]}),
+    ("aperture", {"kind": "disk", "radius": 0.5, "center": [0.1, 0.2]}),
+    (
+        "aperture",
+        {"kind": "rectangle", "width": 1.0, "height": 0.5, "angle_deg": 10.0, "center": [0.1, 0.2]},
+    ),
+    (
+        "aperture",
+        {
+            "kind": "parallel_lines",
+            "count": 2,
+            "length": 1.0,
+            "span": 0.5,
+            "angle_deg": 10.0,
+            "center": [0.1, 0.2],
+        },
+    ),
+    ("aperture", {"kind": "discrete_array", "points": [[0.0, 0.0], [0.5, 0.0]]}),
+    ("aperture.pieces[0]", {"type": "line", "start": [0.0, 0.0], "end": [1.0, 0.0]}),
+    (
+        "aperture.pieces[0]",
+        {"type": "arc", "center": [0.0, 0.0], "radius": 1.0, "start_deg": 0.0, "stop_deg": 90.0},
+    ),
+    ("pas", {"kind": "isotropic", "alpha0_deg": 10.0}),
+    ("pas", {"kind": "uniform", "delta_deg": 45.0, "alpha0_deg": 10.0}),
+    ("pas", {"kind": "von_mises", "kappa": 3.0, "alpha0_deg": 10.0}),
+    ("pas", {"kind": "tabulated", "table": "table.csv", "alpha0_deg": 10.0}),
+]
+FIELD_CASES = [
+    (path, block, field)
+    for path, block in FIELD_BLOCKS
+    for field in block
+    if field not in ("kind", "type", "table")
+]
+
+
+@pytest.mark.parametrize(
+    "path, block, field",
+    FIELD_CASES,
+    ids=[f"{block.get('kind', block.get('type'))}.{field}" for _, block, field in FIELD_CASES],
+)
+def test_unconvertible_field_named(tmp_path, capsys, path, block, field):
+    # a point field gets a one-coordinate list, every other field text
+    bad = [1] if field in ("center", "start", "end") else "abc"
+    block = dict(block, **{field: bad})
+    if path == "pas":
+        payload = dict(UCA_CFG, pas=block)
+    elif path == "aperture":
+        payload = dict(UCA_CFG, aperture=block)
+    else:
+        payload = dict(UCA_CFG, aperture={"kind": "piecewise_curve", "pieces": [block]})
+    cfg = write_cfg(tmp_path / "c.cfg", payload)
+    out = tmp_path / "o.csv"
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}.{field}: ") and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, payload, field",
+    [
+        (
+            "sweep",
+            {"aperture": UCA_CFG["aperture"], "sweep": dict(DIRECTION_SWEEP, steps=10**7)},
+            "sweep.steps",
+        ),
+        ("doppler", {"doppler": {"nu_max": 1.0, "steps": 10**7}}, "doppler.steps"),
+    ],
+    ids=["sweep", "doppler"],
+)
+def test_oversized_steps_refused(tmp_path, capsys, command, payload, field):
+    # no pas block: a run past the steps check stops there instead of solving 10^7 points
+    cfg = write_cfg(tmp_path / "c.cfg", payload)
+    out = tmp_path / "o.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {field}: must be <= 1000000\n" and not out.exists()
+
+
+def test_steps_limit_admits_its_bound():
+    kind, values = cli._sweep_values({"kind": "radius", "start": 0.1, "stop": 0.2, "steps": 10**6})
+    assert kind == "radius" and len(values) == 10**6
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -284,6 +369,18 @@ def test_non_positive_nu_max_refused(tmp_path, capsys, command):
     assert capsys.readouterr().err == "error: doppler.nu_max: must be > 0\n"
 
 
+def _point_config(cfg, kind, value):
+    """``cfg`` at one point of a radius, length or direction sweep, built apart from the CLI."""
+    out = copy.deepcopy(cfg)
+    if kind == "direction":
+        out.setdefault("pas", {})["alpha0_deg"] = value
+    elif kind == "length" and out["aperture"]["kind"] == "rectangle":
+        out["aperture"]["width"] = value
+    else:
+        out["aperture"][kind] = value
+    return out
+
+
 def _gram_inputs(cfg):
     """Every config the ``spectrum`` or a continuous ``sweep`` would solve."""
     sweep = cfg.get("sweep")
@@ -292,7 +389,34 @@ def _gram_inputs(cfg):
     kind, values = cli._sweep_values(sweep)
     if kind in ("antennas", "doppler"):
         return []
-    return [cli._apply_sweep(cfg, kind, float(v)) for v in values]
+    return [_point_config(cfg, kind, float(v)) for v in values]
+
+
+@pytest.mark.parametrize("fig", ["fig4", "fig5", "fig6", "fig7", "fig8"])
+def test_sweep_point_sets_one_field(fig):
+    cfg = json.loads((SCENARIO_DIR / f"{fig}.cfg").read_text())
+    before = copy.deepcopy(cfg)
+    kind, values = cli._sweep_values(cfg["sweep"])
+    for value in values:
+        assert cli._apply_sweep(cfg, kind, float(value)) == _point_config(cfg, kind, float(value))
+    assert cfg == before
+
+
+@pytest.mark.parametrize(
+    "kind, aperture, message",
+    [
+        ("radius", {"kind": "segment", "length": 1.0}, "radius sweep requires a circle or disk"),
+        (
+            "length",
+            {"kind": "circle", "radius": 1.0},
+            "length sweep requires segment, lines, or rectangle",
+        ),
+        ("area", {"kind": "circle", "radius": 1.0}, "unknown sweep kind 'area'"),
+    ],
+)
+def test_sweep_kind_refused(kind, aperture, message):
+    with pytest.raises(cli.ConfigError, match=f"^sweep.kind: {message}$"):
+        cli._apply_sweep(dict(UCA_CFG, aperture=aperture), kind, 1.0)
 
 
 def test_angle_grid_certified_on_shipped_inputs(monkeypatch):
@@ -365,7 +489,7 @@ class TestSweepCommand:
         _, _, rows = read_rows(out)
         assert len(rows) == base["sweep"]["steps"]
         for param, _, center, half in rows:
-            row_cfg = cli._apply_sweep(base, kind, float(param))
+            row_cfg = _point_config(base, kind, float(param))
             aperture = cli.make_aperture(row_cfg["aperture"])
             model = cli.make_pas(row_cfg["pas"])
             centered, _ = ds.centering_transform(aperture)
@@ -415,7 +539,7 @@ def _point_rows(cfg):
     rows, warnings = [], []
     for value in values:
         try:
-            *_, spec = cli._solve_scenario(cli._apply_sweep(cfg, kind, float(value)))
+            *_, spec = cli._solve_scenario(_point_config(cfg, kind, float(value)))
             center, half_width = ds.omega_corrected(spec)
         except (ValueError, ArithmeticError, RuntimeError) as exc:
             warnings.append(f"warning: param={value}: {exc}\n")

@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate, special
 
 from divspec import pas as pasmod
+from divspec.aperture import Circle
+from divspec.operators import build_truncated_operator
 from divspec.pas import (
     DopplerSpec,
     IsotropicPas,
@@ -177,6 +180,30 @@ class TestTabulated:
             TabulatedPas([0.0, 0.0], [1.0, 1.0])
         with pytest.raises(ValueError):
             TabulatedPas([0.0, 1.0], [0.0, 0.0])
+
+    def test_blocked_fourier_matches_one_block(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        model = TabulatedPas(np.sort(rng.uniform(-3.0, 3.0, 300)), rng.uniform(0.1, 2.0, 300))
+        n = np.arange(-40, 41)
+        whole = model.fourier(n)
+        # 81 orders x 16 bytes x 7 rows: 43 blocks, the last one short
+        monkeypatch.setattr(pasmod, "_FOURIER_BLOCK_BYTES", 81 * 16 * 7)
+        assert np.max(np.abs(model.fourier(n) - whole)) <= 1e-15
+
+    def test_long_table_memory_bounded(self):
+        # one block of all rows would trace about 1.4 GiB at orders -76..76
+        rows = 200_000
+        angles = TWO_PI * np.arange(rows) / rows
+        model = TabulatedPas(angles, 1.5 + 0.5 * np.cos(6.0 * angles))
+        tracemalloc.start()
+        try:
+            op = build_truncated_operator(Circle(1.0), model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        # the sampled density's only non-trivial coefficient, 1/6 up to the step
+        assert op.rtilde[op.N + 6, op.N] == pytest.approx(1.0 / 6.0, abs=1e-3)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
