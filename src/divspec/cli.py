@@ -20,6 +20,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -48,7 +49,7 @@ from .pas import (
     doppler_spectrum,
     wrap_angle,
 )
-from .operators import _build, _rotated, build_truncated_operator
+from .operators import _build, build_truncated_operator, rtilde_matrix
 from .specfun import bessel_abs_tail_bound, series_order
 from .spectrum import (
     discrete_correlation,
@@ -193,7 +194,7 @@ def make_pas(cfg: dict, path: str = "pas"):
     alpha0 = _number(cfg, "alpha0_deg", path, default=0.0) * _RAD
     try:
         if kind == "isotropic":
-            return IsotropicPas()
+            return IsotropicPas(alpha0=alpha0)
         if kind == "uniform":
             return UniformPas(delta=_number(cfg, "delta_deg", path) * _RAD, alpha0=alpha0)
         if kind == "von_mises":
@@ -267,7 +268,7 @@ def cmd_spectrum(args) -> int:
     if args.dump_matrices:
         stem = args.out[:-4] if args.out.endswith(".csv") else args.out
         _dump_matrix(stem + "_gram.csv", op.gram)
-        _dump_matrix(stem + "_rtilde.csv", op.rtilde)
+        _dump_matrix(stem + "_rtilde.csv", rtilde_matrix(model, op.N))
     return 0
 
 
@@ -336,9 +337,9 @@ def _sweep_operators(cfg: dict, kind: str, values):
     """``operator(value)`` of a radius, length or direction sweep point.
 
     Only what the swept parameter changes is built per point.  A direction
-    sweep builds and checks one operator, with the PAS at ``alpha0 = 0``,
-    and rotates it to each point (``operators._rotated``); a refused build
-    is tried again, and refused again, at every point.  Radius and length
+    sweep builds and checks one operator and gives each point its own
+    ``alpha0``; a refused build is tried again, and refused again, at
+    every point.  Radius and length
     sweeps take the PAS model and ``N`` from the first point's config,
     build ``G`` per point, and share ``R`` and ``R^(1/2)`` among the
     points of each order through one table per sweep (``operators._build``).
@@ -351,7 +352,7 @@ def _sweep_operators(cfg: dict, kind: str, values):
             nonlocal base
             if base is None:
                 base = build_truncated_operator(aperture, model, N)
-            return _rotated(base, wrap_angle(value * _RAD))
+            return replace(base, alpha0=wrap_angle(value * _RAD))
 
         return operator
     _, model, N = _scenario(_apply_sweep(cfg, kind, float(values[0])))

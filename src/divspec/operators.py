@@ -33,7 +33,7 @@ order ``n = i - N``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -334,10 +334,18 @@ class TruncatedOperator:
     removed by centring.  For a discrete array of ``L`` antennas
     ``gram_factor`` is the ``L x (2N+1)`` factor ``F`` with ``gram = F^H F``,
     so ``G R`` has rank at most ``L`` and its other eigenvalues are exact
-    zeros; it is ``None`` for every other aperture kind.  ``rtilde_root``
-    is the Hermitian square root ``R^(1/2)``, taken once when ``R`` is
-    built and shared by every operator of a sweep with the same ``R``; it
-    is ``None`` for an array of ``L < 2N+1`` antennas, whose solve needs none.
+    zeros; it is ``None`` for every other aperture kind.
+
+    ``rtilde`` is ``R(0)``, ``R`` of the PAS about its own axis: real for
+    the isotropic, uniform and von Mises models, so every factorisation
+    of it and product with it is real, and complex for a tabulated one.
+    ``alpha0`` is the PAS's mean angle: the operator stands for
+    ``(G, R(alpha0))`` with ``R(alpha0) = D R(0) D^H`` exactly,
+    ``D = diag(exp(-j*n*alpha0))``, which the solve applies as a phase on
+    ``G`` (or ``F``); ``R(alpha0)`` is PSD exactly when ``R(0)`` is.
+    ``rtilde_root`` is ``R(0)^(1/2)``, taken once when ``R`` is built and
+    shared by every operator of a sweep with the same ``R(0)``; it is
+    ``None`` for an array of ``L < 2N+1`` antennas, whose solve needs none.
     """
 
     N: int
@@ -349,6 +357,7 @@ class TruncatedOperator:
     offset: np.ndarray
     gram_factor: np.ndarray | None = None
     rtilde_root: np.ndarray | None = None
+    alpha0: float = 0.0
 
     @property
     def size(self) -> int:
@@ -390,12 +399,13 @@ def _hermitian_sqrt(R: np.ndarray) -> np.ndarray:
 def _build(aperture, model: PasModel, N: int | None, pas_by_order: dict) -> TruncatedOperator:
     """:func:`build_truncated_operator` with ``R`` shared through ``pas_by_order``.
 
-    ``G`` (and ``F``) and their checks are built for every call.  ``R``,
-    its checks and ``R^(1/2)``, where the solve needs it, depend only on
-    the PAS and ``N``: they are made on the first call of each order and
-    kept in ``pas_by_order``, keyed by ``N``, so a caller that passes one
-    dict for one PAS shares them among all its apertures.  The dict
-    belongs to the caller.
+    ``G`` (and ``F``) and their checks are built for every call.  ``R(0)``
+    (real when it is, see :class:`TruncatedOperator`), its checks and
+    ``R^(1/2)``, where the solve needs it, depend only on the centred PAS
+    and ``N``: they are made on the first call of each order and kept in
+    ``pas_by_order``, keyed by ``N``, so a caller that passes one dict for
+    one PAS shares them among all its apertures and mean angles.  The
+    dict belongs to the caller.
     """
     centered, offset = centering_transform(aperture)
     r1 = enclosing_radius(centered)
@@ -418,7 +428,9 @@ def _build(aperture, model: PasModel, N: int | None, pas_by_order: dict) -> Trun
             f"Gram trace deficit {1.0 - trace:.3e} exceeds the tail bound {residual:.3e}"
         )
     if N not in pas_by_order:
-        R = rtilde_matrix(model, N)
+        R = rtilde_matrix(model._on_axis(), N)
+        if not R.imag.any():
+            R = R.real.copy()
         if float(np.max(np.abs(R - R.conj().T))) > 1e-14:
             raise ArithmeticError("coefficient correlation matrix is not Hermitian")
         if float(np.max(np.abs(np.diag(R) - 1.0))) > 1e-12:
@@ -438,26 +450,7 @@ def _build(aperture, model: PasModel, N: int | None, pas_by_order: dict) -> Trun
         offset=np.asarray(offset, dtype=float),
         gram_factor=F,
         rtilde_root=root,
-    )
-
-
-def _rotated(op: TruncatedOperator, alpha: float) -> TruncatedOperator:
-    """``op`` with its PAS rotated by ``alpha``, as ``D^H G D`` against the same ``R``.
-
-    Rotating a PAS by ``alpha`` multiplies ``s_n`` by ``exp(-j*n*alpha)``,
-    so ``R(alpha) = D R D^H`` exactly, with ``D = diag(exp(-j*n*alpha))``,
-    and ``eig(G R(alpha)) = eig(D^H G D R)``.  The rotated operator keeps
-    ``R`` and ``R^(1/2)`` and carries ``D^H G D`` (and ``F D``).  A
-    diagonal unitary similarity keeps ``G`` Hermitian, PSD and its trace,
-    and ``N``, ``r1`` and ``rho_max`` do not depend on the rotation, so
-    the checks made on ``op`` and its bounds hold for the result.
-    """
-    d = np.exp(-1j * alpha * op.orders())
-    F = op.gram_factor
-    return replace(
-        op,
-        gram=op.gram * np.outer(d.conj(), d),
-        gram_factor=None if F is None else F * d,
+        alpha0=model.alpha0,
     )
 
 
@@ -466,9 +459,10 @@ def build_truncated_operator(aperture, model: PasModel, N: int | None = None) ->
 
     The aperture is centred first (the kernel is stationary, so this only
     shrinks the enclosing radius ``r1``).  ``N`` is chosen or refused by
-    :func:`~divspec.specfun.series_order` at ``r1``.  A discrete array
-    also keeps the factor ``F`` of its Gram matrix, and ``R^(1/2)`` where
-    the solve needs it (see :class:`TruncatedOperator`).  Each invariant
+    :func:`~divspec.specfun.series_order` at ``r1``.  ``R`` is built about
+    the PAS's own axis and the mean angle kept as ``alpha0``.  A discrete
+    array also keeps the factor ``F`` of its Gram matrix, and ``R^(1/2)``
+    where the solve needs it (see :class:`TruncatedOperator`).  Each invariant
     that can fail is tested once: ``G``'s trace against the tail bound
     and, unless ``G = F^H F`` makes them exact, its symmetry and PSD;
     ``R``'s symmetry, unit diagonal and PSD, the last by the ``eigh`` that

@@ -16,6 +16,7 @@ All angles are radians; the CLI layer converts from degrees.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -65,15 +66,22 @@ class PasModel:
     """Common behaviour of all PAS models.
 
     Subclasses implement the centred density and centred Fourier
-    coefficients; shifting by the mean angle of arrival ``alpha0`` is
-    handled here (a shift multiplies coefficient ``n`` by
-    ``exp(-j*alpha0*n)``).
+    coefficients; shifting by the mean angle of arrival ``alpha0``, which
+    is wrapped into (-pi, pi], is handled here (a shift multiplies
+    coefficient ``n`` by ``exp(-j*alpha0*n)``).
     """
 
     alpha0: float = 0.0
 
     def __post_init__(self):
         _check_finite(type(self).__name__, **vars(self))
+        object.__setattr__(self, "alpha0", wrap_angle(self.alpha0))
+
+    def _on_axis(self) -> "PasModel":
+        """A copy of this model with ``alpha0 = 0``, the frame in which it is centred."""
+        model = copy.copy(self)
+        object.__setattr__(model, "alpha0", 0.0)
+        return model
 
     def _centered_value(self, alpha):
         raise NotImplementedError
@@ -128,7 +136,6 @@ class UniformPas(PasModel):
         super().__post_init__()
         if not 0.0 < self.delta <= TWO_PI:
             raise ValueError("UniformPas requires delta in (0, 2*pi]")
-        object.__setattr__(self, "alpha0", wrap_angle(self.alpha0))
 
     def _centered_value(self, alpha):
         inside = np.abs(np.asarray(alpha, dtype=float)) <= self.delta / 2.0
@@ -157,7 +164,6 @@ class VonMisesPas(PasModel):
         super().__post_init__()
         if self.kappa < 0.0:
             raise ValueError("VonMisesPas requires kappa >= 0")
-        object.__setattr__(self, "alpha0", wrap_angle(self.alpha0))
 
     def _centered_value(self, alpha):
         alpha = np.asarray(alpha, dtype=float)

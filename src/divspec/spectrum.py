@@ -8,6 +8,8 @@ solve goes through the spectral square root:
     eig(R^(1/2) G R^(1/2)) = eig(G R),
 
 which is manifestly real and non-negative and keeps the sort stable.
+``R`` is ``R(0)``, about the PAS's own axis, with the mean angle applied
+as a phase on ``G`` (see :class:`~divspec.operators.TruncatedOperator`).
 For an array of ``L < 2N+1`` antennas ``G = F^H F`` with an ``L x (2N+1)``
 factor ``F``, and the nonzero eigenvalues of ``G R`` are those of the
 ``L x L`` matrix ``F R F^H``; the solve takes that one eigendecomposition
@@ -112,27 +114,41 @@ class DiversitySpectrum:
     rho_max: float
 
 
+def _times(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``A @ B`` for a complex ``B``; a real ``A`` multiplies ``B``'s interleaved parts at once."""
+    if np.iscomplexobj(A):
+        return A @ B
+    return (A @ np.ascontiguousarray(B).view(float)).view(complex)
+
+
 def solve_spectrum(op: TruncatedOperator) -> DiversitySpectrum:
     """Solve the truncated eigenvalue problem and attach certified bounds.
 
-    The general route is ``eigvalsh(R^(1/2) G R^(1/2))`` of order
-    ``2N+1``, with the operator's ``rtilde_root`` (an ``eigh`` of ``R``
-    made when ``R`` was built, once for a whole sweep) or, when it carries
-    none, an ``eigh`` of ``R`` here, which refuses ``R`` as the build does.
-    An operator whose Gram factor ``F`` (``L x (2N+1)``, see
+    The mean angle is the phase ``d = exp(-j*alpha0*n)`` on ``G``,
+    ``G' = G * outer(conj(d), d)``, or on ``F``, ``F' = F * d``.  The
+    general route is ``eigvalsh(R^(1/2) G' R^(1/2))`` of order ``2N+1``,
+    with the operator's ``rtilde_root`` (an ``eigh`` of ``R`` made when
+    ``R`` was built, once for a whole sweep) or, when it carries none, an
+    ``eigh`` of ``R`` here, which refuses ``R`` as the build does.  An
+    operator whose Gram factor ``F`` (``L x (2N+1)``, see
     :class:`~divspec.operators.TruncatedOperator`) has ``L < 2N+1`` rows
-    takes one ``L x L`` ``eigvalsh(F R F^H)`` instead; its eigenvalues
+    takes one ``L x L`` ``eigvalsh(F' R F'^H)`` instead; its eigenvalues
     beyond rank ``L`` are exact zeros.  Every sweep point goes through
     here, so each solve runs the clamp check and attaches its own bounds.
     """
+    d = np.exp(-1j * op.alpha0 * op.orders())
     F = op.gram_factor
     if F is not None and len(F) < op.size:
-        sym = F @ op.rtilde @ F.conj().T
+        # F' R F'^H = (R F'^H)^H F'^H
+        Fh = (F * d).conj().T
+        sym = _times(op.rtilde, Fh).conj().T @ Fh
     else:
         root = op.rtilde_root
         if root is None:
             root = _hermitian_sqrt(op.rtilde)
-        sym = root @ op.gram @ root
+        # R^(1/2) G' R^(1/2) = R^(1/2) (R^(1/2) G')^H
+        half = _times(root, op.gram * np.outer(d.conj(), d))
+        sym = _times(root, half.conj().T)
     sym = 0.5 * (sym + sym.conj().T)
     lam = np.linalg.eigvalsh(sym)[::-1].copy()
     if lam[-1] < -_CLAMP_FLOOR:
@@ -173,6 +189,7 @@ def diversity_measure(spectrum) -> float:
         spectrum.eigenvalues if isinstance(spectrum, DiversitySpectrum) else spectrum,
         dtype=float,
     )
+    _check_finite("diversity_measure", spectrum=lam)
     s2 = float(np.sum(lam * lam))
     if s2 == 0.0:
         raise ValueError("diversity measure of an all-zero spectrum is undefined")
@@ -274,6 +291,7 @@ def mimo_slope(omega_tx: float, omega_rx: float) -> float:
     """
     omega_tx = float(omega_tx)
     omega_rx = float(omega_rx)
+    _check_finite("mimo_slope", omega_tx=omega_tx, omega_rx=omega_rx)
     if omega_tx < 1.0 - 1e-12 or omega_rx < 1.0 - 1e-12:
         raise ValueError("diversity measures must be >= 1")
     return 2.0 / (1.0 / omega_tx + 1.0 / omega_rx)

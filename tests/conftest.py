@@ -67,13 +67,13 @@ def suite_spectra():
 
 @pytest.fixture
 def linalg_calls(monkeypatch):
-    """``(name, shape)`` of every ``np.linalg`` factorisation the test calls."""
+    """``(name, shape, dtype)`` of every ``np.linalg`` factorisation the test calls."""
     calls = []
     for name in ("cholesky", "eigh", "eigvalsh"):
         original = getattr(np.linalg, name)
 
         def counted(a, *args, _original=original, _name=name, **kwargs):
-            calls.append((_name, np.shape(a)))
+            calls.append((_name, np.shape(a), np.asarray(a).dtype.name))
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)

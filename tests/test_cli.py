@@ -592,12 +592,7 @@ class TestSweepReuse:
             cfg = json.loads(json.dumps(TABLE_DIRECTION).replace('"TABLE"', json.dumps(str(table))))
         else:
             cfg = json.loads((SCENARIO_DIR / f"{fig}.cfg").read_text())
-        rows = _sweep(tmp_path, cfg)
-        expected = _point_rows(cfg)[0]
-        assert [r[0] for r in rows] == [r[0] for r in expected]
-        for row, ref in zip(rows, expected):
-            for got, want in zip(row[1:], ref[1:]):
-                assert abs(float(got) - float(want)) <= 1e-13 * abs(float(want)), (row, ref)
+        assert _sweep(tmp_path, cfg) == _point_rows(cfg)[0]
 
     def test_direction_sweep_builds_once(self, tmp_path, monkeypatch):
         cfg = json.loads((SCENARIO_DIR / "fig7.cfg").read_text())

@@ -461,7 +461,7 @@ class TestValidation:
             op = build_truncated_operator(aperture, model)
             assert np.linalg.eigvalsh(op.rtilde)[0] == pytest.approx(lam_min, abs=1e-14)
         # the eigvalsh calls are the breakage's and the refusal's message
-        assert [c for c in linalg_calls if c[0] != "eigvalsh"] == [("cholesky", (27, 27))]
+        assert [c for c in linalg_calls if c[0] != "eigvalsh"] == [("cholesky", (27, 27), "float64")]
 
     @pytest.mark.parametrize("lam_min, refused", [(-2e-10, True), (-1e-12, False)])
     def test_hand_built_rtilde_psd_threshold(self, lam_min, refused):
@@ -480,16 +480,46 @@ class TestValidation:
             linalg_calls.clear()
             op = build_truncated_operator(aperture, ds.VonMisesPas(kappa=3.0))
             ds.solve_spectrum(op)
-            # a Cholesky factor of G, eigh(R) for R^(1/2) and its PSD test, one eigvalsh
+            # a Cholesky factor of G, a real eigh(R) for R^(1/2) and its PSD test, one eigvalsh
             shape = (op.size, op.size)
-            assert linalg_calls == [("cholesky", shape), ("eigh", shape), ("eigvalsh", shape)]
-        # two antennas against 2N+1 = 27 orders: a Cholesky factor of R, no
-        # factorisation of G = F^H F, and one 2 x 2 eigvalsh
+            assert linalg_calls == [
+                ("cholesky", shape, "complex128"),
+                ("eigh", shape, "float64"),
+                ("eigvalsh", shape, "complex128"),
+            ]
+        # two antennas against 2N+1 = 27 orders: a real Cholesky factor of R,
+        # no factorisation of G = F^H F, and one 2 x 2 eigvalsh
         linalg_calls.clear()
         aperture = ds.DiscreteArray(((0.0, 0.0), (0.5, 0.2)))
         op = build_truncated_operator(aperture, ds.VonMisesPas(kappa=3.0))
         ds.solve_spectrum(op)
-        assert op.size == 27 and linalg_calls == [("cholesky", (27, 27)), ("eigvalsh", (2, 2))]
+        assert op.size == 27
+        assert linalg_calls == [("cholesky", (27, 27), "float64"), ("eigvalsh", (2, 2), "complex128")]
+
+    @pytest.mark.parametrize(
+        "model, dtype",
+        [
+            (ds.IsotropicPas(alpha0=2.5), "float64"),
+            (ds.UniformPas(delta=1.0, alpha0=-1.1), "float64"),
+            (ds.VonMisesPas(kappa=8.0, alpha0=0.7), "float64"),
+            (ds.TabulatedPas(np.radians([0.0, 40.0, 150.0]), [1.0, 3.0, 0.5], alpha0=2.0), "complex128"),
+        ],
+        ids=["isotropic", "uniform", "von-mises", "tabulated"],
+    )
+    def test_rtilde_factored_about_the_axis(self, linalg_calls, model, dtype):
+        # every factorisation of R is real for the symmetric models at any
+        # mean angle; only G (complex) and a tabulated R are complex
+        wide = np.random.default_rng(30).uniform(-0.1, 0.1, (30, 2))
+        routes = {
+            ds.Segment(1.0): [("cholesky", "complex128"), ("eigh", dtype)],
+            ds.DiscreteArray(((0.0, 0.0), (0.5, 0.2))): [("cholesky", dtype)],
+            ds.DiscreteArray(tuple(map(tuple, wide.tolist()))): [("eigh", dtype)],
+        }
+        for aperture, expected in routes.items():
+            linalg_calls.clear()
+            op = build_truncated_operator(aperture, model)
+            assert [(name, kind) for name, _, kind in linalg_calls] == expected
+            assert op.rtilde.dtype.name == dtype and op.alpha0 == model.alpha0
 
 
 ROTATED_MODELS = {
@@ -529,13 +559,14 @@ class TestRotation:
         ids=["segment", "lines", "rectangle-n-override", "array"],
     )
     def test_rotated_operator_matches_direct_build(self, name, aperture, N):
+        # a mean angle changes only the operator's alpha0: G, R and R^(1/2) are shared
         model_at = ROTATED_MODELS[name]
         base = build_truncated_operator(aperture, model_at(0.0), N)
         for alpha in ROTATIONS:
             model = model_at(alpha)
-            rotated = ds.solve_spectrum(operators._rotated(base, model.alpha0))
+            rotated = ds.solve_spectrum(replace(base, alpha0=model.alpha0))
             direct = ds.solve_spectrum(build_truncated_operator(aperture, model, N))
             assert rotated.N == direct.N and rotated.rho_max == direct.rho_max
-            assert np.max(np.abs(rotated.eigenvalues - direct.eigenvalues)) <= 1e-13
-            assert abs(rotated.omega - direct.omega) <= 1e-13 * direct.omega
+            assert np.array_equal(rotated.eigenvalues, direct.eigenvalues)
+            assert rotated.omega == direct.omega
             assert rotated.eig_error_bound == direct.eig_error_bound

@@ -17,6 +17,7 @@ from divspec.spectrum import (
 )
 
 TWO_PI = 2.0 * math.pi
+NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
 def make_spectrum(eigenvalues, hs_error_bound=0.0):
@@ -139,6 +140,11 @@ class TestDiversityMeasure:
     def test_accepts_spectrum_object(self, suite_spectra):
         case = suite_spectra["cases"][0]
         assert ds.diversity_measure(case.spectrum) == case.spectrum.omega
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_refused(self, bad):
+        with pytest.raises(ValueError, match="diversity_measure requires finite spectrum"):
+            ds.diversity_measure([bad, 1.0])
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -342,9 +348,9 @@ def test_array_grid_aliasing_certified(monkeypatch, tmp_path):
         assert ds.bessel_abs_tail_bound(Q - N - 1, radius) <= 1e-17
 
 
-def _full_route(op):
-    """Eigenvalues and omega of ``R^(1/2) G R^(1/2)`` from the operator's own ``G`` and ``R``."""
-    vals, vecs = np.linalg.eigh(op.rtilde)
+def _full_route(op, model):
+    """Eigenvalues and omega of ``R^(1/2) G R^(1/2)`` from the operator's ``G`` and the model's rotated ``R``."""
+    vals, vecs = np.linalg.eigh(ds.rtilde_matrix(model, op.N))
     root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
     sym = root @ op.gram @ root
     lam = np.clip(np.linalg.eigvalsh(0.5 * (sym + sym.conj().T))[::-1], 0.0, None)
@@ -374,7 +380,7 @@ class TestArrayFactorRoute:
     def test_matches_full_route(self, points, model, N):
         op = ds.build_truncated_operator(ds.DiscreteArray(tuple(map(tuple, points.tolist()))), model, N)
         spec = ds.solve_spectrum(op)
-        lam, omega = _full_route(op)
+        lam, omega = _full_route(op, model)
         L = len(points)
         assert op.gram_factor.shape == (L, op.size)
         assert len(spec.eigenvalues) == op.size
@@ -399,7 +405,44 @@ class TestArrayFactorRoute:
         aperture = ds.DiscreteArray(tuple(map(tuple, points.tolist())))
         op = ds.build_truncated_operator(aperture, ds.VonMisesPas(kappa=2.0))
         ds.solve_spectrum(op)
-        assert op.size == 25 and linalg_calls == [("eigh", (25, 25)), ("eigvalsh", (25, 25))]
+        assert op.size == 25
+        assert linalg_calls == [("eigh", (25, 25), "float64"), ("eigvalsh", (25, 25), "complex128")]
+
+
+_WIDE_ARRAY = np.random.default_rng(30).uniform(-0.1, 0.1, (30, 2))
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        ds.IsotropicPas(alpha0=2.5),
+        ds.UniformPas(delta=1.0, alpha0=-1.1),
+        ds.VonMisesPas(kappa=8.0, alpha0=0.7),
+        ds.TabulatedPas(np.radians([0.0, 40.0, 150.0, 260.0]), [1.0, 3.0, 0.5, 2.0], alpha0=2.0),
+    ],
+    ids=["isotropic", "uniform", "von-mises", "tabulated"],
+)
+@pytest.mark.parametrize(
+    "aperture",
+    [
+        ds.Segment(2.0, angle=0.4),
+        ds.Circle(0.8),
+        ds.Disk(0.6),
+        ds.Rectangle(0.7, 0.3, angle=0.2),
+        ds.ParallelLines(count=3, length=0.8, span=0.6),
+        ds.PiecewiseCurve((ds.LinePiece((0.0, 0.0), (0.7, 0.0)), ds.ArcPiece((0.7, 0.3), 0.3, -math.pi / 2, 1.0))),
+        ds.DiscreteArray(((0.0, 0.0), (0.5, 0.1), (-0.2, 0.4))),
+        ds.DiscreteArray(tuple(map(tuple, _WIDE_ARRAY.tolist()))),
+    ],
+    ids=["segment", "circle", "disk", "rectangle", "lines", "curve", "array", "wide-array"],
+)
+def test_spectrum_matches_rotated_rtilde(aperture, model):
+    # R about the PAS's axis with alpha0 as a phase against R(alpha0) itself
+    op = ds.build_truncated_operator(aperture, model)
+    spec = ds.solve_spectrum(op)
+    lam, omega = _full_route(op, model)
+    assert np.max(np.abs(spec.eigenvalues - lam)) <= 1e-13
+    assert abs(spec.omega - omega) <= 1e-13 * omega
 
 
 class TestMimoSlope:
@@ -411,6 +454,13 @@ class TestMimoSlope:
     def test_domain(self):
         with pytest.raises(ValueError):
             ds.mimo_slope(0.5, 2.0)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_refused(self, bad):
+        with pytest.raises(ValueError, match="mimo_slope requires finite omega_tx"):
+            ds.mimo_slope(bad, 2.0)
+        with pytest.raises(ValueError, match="mimo_slope requires finite omega_rx"):
+            ds.mimo_slope(2.0, bad)
 
 
 class TestNystromOracle:
