@@ -60,6 +60,7 @@ from .spectrum import (
     mimo_slope,
     nystrom_oracle,
     omega_corrected,
+    omega_from_traces,
     solve_spectrum,
 )
 

@@ -17,6 +17,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -49,13 +50,14 @@ from .pas import (
     doppler_spectrum,
     wrap_angle,
 )
-from .operators import _build, build_truncated_operator, rtilde_matrix
+from .operators import build_truncated_operator, rtilde_matrix
 from .specfun import bessel_abs_tail_bound, series_order
 from .spectrum import (
+    _omega_interval,
     discrete_correlation,
     discrete_diversity,
     nystrom_oracle,
-    omega_corrected,
+    omega_from_traces,
     solve_spectrum,
 )
 
@@ -336,41 +338,32 @@ def _apply_sweep(cfg: dict, kind: str, value: float) -> dict:
 def _sweep_operators(cfg: dict, kind: str, values):
     """``operator(value)`` of a radius, length or direction sweep point.
 
-    Only what the swept parameter changes is built per point.  A direction
-    sweep builds and checks one operator and gives each point its own
-    ``alpha0``; a refused build is tried again, and refused again, at
-    every point.  Radius and length
-    sweeps take the PAS model and ``N`` from the first point's config,
-    build ``G`` per point, and share ``R`` and ``R^(1/2)`` among the
-    points of each order through one table per sweep (``operators._build``).
+    A direction point differs from another only in ``alpha0``: the sweep
+    builds and checks one operator and gives each point its own
+    ``alpha0``; a refused build is not cached, so it is refused again at
+    every point.  Radius and length sweeps take the PAS model and ``N``
+    from the first point's config and build each point's operator with
+    :func:`~divspec.operators.build_truncated_operator`.
     """
     if kind == "direction":
         aperture, model, N = _scenario(_apply_sweep(cfg, kind, 0.0))
-        base = None
-
-        def operator(value):
-            nonlocal base
-            if base is None:
-                base = build_truncated_operator(aperture, model, N)
-            return replace(base, alpha0=wrap_angle(value * _RAD))
-
-        return operator
+        base = functools.cache(lambda: build_truncated_operator(aperture, model, N))
+        return lambda value: replace(base(), alpha0=wrap_angle(value * _RAD))
     _, model, N = _scenario(_apply_sweep(cfg, kind, float(values[0])))
-    pas_by_order = {}
-    return lambda value: _build(
-        make_aperture(_apply_sweep(cfg, kind, value)["aperture"]), model, N, pas_by_order
+    return lambda value: build_truncated_operator(
+        make_aperture(_apply_sweep(cfg, kind, value)["aperture"]), model, N
     )
 
 
 def cmd_sweep(args) -> int:
     """Write one row per sweep value: ``param,omega,omega_corrected,error_bound``.
 
-    Every point of a radius, length or direction sweep is solved by
-    :func:`~divspec.spectrum.solve_spectrum` on an operator that shares
-    the work its parameter leaves unchanged (see ``_sweep_operators``); an
-    antennas sweep evaluates ``discrete_correlation`` per antenna count.
-    A point that fails numerically writes a warning to stderr and a row
-    of empty cells; a configuration error stops the sweep with exit 2.
+    Every row is omega and its certified interval read off two traces:
+    of a radius, length or direction point's operator (``_sweep_operators``)
+    by :func:`~divspec.spectrum.omega_from_traces`, or of an antennas
+    point's correlation matrix ``R``, whose ``omega = L**2 / S`` moves with
+    ``S = sum |R_ik|**2``.  A point that fails numerically writes a warning
+    to stderr and a row of empty cells; a configuration error exits 2.
     """
     cfg = _load_config(args.config)
     kind, values = _sweep_values(_require(cfg, "sweep", "config"))
@@ -385,26 +378,27 @@ def cmd_sweep(args) -> int:
         # distance never exceeds the base aperture diameter
         diameter = 2.0 * enclosing_radius(centering_transform(aperture)[0])
         N, _ = series_order(diameter)
-        bound = bessel_abs_tail_bound(N, diameter)
-        for L in values:
+        delta = bessel_abs_tail_bound(N, diameter)
+        for L in map(int, values):
             try:
-                R = discrete_correlation(_antenna_positions(aperture, int(L)), model, N)
+                R = discrete_correlation(_antenna_positions(aperture, L), model, N)
                 omega = discrete_diversity(R)
-                lines.append(f"{int(L)},{_fmt(omega)},{_fmt(omega)},{_fmt(bound)}")
+                # entries off by at most delta move S by at most slack (Cauchy-Schwarz)
+                S = float(np.sum(np.abs(R) ** 2))
+                slack = 2.0 * L * delta * math.sqrt(S) + (L * delta) ** 2
+                center, half_width = _omega_interval(S / L**2, slack / L**2)
+                lines.append(f"{L},{_fmt(omega)},{_fmt(center)},{_fmt(half_width)}")
             except ConfigError:
                 raise
             except (ValueError, ArithmeticError) as exc:
-                print(f"warning: L={int(L)}: {exc}", file=sys.stderr)
-                lines.append(f"{int(L)},,,")
+                print(f"warning: L={L}: {exc}", file=sys.stderr)
+                lines.append(f"{L},,,")
     else:
         operator = _sweep_operators(cfg, kind, values)
         for value in values:
             try:
-                spec = solve_spectrum(operator(float(value)))
-                center, half_width = omega_corrected(spec)
-                lines.append(
-                    f"{_fmt(value)},{_fmt(spec.omega)},{_fmt(center)},{_fmt(half_width)}"
-                )
+                row = omega_from_traces(operator(float(value)))
+                lines.append(",".join(map(_fmt, (value, *row))))
             except ConfigError:
                 raise
             except (ValueError, ArithmeticError, RuntimeError) as exc:

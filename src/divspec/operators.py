@@ -343,9 +343,6 @@ class TruncatedOperator:
     ``(G, R(alpha0))`` with ``R(alpha0) = D R(0) D^H`` exactly,
     ``D = diag(exp(-j*n*alpha0))``, which the solve applies as a phase on
     ``G`` (or ``F``); ``R(alpha0)`` is PSD exactly when ``R(0)`` is.
-    ``rtilde_root`` is ``R(0)^(1/2)``, taken once when ``R`` is built and
-    shared by every operator of a sweep with the same ``R(0)``; it is
-    ``None`` for an array of ``L < 2N+1`` antennas, whose solve needs none.
     """
 
     N: int
@@ -356,7 +353,6 @@ class TruncatedOperator:
     rho_max: float
     offset: np.ndarray
     gram_factor: np.ndarray | None = None
-    rtilde_root: np.ndarray | None = None
     alpha0: float = 0.0
 
     @property
@@ -381,31 +377,18 @@ def _check_psd(M: np.ndarray, label: str) -> None:
         raise ArithmeticError(f"{label} indefinite: min eigenvalue {lam_min:.3e}") from None
 
 
-def _hermitian_sqrt(R: np.ndarray) -> np.ndarray:
-    """``R^(1/2)`` of a Hermitian ``R``, whose ``eigh`` is also ``R``'s PSD test.
+def build_truncated_operator(aperture, model: PasModel, N: int | None = None) -> TruncatedOperator:
+    """Assemble the truncated operator for an aperture and a PAS.
 
-    An eigenvalue below ``-_PSD_TOL`` refuses ``R`` as :func:`_check_psd`
-    does; the negative ones above it are round-off and clamp to zero.
-    """
-    vals, vecs = np.linalg.eigh(R)
-    if vals[0] < -_PSD_TOL:
-        raise ArithmeticError(
-            f"coefficient correlation matrix indefinite: min eigenvalue {vals[0]:.3e}"
-        )
-    np.clip(vals, 0.0, None, out=vals)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
-
-
-def _build(aperture, model: PasModel, N: int | None, pas_by_order: dict) -> TruncatedOperator:
-    """:func:`build_truncated_operator` with ``R`` shared through ``pas_by_order``.
-
-    ``G`` (and ``F``) and their checks are built for every call.  ``R(0)``
-    (real when it is, see :class:`TruncatedOperator`), its checks and
-    ``R^(1/2)``, where the solve needs it, depend only on the centred PAS
-    and ``N``: they are made on the first call of each order and kept in
-    ``pas_by_order``, keyed by ``N``, so a caller that passes one dict for
-    one PAS shares them among all its apertures and mean angles.  The
-    dict belongs to the caller.
+    The aperture is centred first (the kernel is stationary, so this only
+    shrinks the enclosing radius ``r1``), and ``N`` is chosen or refused by
+    :func:`~divspec.specfun.series_order` at ``r1``.  ``R`` is built about
+    the PAS's own axis, the mean angle kept as ``alpha0``, and an array
+    keeps its Gram factor ``F`` (see :class:`TruncatedOperator`).  Each
+    invariant that can fail is tested once: here ``G``'s trace against the
+    tail bound and, unless ``G = F^H F`` makes them exact, its symmetry and
+    PSD, and ``R``'s symmetry and unit diagonal; ``R``'s PSD where ``R`` is
+    read, in :mod:`divspec.spectrum`.
     """
     centered, offset = centering_transform(aperture)
     r1 = enclosing_radius(centered)
@@ -427,19 +410,13 @@ def _build(aperture, model: PasModel, N: int | None, pas_by_order: dict) -> Trun
         raise ArithmeticError(
             f"Gram trace deficit {1.0 - trace:.3e} exceeds the tail bound {residual:.3e}"
         )
-    if N not in pas_by_order:
-        R = rtilde_matrix(model._on_axis(), N)
-        if not R.imag.any():
-            R = R.real.copy()
-        if float(np.max(np.abs(R - R.conj().T))) > 1e-14:
-            raise ArithmeticError("coefficient correlation matrix is not Hermitian")
-        if float(np.max(np.abs(np.diag(R) - 1.0))) > 1e-12:
-            raise ArithmeticError("coefficient correlation matrix diagonal is not 1")
-        narrow = F is not None and len(F) < 2 * N + 1
-        if narrow:  # the L x L solve takes no R^(1/2) whose eigh would test R
-            _check_psd(R, "coefficient correlation matrix")
-        pas_by_order[N] = R, None if narrow else _hermitian_sqrt(R)
-    R, root = pas_by_order[N]
+    R = rtilde_matrix(model._on_axis(), N)
+    if not R.imag.any():
+        R = R.real.copy()
+    if float(np.max(np.abs(R - R.conj().T))) > 1e-14:
+        raise ArithmeticError("coefficient correlation matrix is not Hermitian")
+    if float(np.max(np.abs(np.diag(R) - 1.0))) > 1e-12:
+        raise ArithmeticError("coefficient correlation matrix diagonal is not 1")
     return TruncatedOperator(
         N=N,
         N_D=n_critical,
@@ -449,23 +426,5 @@ def _build(aperture, model: PasModel, N: int | None, pas_by_order: dict) -> Trun
         rho_max=float(model.rho_max()),
         offset=np.asarray(offset, dtype=float),
         gram_factor=F,
-        rtilde_root=root,
         alpha0=model.alpha0,
     )
-
-
-def build_truncated_operator(aperture, model: PasModel, N: int | None = None) -> TruncatedOperator:
-    """Assemble the truncated operator for an aperture and a PAS.
-
-    The aperture is centred first (the kernel is stationary, so this only
-    shrinks the enclosing radius ``r1``).  ``N`` is chosen or refused by
-    :func:`~divspec.specfun.series_order` at ``r1``.  ``R`` is built about
-    the PAS's own axis and the mean angle kept as ``alpha0``.  A discrete
-    array also keeps the factor ``F`` of its Gram matrix, and ``R^(1/2)``
-    where the solve needs it (see :class:`TruncatedOperator`).  Each invariant
-    that can fail is tested once: ``G``'s trace against the tail bound
-    and, unless ``G = F^H F`` makes them exact, its symmetry and PSD;
-    ``R``'s symmetry, unit diagonal and PSD, the last by the ``eigh`` that
-    takes ``R^(1/2)`` or else by a Cholesky factor.
-    """
-    return _build(aperture, model, N, {})

@@ -19,7 +19,8 @@ Each solve carries two certified error bounds scaled from the tail bound
 of :mod:`divspec.specfun`, which also sets ``N`` and ``N_D``: one for each
 eigenvalue and one for the squared Hilbert-Schmidt norm, which
 :func:`omega_corrected` turns into an interval enclosing the converged
-diversity measure.
+diversity measure.  :func:`omega_from_traces` reads the measure and that
+interval off ``tr(G R)`` and ``tr((G R)^2)``, with no eigensolve.
 
 :func:`nystrom_oracle` solves the same eigenvalue problem by direct
 kernel discretisation.  It takes its nodes from
@@ -50,8 +51,9 @@ from .aperture import (
 )
 from .operators import (
     _MAX_GRID_BYTES,
+    _PSD_TOL,
     TruncatedOperator,
-    _hermitian_sqrt,
+    _check_psd,
     _kernel_grid,
     _plane_waves,
 )
@@ -63,6 +65,7 @@ __all__ = [
     "BoundTooLooseError",
     "OracleConvergenceError",
     "solve_spectrum",
+    "omega_from_traces",
     "diversity_measure",
     "omega_corrected",
     "discrete_correlation",
@@ -121,34 +124,58 @@ def _times(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return (A @ np.ascontiguousarray(B).view(float)).view(complex)
 
 
+def _hermitian_sqrt(R: np.ndarray) -> np.ndarray:
+    """``R^(1/2)`` of a Hermitian ``R``, whose ``eigh`` is also ``R``'s PSD test.
+
+    An eigenvalue below ``-_PSD_TOL`` refuses ``R`` as :func:`_check_psd`
+    does; the negative ones above it are round-off and clamp to zero.
+    """
+    vals, vecs = np.linalg.eigh(R)
+    if vals[0] < -_PSD_TOL:
+        raise ArithmeticError(
+            f"coefficient correlation matrix indefinite: min eigenvalue {vals[0]:.3e}"
+        )
+    np.clip(vals, 0.0, None, out=vals)
+    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+
+
+def _phased_gram(op: TruncatedOperator) -> np.ndarray:
+    """``G' = G * outer(conj(d), d)``, the mean angle as the phase ``d = exp(-j*alpha0*n)``."""
+    d = np.exp(-1j * op.alpha0 * op.orders())
+    return op.gram * np.outer(d.conj(), d)
+
+
+def _error_bounds(op: TruncatedOperator) -> tuple[float, float]:
+    """Certified bounds on each eigenvalue and on the squared Hilbert-Schmidt norm."""
+    eig_error_bound = op.rho_max * specfun.bessel_abs_tail_bound(op.N, op.r1)
+    return eig_error_bound, 2.0 * op.rho_max * eig_error_bound
+
+
 def solve_spectrum(op: TruncatedOperator) -> DiversitySpectrum:
     """Solve the truncated eigenvalue problem and attach certified bounds.
 
     The mean angle is the phase ``d = exp(-j*alpha0*n)`` on ``G``,
     ``G' = G * outer(conj(d), d)``, or on ``F``, ``F' = F * d``.  The
     general route is ``eigvalsh(R^(1/2) G' R^(1/2))`` of order ``2N+1``,
-    with the operator's ``rtilde_root`` (an ``eigh`` of ``R`` made when
-    ``R`` was built, once for a whole sweep) or, when it carries none, an
-    ``eigh`` of ``R`` here, which refuses ``R`` as the build does.  An
-    operator whose Gram factor ``F`` (``L x (2N+1)``, see
+    with ``R^(1/2)`` from an ``eigh`` of ``R`` that is also ``R``'s PSD
+    test: an eigenvalue below ``-1e-10`` is refused.  An operator whose
+    Gram factor ``F`` (``L x (2N+1)``, see
     :class:`~divspec.operators.TruncatedOperator`) has ``L < 2N+1`` rows
-    takes one ``L x L`` ``eigvalsh(F' R F'^H)`` instead; its eigenvalues
-    beyond rank ``L`` are exact zeros.  Every sweep point goes through
-    here, so each solve runs the clamp check and attaches its own bounds.
+    tests ``R`` by a Cholesky factor of ``R + 1e-10*I`` and takes one
+    ``L x L`` ``eigvalsh(F' R F'^H)`` instead; its eigenvalues beyond rank
+    ``L`` are exact zeros.  Eigenvalues in ``(-1e-8, 0)`` clamp to zero,
+    and any below raises :class:`ExcessiveClampError`.
     """
-    d = np.exp(-1j * op.alpha0 * op.orders())
     F = op.gram_factor
     if F is not None and len(F) < op.size:
+        _check_psd(op.rtilde, "coefficient correlation matrix")
         # F' R F'^H = (R F'^H)^H F'^H
-        Fh = (F * d).conj().T
+        Fh = (F * np.exp(-1j * op.alpha0 * op.orders())).conj().T
         sym = _times(op.rtilde, Fh).conj().T @ Fh
     else:
-        root = op.rtilde_root
-        if root is None:
-            root = _hermitian_sqrt(op.rtilde)
+        root = _hermitian_sqrt(op.rtilde)
         # R^(1/2) G' R^(1/2) = R^(1/2) (R^(1/2) G')^H
-        half = _times(root, op.gram * np.outer(d.conj(), d))
-        sym = _times(root, half.conj().T)
+        sym = _times(root, _times(root, _phased_gram(op)).conj().T)
     sym = 0.5 * (sym + sym.conj().T)
     lam = np.linalg.eigvalsh(sym)[::-1].copy()
     if lam[-1] < -_CLAMP_FLOOR:
@@ -158,7 +185,7 @@ def solve_spectrum(op: TruncatedOperator) -> DiversitySpectrum:
         )
     np.clip(lam, 0.0, None, out=lam)
     lam = np.concatenate([lam, np.zeros(op.size - len(lam))])
-    eig_error_bound = op.rho_max * specfun.bessel_abs_tail_bound(op.N, op.r1)
+    eig_error_bound, hs_error_bound = _error_bounds(op)
     trace = float(lam.sum())
     hs_norm_sq = float(np.sum(lam * lam))
     omega = trace * trace / hs_norm_sq
@@ -169,12 +196,28 @@ def solve_spectrum(op: TruncatedOperator) -> DiversitySpectrum:
         inv_omega=hs_norm_sq / (trace * trace),
         hs_norm_sq=hs_norm_sq,
         eig_error_bound=eig_error_bound,
-        hs_error_bound=2.0 * op.rho_max * eig_error_bound,
+        hs_error_bound=hs_error_bound,
         N=op.N,
         N_D=op.N_D,
         r1=op.r1,
         rho_max=op.rho_max,
     )
+
+
+def omega_from_traces(op: TruncatedOperator) -> tuple[float, float, float]:
+    """``omega`` and the interval of :func:`omega_corrected`, with no eigensolve.
+
+    With ``M = G' R`` (``G'`` as in :func:`solve_spectrum`) the eigenvalues
+    sum to ``tr(M)`` and their squares to ``tr(M^2) = sum(M * M^T)``, so one
+    product, ``M^H = R G'`` (real times complex for a real ``R``), and the
+    solve's own bounds give ``(omega, midpoint, half_width)``.  ``R`` is
+    tested PSD by a Cholesky factor of ``R + 1e-10*I``.
+    """
+    _check_psd(op.rtilde, "coefficient correlation matrix")
+    P = _times(op.rtilde, _phased_gram(op))
+    trace = float(np.trace(P).real)
+    hs_norm_sq = float(np.sum(P * P.T).real)
+    return trace * trace / hs_norm_sq, *_omega_interval(hs_norm_sq, _error_bounds(op)[1])
 
 
 def diversity_measure(spectrum) -> float:
@@ -207,8 +250,11 @@ def omega_corrected(spectrum: DiversitySpectrum) -> tuple[float, float]:
     interval's midpoint and half-width.  Requires
     ``delta / hs_norm_sq < 1/2``.
     """
-    h = spectrum.hs_norm_sq
-    delta = spectrum.hs_error_bound
+    return _omega_interval(spectrum.hs_norm_sq, spectrum.hs_error_bound)
+
+
+def _omega_interval(h: float, delta: float) -> tuple[float, float]:
+    """Midpoint and half-width of ``[1/(h + delta), 1/(h - delta)]``; needs ``delta < h/2``."""
     if delta >= 0.5 * h:
         raise BoundTooLooseError(
             f"certified relative error {delta / h:.3f} >= 0.5; raise the truncation order"

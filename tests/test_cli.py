@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -497,6 +498,24 @@ class TestSweepCommand:
             ref = ds.solve_spectrum(ds.build_truncated_operator(aperture, model, N=N + 25))
             assert abs(1.0 / ref.hs_norm_sq - float(center)) <= float(half), (fig, param)
 
+    @pytest.mark.parametrize("fig", ["fig9", "fig10"])
+    def test_antennas_interval_encloses_refined_omega(self, fig, tmp_path):
+        # the omega column is discrete_diversity at the shared kernel order;
+        # the interval must contain the omega of a kernel 40 orders higher
+        config = SCENARIO_DIR / f"{fig}.cfg"
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+        base = json.loads(config.read_text())
+        aperture, model = cli.make_aperture(base["aperture"]), cli.make_pas(base["pas"])
+        N, _ = ds.series_order(2.0 * ds.enclosing_radius(ds.centering_transform(aperture)[0]))
+        _, _, rows = read_rows(out)
+        assert len(rows) == 31
+        for L, omega, center, half in rows:
+            positions = cli._antenna_positions(aperture, int(L))
+            assert omega == cli._fmt(ds.discrete_diversity(ds.discrete_correlation(positions, model, N)))
+            ref = ds.discrete_diversity(ds.discrete_correlation(positions, model, N + 40))
+            assert abs(ref - float(center)) <= float(half), (fig, L)
+
     def test_antennas_require_circle_or_segment(self, tmp_path, capsys):
         cfg = write_cfg(
             tmp_path / "c.cfg",
@@ -533,8 +552,36 @@ class TestSweepCommand:
         assert "warning" in capsys.readouterr().err
 
 
+def _rtilde_with_min_eig(R, target):
+    # (R - mu*I)/(1 - mu) keeps the unit diagonal and the Toeplitz form
+    mu = (np.linalg.eigvalsh(R)[0] - target) / (1.0 - target)
+    return (R - mu * np.eye(len(R))) / (1.0 - mu)
+
+
+def _skew(M):
+    M = M.copy()
+    M[0, 1] += 1e-6
+    return M
+
+
+RADIUS_SWEEP = {
+    "aperture": {"kind": "circle", "radius": 0.5},
+    "pas": {"kind": "uniform", "delta_deg": 90.0},
+    "sweep": {"kind": "radius", "start": 0.2, "stop": 0.6, "steps": 3},
+}
+DIRECTION_SWEEP = {
+    "aperture": {"kind": "segment", "length": 1.0},
+    "pas": {"kind": "von_mises", "kappa": 3.0},
+    "sweep": {"kind": "direction", "start": -60.0, "stop": 60.0, "steps": 3},
+}
+R_INDEFINITE = "coefficient correlation matrix indefinite: min eigenvalue -2.000e-10"
+
+
 def _point_rows(cfg):
-    """CSV rows of a continuous sweep with every point built and solved alone."""
+    """CSV rows of a continuous sweep with every point built and solved alone.
+
+    Each row is ``solve_spectrum``'s omega and ``omega_corrected``'s interval.
+    """
     kind, values = cli._sweep_values(cfg["sweep"])
     rows, warnings = [], []
     for value in values:
@@ -556,9 +603,20 @@ def _sweep(tmp_path, cfg):
     return read_rows(out)[2]
 
 
+def _assert_rows_close(rows, expected, rtol=1e-13):
+    """Same params and empty cells; every number within ``rtol`` relative."""
+    assert len(rows) == len(expected)
+    for row, want in zip(rows, expected):
+        assert row[0] == want[0] and [v == "" for v in row] == [v == "" for v in want]
+        for got, ref in zip(row[1:], want[1:]):
+            if ref:
+                assert abs(float(got) - float(ref)) <= rtol * abs(float(ref)), (row, want)
+
+
 def _count_work(monkeypatch):
-    counts = {"gram_matrix": 0, "eigh": 0, "eigvalsh": 0}
-    for module, name in ((operators, "gram_matrix"), (np.linalg, "eigh"), (np.linalg, "eigvalsh")):
+    counts = {"gram_matrix": 0, "cholesky": 0, "eigh": 0, "eigvalsh": 0}
+    linalg = [(np.linalg, name) for name in ("cholesky", "eigh", "eigvalsh")]
+    for module, name in [(operators, "gram_matrix")] + linalg:
         original = getattr(module, name)
 
         def counted(*args, _original=original, _name=name, **kwargs):
@@ -577,12 +635,12 @@ TABLE_DIRECTION = {
 
 
 class TestSweepReuse:
-    """Sweeps share work across points and print what per-point solves print."""
+    """Sweeps read omega off two traces and print what per-point solves print."""
 
     @pytest.mark.parametrize("fig", ["fig4", "fig5", "fig6"])
-    def test_shared_rtilde_rows_byte_identical(self, fig, tmp_path):
+    def test_rows_match_per_point_solves(self, fig, tmp_path):
         cfg = json.loads((SCENARIO_DIR / f"{fig}.cfg").read_text())
-        assert _sweep(tmp_path, cfg) == _point_rows(cfg)[0]
+        _assert_rows_close(_sweep(tmp_path, cfg), _point_rows(cfg)[0])
 
     @pytest.mark.parametrize("fig", ["fig7", "fig8", "tabulated"])
     def test_rotated_rows_match_per_point_solves(self, fig, tmp_path):
@@ -592,19 +650,21 @@ class TestSweepReuse:
             cfg = json.loads(json.dumps(TABLE_DIRECTION).replace('"TABLE"', json.dumps(str(table))))
         else:
             cfg = json.loads((SCENARIO_DIR / f"{fig}.cfg").read_text())
-        assert _sweep(tmp_path, cfg) == _point_rows(cfg)[0]
+        _assert_rows_close(_sweep(tmp_path, cfg), _point_rows(cfg)[0])
 
     def test_direction_sweep_builds_once(self, tmp_path, monkeypatch):
+        # one G and its Cholesky test, then one Cholesky test of R per point
         cfg = json.loads((SCENARIO_DIR / "fig7.cfg").read_text())
         counts = _count_work(monkeypatch)
         assert len(_sweep(tmp_path, cfg)) == 10
-        assert counts == {"gram_matrix": 1, "eigh": 1, "eigvalsh": 10}
+        assert counts == {"gram_matrix": 1, "cholesky": 11, "eigh": 0, "eigvalsh": 0}
 
-    def test_radius_sweep_shares_rtilde_per_order(self, tmp_path, monkeypatch):
+    def test_radius_sweep_runs_no_eigensolve(self, tmp_path, monkeypatch):
+        # every point builds G and tests it and R by Cholesky factors
         cfg = json.loads((SCENARIO_DIR / "fig4.cfg").read_text())
         counts = _count_work(monkeypatch)
         assert len(_sweep(tmp_path, cfg)) == 25
-        assert counts == {"gram_matrix": 25, "eigh": 5, "eigvalsh": 25}
+        assert counts == {"gram_matrix": 25, "cholesky": 50, "eigh": 0, "eigvalsh": 0}
 
     @pytest.mark.parametrize(
         "cfg",
@@ -638,10 +698,41 @@ class TestSweepReuse:
         }
         rows, warnings = _point_rows(cfg)
         capsys.readouterr()
-        assert _sweep(tmp_path, cfg) == rows
+        _assert_rows_close(_sweep(tmp_path, cfg), rows)
         assert capsys.readouterr().err == warnings
         assert [r[1] != "" for r in rows] == [True, True, False, False, False]
         assert "critical order" in warnings and "certified relative error" in warnings
+
+
+@pytest.mark.parametrize(
+    "cfg, target, breakage, message",
+    [
+        (RADIUS_SWEEP, "rtilde_matrix", lambda R: _rtilde_with_min_eig(R, -2e-10), R_INDEFINITE),
+        (DIRECTION_SWEEP, "rtilde_matrix", lambda R: _rtilde_with_min_eig(R, -2e-10), R_INDEFINITE),
+        (RADIUS_SWEEP, "gram_matrix", _skew, "Gram matrix lost Hermitian symmetry"),
+        (RADIUS_SWEEP, "gram_matrix", lambda G: G - 1e-6 * np.eye(len(G)), "Gram matrix indefinite"),
+        (RADIUS_SWEEP, "gram_matrix", lambda G: G * (1.0 - 1e-3), "trace deficit .* exceeds the tail bound"),
+    ],
+    ids=[
+        "rtilde-indefinite-radius",
+        "rtilde-indefinite-direction",
+        "gram-not-hermitian",
+        "gram-indefinite",
+        "trace-deficit",
+    ],
+)
+def test_refusal_fires_on_every_sweep_point(cfg, target, breakage, message, tmp_path, monkeypatch, capsys):
+    # with no eigensolve on a sweep, the build's checks of G and a Cholesky
+    # factor of R are what refuse a broken pair
+    build = getattr(operators, target)
+    monkeypatch.setattr(operators, target, lambda *args: breakage(build(*args)))
+    rows = _sweep(tmp_path, cfg)
+    assert len(rows) == 3 and all(r[1:] == ["", "", ""] for r in rows)
+    warnings = capsys.readouterr().err.splitlines()
+    assert len(warnings) == 3
+    for row, line in zip(rows, warnings):
+        assert line.startswith(f"warning: param={float(row[0])}: ")
+        assert re.search(message, line)
 
 
 class TestDopplerCommand:

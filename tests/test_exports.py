@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import os
 import pathlib
@@ -7,6 +8,8 @@ import sys
 
 import pytest
 import scipy
+
+import divspec as ds
 
 MODULES = ["aperture", "cli", "operators", "pas", "specfun", "spectrum"]
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -27,6 +30,7 @@ REMOVED = [
     "bessel_j_orders",
     "bessel_abs_tail",
     "bessel_sq_tail",
+    "_build",
 ]
 
 
@@ -41,6 +45,11 @@ def test_all_names_resolve(name):
 def test_removed_names_gone(name):
     module = importlib.import_module("divspec" if name is None else f"divspec.{name}")
     assert [attr for attr in REMOVED if hasattr(module, attr)] == []
+
+
+def test_operator_carries_no_square_root():
+    # R^(1/2) is taken where it is read, by the solve, never kept with R
+    assert "rtilde_root" not in {field.name for field in dataclasses.fields(ds.TruncatedOperator)}
 
 
 def _imported_names(path):

@@ -383,6 +383,11 @@ def _skew(M):
     return M
 
 
+# where a broken matrix is refused: R's PSD where R is read, by the solve
+# and by a sweep point; every other check when the operator is built
+_READERS = (ds.solve_spectrum, ds.omega_from_traces)
+
+
 class TestValidation:
     @pytest.mark.parametrize(
         "target, breakage, message",
@@ -408,8 +413,15 @@ class TestValidation:
     def test_broken_matrix_refused(self, monkeypatch, target, breakage, message):
         build = getattr(operators, target)
         monkeypatch.setattr(operators, target, lambda *args: breakage(build(*args)))
-        with pytest.raises(ArithmeticError, match=message):
-            build_truncated_operator(ds.Segment(1.0), ds.UniformPas(delta=math.pi / 2))
+        aperture, model = ds.Segment(1.0), ds.UniformPas(delta=math.pi / 2)
+        if "correlation matrix indefinite" not in message:
+            with pytest.raises(ArithmeticError, match=message):
+                build_truncated_operator(aperture, model)
+            return
+        op = build_truncated_operator(aperture, model)
+        for read in _READERS:
+            with pytest.raises(ArithmeticError, match=message):
+                read(op)
 
     @staticmethod
     def _gram_with_min_eig(G, target):
@@ -433,47 +445,69 @@ class TestValidation:
     )
     @pytest.mark.parametrize("lam_min, refused", [(-2e-10, True), (-1e-12, False)])
     def test_psd_threshold(self, monkeypatch, target, label, lam_min, refused):
+        # G is refused by its build; R by the solve's eigh and a sweep point's Cholesky factor
         shift = self._gram_with_min_eig if target == "gram_matrix" else self._rtilde_with_min_eig
         build = getattr(operators, target)
         monkeypatch.setattr(operators, target, lambda *args: shift(build(*args), lam_min))
         aperture, model = ds.Segment(1.0), ds.UniformPas(delta=math.pi / 2)
-        if refused:
-            with pytest.raises(ArithmeticError, match=f"{label} indefinite: min eigenvalue -2.000e-10"):
+        message = f"{label} indefinite: min eigenvalue -2.000e-10"
+        if target == "gram_matrix" and refused:
+            with pytest.raises(ArithmeticError, match=message):
                 build_truncated_operator(aperture, model)
-        else:
-            op = build_truncated_operator(aperture, model)
-            matrix = op.gram if target == "gram_matrix" else op.rtilde
-            assert np.linalg.eigvalsh(matrix)[0] == pytest.approx(lam_min, abs=1e-14)
+            return
+        op = build_truncated_operator(aperture, model)
+        matrix = op.gram if target == "gram_matrix" else op.rtilde
+        assert np.linalg.eigvalsh(matrix)[0] == pytest.approx(lam_min, abs=1e-14)
+        for read in _READERS:
+            if refused:
+                with pytest.raises(ArithmeticError, match=message):
+                    read(op)
+            else:
+                read(op)
 
     @pytest.mark.parametrize("lam_min, refused", [(-2e-10, True), (-1e-12, False)])
     def test_array_rtilde_psd_threshold(self, monkeypatch, linalg_calls, lam_min, refused):
-        # an array's build takes no R^(1/2): R is tested by its own Cholesky
+        # an array's L x L solve and a sweep point test R by its own Cholesky factor
         build = operators.rtilde_matrix
         monkeypatch.setattr(
             operators, "rtilde_matrix", lambda *args: self._rtilde_with_min_eig(build(*args), lam_min)
         )
         aperture, model = ds.DiscreteArray(((0.0, 0.0), (0.5, 0.2))), ds.UniformPas(delta=math.pi / 2)
-        if refused:
-            message = "coefficient correlation matrix indefinite: min eigenvalue -2.000e-10"
-            with pytest.raises(ArithmeticError, match=message):
-                build_truncated_operator(aperture, model)
-        else:
-            op = build_truncated_operator(aperture, model)
-            assert np.linalg.eigvalsh(op.rtilde)[0] == pytest.approx(lam_min, abs=1e-14)
-        # the eigvalsh calls are the breakage's and the refusal's message
-        assert [c for c in linalg_calls if c[0] != "eigvalsh"] == [("cholesky", (27, 27), "float64")]
+        op = build_truncated_operator(aperture, model)
+        assert np.linalg.eigvalsh(op.rtilde)[0] == pytest.approx(lam_min, abs=1e-14)
+        # the eigvalsh calls are the breakage's, the refusal's message and the 2 x 2 solve
+        assert [c for c in linalg_calls if c[0] != "eigvalsh"] == []
+        message = "coefficient correlation matrix indefinite: min eigenvalue -2.000e-10"
+        for read in _READERS:
+            linalg_calls.clear()
+            if refused:
+                with pytest.raises(ArithmeticError, match=message):
+                    read(op)
+            else:
+                read(op)
+            assert [c for c in linalg_calls if c[0] != "eigvalsh"] == [("cholesky", (27, 27), "float64")]
 
     @pytest.mark.parametrize("lam_min, refused", [(-2e-10, True), (-1e-12, False)])
     def test_hand_built_rtilde_psd_threshold(self, lam_min, refused):
-        # an operator that carries no R^(1/2) has R tested by the solve's eigh
+        # a hand-built R is tested by the solve's eigh and a sweep point's Cholesky factor
         op = build_truncated_operator(ds.Segment(1.0), ds.UniformPas(delta=math.pi / 2))
-        op = replace(op, rtilde=self._rtilde_with_min_eig(op.rtilde, lam_min), rtilde_root=None)
+        op = replace(op, rtilde=self._rtilde_with_min_eig(op.rtilde, lam_min))
         if refused:
             message = "coefficient correlation matrix indefinite: min eigenvalue -2.000e-10"
-            with pytest.raises(ArithmeticError, match=message):
-                ds.solve_spectrum(op)
+            for read in _READERS:
+                with pytest.raises(ArithmeticError, match=message):
+                    read(op)
         else:
             assert np.all(np.isfinite(ds.solve_spectrum(op).eigenvalues))
+            assert np.all(np.isfinite(ds.omega_from_traces(op)))
+
+    def test_hand_built_array_rtilde_refused(self):
+        # the L x L route tests R itself: F R F^H alone would not fall below the clamp floor
+        op = build_truncated_operator(ds.DiscreteArray(((0.0, 0.0), (0.5, 0.2))), ds.VonMisesPas(kappa=3.0))
+        assert len(op.gram_factor) < op.size
+        op = replace(op, rtilde=self._rtilde_with_min_eig(op.rtilde, -1e-6))
+        with pytest.raises(ArithmeticError, match="coefficient correlation matrix indefinite"):
+            ds.solve_spectrum(op)
 
     def test_two_eigensolves_per_solve(self, linalg_calls):
         for aperture in [ds.Segment(1.0), ds.Disk(0.8)]:
@@ -507,19 +541,23 @@ class TestValidation:
         ids=["isotropic", "uniform", "von-mises", "tabulated"],
     )
     def test_rtilde_factored_about_the_axis(self, linalg_calls, model, dtype):
-        # every factorisation of R is real for the symmetric models at any
-        # mean angle; only G (complex) and a tabulated R are complex
+        # every factorisation of R, by the solve or at a sweep point, is real
+        # for the symmetric models at any mean angle; only a tabulated R is complex
         wide = np.random.default_rng(30).uniform(-0.1, 0.1, (30, 2))
         routes = {
-            ds.Segment(1.0): [("cholesky", "complex128"), ("eigh", dtype)],
-            ds.DiscreteArray(((0.0, 0.0), (0.5, 0.2))): [("cholesky", dtype)],
-            ds.DiscreteArray(tuple(map(tuple, wide.tolist()))): [("eigh", dtype)],
+            ds.Segment(1.0): ("eigh", dtype),
+            ds.DiscreteArray(((0.0, 0.0), (0.5, 0.2))): ("cholesky", dtype),
+            ds.DiscreteArray(tuple(map(tuple, wide.tolist()))): ("eigh", dtype),
         }
-        for aperture, expected in routes.items():
-            linalg_calls.clear()
+        for aperture, factor in routes.items():
             op = build_truncated_operator(aperture, model)
-            assert [(name, kind) for name, _, kind in linalg_calls] == expected
             assert op.rtilde.dtype.name == dtype and op.alpha0 == model.alpha0
+            linalg_calls.clear()
+            ds.solve_spectrum(op)
+            assert [(name, kind) for name, _, kind in linalg_calls] == [factor, ("eigvalsh", "complex128")]
+            linalg_calls.clear()
+            ds.omega_from_traces(op)
+            assert [(name, kind) for name, _, kind in linalg_calls] == [("cholesky", dtype)]
 
 
 ROTATED_MODELS = {

@@ -412,7 +412,7 @@ class TestArrayFactorRoute:
 _WIDE_ARRAY = np.random.default_rng(30).uniform(-0.1, 0.1, (30, 2))
 
 
-@pytest.mark.parametrize(
+ROTATED_MODELS = pytest.mark.parametrize(
     "model",
     [
         ds.IsotropicPas(alpha0=2.5),
@@ -422,7 +422,7 @@ _WIDE_ARRAY = np.random.default_rng(30).uniform(-0.1, 0.1, (30, 2))
     ],
     ids=["isotropic", "uniform", "von-mises", "tabulated"],
 )
-@pytest.mark.parametrize(
+EVERY_KIND = pytest.mark.parametrize(
     "aperture",
     [
         ds.Segment(2.0, angle=0.4),
@@ -436,6 +436,10 @@ _WIDE_ARRAY = np.random.default_rng(30).uniform(-0.1, 0.1, (30, 2))
     ],
     ids=["segment", "circle", "disk", "rectangle", "lines", "curve", "array", "wide-array"],
 )
+
+
+@ROTATED_MODELS
+@EVERY_KIND
 def test_spectrum_matches_rotated_rtilde(aperture, model):
     # R about the PAS's axis with alpha0 as a phase against R(alpha0) itself
     op = ds.build_truncated_operator(aperture, model)
@@ -443,6 +447,16 @@ def test_spectrum_matches_rotated_rtilde(aperture, model):
     lam, omega = _full_route(op, model)
     assert np.max(np.abs(spec.eigenvalues - lam)) <= 1e-13
     assert abs(spec.omega - omega) <= 1e-13 * omega
+
+
+@ROTATED_MODELS
+@EVERY_KIND
+def test_traces_match_solve(aperture, model):
+    # omega and its interval off tr(G'R) and tr((G'R)^2) against the eigenvalues
+    op = ds.build_truncated_operator(aperture, model)
+    spec = ds.solve_spectrum(op)
+    expected = (spec.omega, *ds.omega_corrected(spec))
+    assert np.allclose(ds.omega_from_traces(op), expected, rtol=1e-13, atol=0.0)
 
 
 class TestMimoSlope:
