@@ -42,7 +42,6 @@ from .aperture import (
     translate,
 )
 from .operators import (
-    QuadratureConvergenceError,
     TruncatedOperator,
     build_truncated_operator,
     gram_matrix,

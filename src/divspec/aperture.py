@@ -217,9 +217,7 @@ class ArcPiece:
 
     def max_origin_distance(self) -> float:
         cx, cy = self.center
-        candidates = [
-            float(np.hypot(*p)) for p in (self.point(np.array([0.0]))[0], self.point(np.array([1.0]))[0])
-        ]
+        candidates = [float(np.hypot(*self.point([t])[0])) for t in (0.0, 1.0)]
         norm_c = math.hypot(cx, cy)
         if norm_c > 0.0:
             # farthest point of the full circle lies along the center ray
@@ -244,9 +242,7 @@ class PiecewiseCurve:
         if not pieces:
             raise ValueError("PiecewiseCurve requires at least one piece")
         for before, after in zip(pieces, pieces[1:]):
-            gap = np.asarray(after.point(np.array([0.0]))[0]) - np.asarray(
-                before.point(np.array([1.0]))[0]
-            )
+            gap = after.point([0.0])[0] - before.point([1.0])[0]
             if float(np.hypot(*gap)) > 1e-9:
                 raise ValueError("PiecewiseCurve pieces must join continuously")
         object.__setattr__(self, "pieces", pieces)
@@ -345,8 +341,8 @@ def build_quadrature(aperture, order: int) -> QuadratureRule:
 
     ``order`` is the number of nodes per dimension per smooth piece; the
     circle receives ``order`` angular nodes, the disk an ``order`` radial
-    by ``2*order + 1`` angular grid.  A discrete array is its own rule, a
-    point mass ``1/L`` per antenna, whatever the order.
+    by ``2*order + 1`` angular grid, a zero-length curve piece none.  A discrete
+    array is a point mass ``1/L`` per antenna, and a zero-length curve a point.
     """
     order = int(order)
     if order < 1:
@@ -397,9 +393,12 @@ def build_quadrature(aperture, order: int) -> QuadratureRule:
 
     if isinstance(aperture, PiecewiseCurve):
         total = aperture.length
+        if total == 0.0:
+            return _point_rule(aperture.pieces[0].point([0.0])[0])
         t, w = _gauss01(order)
-        nodes = np.concatenate([p.point(t) for p in aperture.pieces])
-        weights = np.concatenate([w * (p.length / total) for p in aperture.pieces])
+        pieces = [p for p in aperture.pieces if p.length > 0.0]
+        nodes = np.concatenate([p.point(t) for p in pieces])
+        weights = np.concatenate([w * (p.length / total) for p in pieces])
         return QuadratureRule(nodes, weights)
 
     if isinstance(aperture, ParallelLines):
@@ -439,6 +438,7 @@ def enclosing_radius(aperture) -> float:
 
 
 def _extent_points(aperture) -> np.ndarray:
+    """Points whose enclosing circle centres the aperture: a curve's line ends, 257 per arc."""
     if isinstance(aperture, Segment):
         if aperture.length == 0.0:
             return np.asarray([aperture.center])
@@ -452,8 +452,8 @@ def _extent_points(aperture) -> np.ndarray:
     if isinstance(aperture, Rectangle):
         return aperture.corners()
     if isinstance(aperture, PiecewiseCurve):
-        t = np.linspace(0.0, 1.0, 257)
-        return np.concatenate([p.point(t) for p in aperture.pieces])
+        ts = [np.linspace(0.0, 1.0, 257 if isinstance(p, ArcPiece) else 2) for p in aperture.pieces]
+        return np.concatenate([p.point(t) for p, t in zip(aperture.pieces, ts)])
     if isinstance(aperture, ParallelLines):
         half = 0.5 * aperture.length * _direction(aperture.angle)
         centers = aperture.line_centers()

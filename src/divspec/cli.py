@@ -401,7 +401,7 @@ def cmd_sweep(args) -> int:
                 lines.append(",".join(map(_fmt, (value, *row))))
             except ConfigError:
                 raise
-            except (ValueError, ArithmeticError, RuntimeError) as exc:
+            except (ValueError, ArithmeticError) as exc:
                 print(f"warning: param={value}: {exc}", file=sys.stderr)
                 lines.append(f"{_fmt(value)},,,")
     _write_lines(args.out, lines)

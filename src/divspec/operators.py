@@ -41,6 +41,7 @@ from scipy.special import jv
 
 from . import specfun
 from .aperture import (
+    ArcPiece,
     Circle,
     DiscreteArray,
     Disk,
@@ -56,7 +57,6 @@ from .aperture import (
 from .pas import PasModel
 
 __all__ = [
-    "QuadratureConvergenceError",
     "TruncatedOperator",
     "gram_matrix",
     "rtilde_matrix",
@@ -77,16 +77,12 @@ _MAX_GRID_BYTES = 1 << 28
 #: to stay in cache.
 _KERNEL_BLOCK_BYTES = 1 << 22
 
-#: Elementwise tolerance of the quadrature doubling test.
-_DOUBLING_TOL = 1e-10
+#: Bound on ``||G_q - G||_2`` that chooses a curve's Gauss order ``q``.
+_GAUSS_TOL = 2.0**-53
 
 #: Tolerated magnitude of negative eigenvalues of ``G`` and ``R``: a Cholesky
 #: factor of ``M + _PSD_TOL * I``, or the ``eigh`` that takes ``R^(1/2)``, tests it.
 _PSD_TOL = 1e-10
-
-
-class QuadratureConvergenceError(RuntimeError):
-    """Raised when refining the quadrature still changes the Gram matrix."""
 
 
 def _angle_grid_size(N: int, r1: float) -> int:
@@ -220,8 +216,14 @@ def _factor_gram(F: np.ndarray) -> np.ndarray:
     return 0.5 * (G + G.conj().T)
 
 
-def _default_order(N: int) -> int:
-    return 4 * (int(N) + 1)
+def _curve_bound(curve: PiecewiseCurve, q: int) -> float:
+    """Bound on ``||G_q - G||_2`` for the ``q``-point Gauss rule on each piece."""
+    return max(
+        specfun.arc_gauss_bound(q, p.radius, p.angle_stop - p.angle_start)
+        if isinstance(p, ArcPiece)
+        else specfun.line_gauss_bound(q, p.length)
+        for p in curve.pieces
+    )
 
 
 def gram_matrix(aperture, N: int) -> np.ndarray:
@@ -241,12 +243,18 @@ def gram_matrix(aperture, N: int) -> np.ndarray:
     transforms.  Discrete arrays and piecewise curves are weighted point
     masses, whose ``G`` is ``F^H F`` with the ``K x (2N+1)`` factor
     ``F_kn = sqrt(w_k)*v_n(x_k)`` evaluated on the same grid.  An array's
-    antennas are exact point masses; a curve's are a Gauss rule of order
-    ``4*(N+1)``, verified by doubling the order: any entry moving by more
-    than 1e-10 raises :class:`QuadratureConvergenceError`, and the doubled
-    rule's result is returned otherwise.  ``Q > 4096``, or a node matrix
-    above the same 256 MiB, is refused with ``ValueError`` before it is
-    allocated.
+    antennas are exact point masses; a curve's are one Gauss rule of
+    ``q`` nodes on each piece of positive length.  With ``e_n(a) = exp(j*n*a)``,
+    ``v(x) = (1/2pi) int exp(j*2*pi*x.u(a)) e(a) da``, so the rule moves ``G`` by
+    ``dG = (1/4pi^2) int int E(a,b) e(a) e(b)^H da db`` with ``E`` its error on
+    ``exp(j*2*pi*x.(u(a) - u(b)))``, a length-weighted mean of the pieces'
+    normalised errors: ``||dG||_2 <= sup |E|`` by Cauchy-Schwarz and Parseval.
+    ``q`` is the smallest order at which :func:`~divspec.specfun.line_gauss_bound`
+    and :func:`~divspec.specfun.arc_gauss_bound` bound every piece's ``|E|`` by
+    ``2**-53``, under the solve's round-off like the grid's ``0.2*exp(-40)``, so
+    the printed bounds do not carry it.  ``Q > 4096``, or a node matrix above
+    the same 256 MiB, is refused with ``ValueError`` before it is allocated, a
+    curve's before its rule is built.
     """
     N = int(N)
     if isinstance(aperture, DiscreteArray):
@@ -254,16 +262,14 @@ def gram_matrix(aperture, N: int) -> np.ndarray:
     u = _gram_grid(aperture, N)
     if not isinstance(aperture, PiecewiseCurve):
         return _gram_from_transform(_aperture_transform(aperture, u, N), N)
-    q = _default_order(N)
-    G = _factor_gram(_node_factor(build_quadrature(aperture, q), u, N))
-    G2 = _factor_gram(_node_factor(build_quadrature(aperture, 2 * q), u, N))
-    drift = float(np.max(np.abs(G2 - G)))
-    if drift > _DOUBLING_TOL:
-        raise QuadratureConvergenceError(
-            f"Gram matrix changed by {drift:.3e} when doubling the quadrature "
-            f"order from {q}"
-        )
-    return G2
+    pieces = sum(p.length > 0.0 for p in aperture.pieces) or 1
+    # bisection keeps bound(lo) > _GAUSS_TOL >= bound(hi); hi starts one past the byte budget
+    lo, hi = 0, _MAX_GRID_BYTES // (pieces * len(u) * np.dtype(complex).itemsize) + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _curve_bound(aperture, mid) <= _GAUSS_TOL else (mid, hi)
+    _check_grid_bytes(pieces * hi, len(u), N)
+    return _factor_gram(_node_factor(build_quadrature(aperture, hi), u, N))
 
 
 def rtilde_matrix(model: PasModel, N: int) -> np.ndarray:

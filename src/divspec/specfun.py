@@ -19,6 +19,8 @@ __all__ = [
     "series_order",
     "bessel_abs_tail_bound",
     "bessel_sq_tail_bound",
+    "line_gauss_bound",
+    "arc_gauss_bound",
 ]
 
 #: Default truncation margin above the critical order.
@@ -75,3 +77,42 @@ def bessel_sq_tail_bound(N: int, r1: float) -> float:
     N, n_critical = series_order(r1, N)
     return 0.01 * math.exp(2 * (n_critical - N))
 
+
+def line_gauss_bound(q: int, length: float) -> float:
+    """``4*sum_{k>=2q} (x/2)**k/k!``, ``x = 2*pi*length``: a line's ``q``-point Gauss error.
+
+    A plane wave ``exp(j*w.x)``, ``|w| <= 4*pi``, along the line is ``exp(j*omega*s)``,
+    ``|omega| <= x``, ``s`` in ``[-1, 1]``; its Chebyshev coefficients are
+    ``2*j**k*J_k(omega)`` (Jacobi-Anger), ``|J_k| <= (x/2)**k/k!`` (DLMF 10.14.4),
+    the rule is exact below ``T_{2q}`` and a mean of ``T_k`` is at most 1.  The
+    terms fall by a ratio below 1/2 once ``k + 1 > x``; before, the trivial 2 is returned.
+    """
+    half, k = math.pi * length, 2 * q
+    if half == 0.0:
+        return 0.0
+    if 2.0 * half >= k + 1:
+        return 2.0
+    log_term = k * math.log(half) - math.lgamma(k + 1)
+    return min(2.0, 4.0 * math.exp(min(log_term, 0.0)) / (1.0 - half / (k + 1)))
+
+
+def arc_gauss_bound(q: int, radius: float, span: float) -> float:
+    """``(32/15)*M*rho**(-2q)/(rho**2 - 1)``: an arc's ``q``-point Gauss error.
+
+    A plane wave along the arc is ``exp(j*z*cos(a + span*s/2))``, ``z <= 4*pi*radius``,
+    at most ``M = exp(4*pi*radius*sinh(|span|*(rho - 1/rho)/4))`` on the Bernstein
+    ellipse ``E_rho``: Trefethen, *Approximation Theory and Approximation Practice*
+    (SIAM 2013), Thm 19.3, halved for a mean.  The bound's log is convex in
+    ``t = log(rho)``; bisection on its slope's sign takes the minimum, capped at 2
+    (0 for an arc of zero length, whose mean carries no weight).
+    """
+    b, z = abs(span) / 2.0, 4.0 * math.pi * radius
+    if b * z == 0.0:
+        return 0.0
+    lo, hi = 0.0, min(700.0, math.asinh(700.0 / b))  # keeps b*sinh(t) <= 700, cosh finite
+    for _ in range(64):
+        t = 0.5 * (lo + hi)
+        up = z * b * math.cosh(b * math.sinh(t)) * math.cosh(t) >= 2 * q - 2 / math.expm1(-2 * t)
+        lo, hi = (lo, t) if up else (t, hi)
+    log_bound = z * math.sinh(b * math.sinh(hi)) - (2 * q + 2) * hi - math.log(-math.expm1(-2 * hi))
+    return min(2.0, 32.0 / 15.0 * math.exp(min(log_bound, 0.0)))

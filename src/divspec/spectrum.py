@@ -44,7 +44,6 @@ from .aperture import (
     ParallelLines,
     PiecewiseCurve,
     Rectangle,
-    Segment,
     build_quadrature,
     centering_transform,
     enclosing_radius,
@@ -383,12 +382,7 @@ def nystrom_oracle(
     centered, _ = centering_transform(aperture)
     r1 = enclosing_radius(centered)
     n_kernel = specfun.truncation_order(2.0 * r1) + 15
-    degenerate = (
-        isinstance(centered, DiscreteArray)
-        or (isinstance(centered, Segment) and centered.length == 0.0)
-        or (isinstance(centered, Disk) and centered.radius == 0.0)
-    )
-    if degenerate:
+    if isinstance(centered, DiscreteArray) or r1 == 0.0:
         # exact point evaluation; nothing to refine
         return _oracle_eigs(centered, model, 1, n_kernel)
 

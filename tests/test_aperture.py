@@ -131,6 +131,16 @@ class TestNodePlacement:
             assert tuple(rule.nodes[0]) == (0.3, 0.4)
             assert rule.weights[0] == 1.0
 
+    def test_zero_length_curve_pieces(self):
+        a, b = (0.3, 0.4), (1.3, 0.4)
+        point = PiecewiseCurve((LinePiece(a, a), LinePiece(a, a)))
+        rule = build_quadrature(point, 9)
+        assert len(rule) == 1 and tuple(rule.nodes[0]) == a and rule.weights[0] == 1.0
+        gapped = build_quadrature(PiecewiseCurve((LinePiece(a, b), LinePiece(b, b))), 9)
+        plain = build_quadrature(PiecewiseCurve((LinePiece(a, b),)), 9)
+        assert np.array_equal(gapped.nodes, plain.nodes)
+        assert np.array_equal(gapped.weights, plain.weights)
+
     def test_curve_measure_proportional_to_length(self):
         curve = PiecewiseCurve(
             (LinePiece((0.0, 0.0), (0.75, 0.0)), LinePiece((0.75, 0.0), (0.75, 0.25)))

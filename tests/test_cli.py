@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import time
 import re
 from pathlib import Path
 
@@ -67,6 +68,51 @@ class TestSpectrumCommand:
         assert float(rows[0][1]) == pytest.approx(1.0, abs=1e-12)
         assert float(rows[0][2]) == pytest.approx(1.0, abs=1e-12)
         assert all(abs(float(r[1])) < 1e-12 for r in rows[1:])
+
+    @pytest.mark.parametrize(
+        "pieces",
+        [
+            [{"type": "line", "start": [0.3, 0.4], "end": [0.3, 0.4]}],
+            [{"type": "line", "start": [0.3, 0.4], "end": [0.3, 0.4]}] * 3,
+        ],
+        ids=["one-piece", "three-pieces"],
+    )
+    def test_zero_length_curve_is_a_point(self, tmp_path, pieces):
+        curve = {"kind": "piecewise_curve", "pieces": pieces}
+        point = {"kind": "segment", "length": 0.0, "center": [0.3, 0.4]}
+        pas = {"kind": "von_mises", "kappa": 3.0, "alpha0_deg": 20.0}
+        outputs = []
+        for k, aperture in enumerate([curve, point]):
+            cfg = write_cfg(tmp_path / f"{k}.cfg", {"aperture": aperture, "pas": pas})
+            outputs.append(tmp_path / f"{k}.csv")
+            assert main(["spectrum", "--config", cfg, "--out", str(outputs[-1])]) == 0
+        assert outputs[0].read_bytes() == outputs[1].read_bytes()
+        _, _, rows = read_rows(outputs[0])
+        assert float(rows[0][1]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_zero_length_middle_piece_carries_no_measure(self, tmp_path):
+        ends = [[0.0, 0.0], [1.0, 0.0], [1.0, 0.5]]
+        line = lambda a, b: {"type": "line", "start": ends[a], "end": ends[b]}  # noqa: E731
+        pas = {"kind": "isotropic"}
+        outputs = []
+        for k, pieces in enumerate([[line(0, 1), line(1, 1), line(1, 2)], [line(0, 1), line(1, 2)]]):
+            aperture = {"kind": "piecewise_curve", "pieces": pieces}
+            cfg = write_cfg(tmp_path / f"{k}.cfg", {"aperture": aperture, "pas": pas})
+            outputs.append(tmp_path / f"{k}.csv")
+            assert main(["spectrum", "--config", cfg, "--out", str(outputs[-1])]) == 0
+        assert outputs[0].read_bytes() == outputs[1].read_bytes()
+
+    def test_wound_arc_refused_quickly(self, tmp_path, capsys):
+        # radius 1 through 1e6 rad needs some 1e7 Gauss nodes, above the byte limit
+        arc = {"type": "arc", "center": [0.0, 0.0], "radius": 1.0, "start_deg": 0.0}
+        arc["stop_deg"] = math.degrees(1e6)
+        aperture = {"kind": "piecewise_curve", "pieces": [arc]}
+        cfg = write_cfg(tmp_path / "c.cfg", {"aperture": aperture, "pas": {"kind": "isotropic"}})
+        out = tmp_path / "o.csv"
+        start = time.perf_counter()
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert "byte limit" in capsys.readouterr().err and not out.exists()
 
     def test_missing_field_exit_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.cfg", {"aperture": {"kind": "circle"}, "pas": {"kind": "isotropic"}})

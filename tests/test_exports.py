@@ -31,6 +31,9 @@ REMOVED = [
     "bessel_abs_tail",
     "bessel_sq_tail",
     "_build",
+    "QuadratureConvergenceError",
+    "_default_order",
+    "_DOUBLING_TOL",
 ]
 
 

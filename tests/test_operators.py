@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -10,7 +11,6 @@ from scipy.linalg import toeplitz
 import divspec as ds
 from divspec import operators
 from divspec.operators import (
-    QuadratureConvergenceError,
     build_truncated_operator,
     gram_matrix,
     rho_n_kernel,
@@ -159,7 +159,7 @@ class TestGram:
     )
     def test_array_factor_matches_point_mass_transform(self, aperture):
         # the Q x Q point-mass transform and its 2-D DFT, as assembled before the factor;
-        # a curve's G is that of its doubled rule, 8(N+1) Gauss nodes per piece
+        # a curve's reference rule has 8(N+1) Gauss nodes per piece, its G a bound-chosen q
         r1 = ds.enclosing_radius(aperture)
         N = ds.truncation_order(r1) + DEFAULT_ORDER_MARGIN
         rule = ds.build_quadrature(aperture, 8 * (N + 1))
@@ -178,13 +178,6 @@ class TestGram:
         lam = ds.solve_spectrum(op).eigenvalues
         assert np.max(np.abs(lam - expected)) <= 1e-14
 
-    def test_doubling_failure_detected(self, monkeypatch):
-        # two nodes cannot resolve the oscillatory transform of a long curve
-        monkeypatch.setattr(operators, "_default_order", lambda N: 2)
-        curve = ds.PiecewiseCurve((ds.LinePiece((-2.0, 0.0), (2.0, 0.0)),))
-        with pytest.raises(QuadratureConvergenceError):
-            gram_matrix(curve, 12)
-
     def test_oversized_rule_refused_before_assembly(self):
         # default Segment(3000): N = 12820 needs a Q = 25920 angle grid, 10.7 GB
         N = ds.truncation_order(1500.0) + DEFAULT_ORDER_MARGIN
@@ -196,6 +189,142 @@ class TestGram:
         finally:
             tracemalloc.stop()
         assert peak < 10e6
+
+
+# every curve fixture of the test modules, line-only, arc-only and mixed, with the
+# divbench curve (line-arc-line) among them, and that curve's half circle alone
+CURVES = {
+    "two-lines-L": ds.PiecewiseCurve(
+        (ds.LinePiece((0.0, 0.0), (0.7, 0.0)), ds.LinePiece((0.7, 0.0), (0.7, 0.5)))
+    ),
+    "two-lines-short": ds.PiecewiseCurve(
+        (ds.LinePiece((0.0, 0.0), (0.5, 0.0)), ds.LinePiece((0.5, 0.0), (0.5, 0.4)))
+    ),
+    "two-lines-thin": ds.PiecewiseCurve(
+        (ds.LinePiece((0.0, 0.0), (0.75, 0.0)), ds.LinePiece((0.75, 0.0), (0.75, 0.25)))
+    ),
+    "one-line": ds.PiecewiseCurve((ds.LinePiece((-0.5, 0.0), (0.5, 0.0)),)),
+    "one-long-line": ds.PiecewiseCurve((ds.LinePiece((-2.0, 0.0), (2.0, 0.0)),)),
+    "arc": ds.PiecewiseCurve((ds.ArcPiece((1.0, 0.0), 0.5, -1.0, 1.0),)),
+    "arc-half-circle": ds.PiecewiseCurve((ds.ArcPiece((0.0, 2.0), 2.0, -math.pi / 2, math.pi / 2),)),
+    "line-arc": NODE_SUM_CASES["curve-line-arc"],
+    "line-quarter-arc": ds.PiecewiseCurve(
+        (ds.LinePiece((0.0, 0.0), (0.5, 0.0)), ds.ArcPiece((0.5, 0.25), 0.25, -math.pi / 2, 0.0))
+    ),
+    "line-quarter-arc-left": ds.PiecewiseCurve(
+        (ds.LinePiece((-0.4, 0.0), (0.0, 0.0)), ds.ArcPiece((0.0, 0.25), 0.25, -math.pi / 2, 0.0))
+    ),
+    "line-arc-open": ds.PiecewiseCurve(
+        (ds.LinePiece((0.0, 0.0), (0.7, 0.0)), ds.ArcPiece((0.7, 0.3), 0.3, -math.pi / 2, 1.0))
+    ),
+    "line-arc-line": LINE_ARC_LINE,
+}
+
+
+def _curve_setup(curve):
+    """The centred curve, its default ``N`` and the angle grid of its ``G``."""
+    centered, _ = ds.centering_transform(curve)
+    r1 = ds.enclosing_radius(centered)
+    N = ds.truncation_order(r1) + DEFAULT_ORDER_MARGIN
+    return centered, N, operators._angle_grid(operators._angle_grid_size(N, r1))
+
+
+def _rule_gram(curve, q, u, N):
+    return operators._factor_gram(operators._node_factor(ds.build_quadrature(curve, q), u, N))
+
+
+def _chosen_order(curve, N, monkeypatch):
+    """The order ``gram_matrix`` builds its one rule with."""
+    orders = []
+
+    def spy(aperture, order):
+        orders.append(order)
+        return ds.build_quadrature(aperture, order)
+
+    monkeypatch.setattr(operators, "build_quadrature", spy)
+    gram_matrix(curve, N)
+    monkeypatch.undo()
+    assert len(orders) == 1
+    return orders[0]
+
+
+class TestCurveRule:
+    @pytest.mark.parametrize("name", sorted(CURVES))
+    def test_bound_encloses_error_at_every_order(self, name, monkeypatch):
+        # 1e-13 is round-off: two converged rules differ by up to 2.7e-14 in norm on
+        # line-arc-line, whose plane-wave phases reach 21 rad; the bounds it meets run
+        # from 2 down to 1e-13 and hold with a factor 10 to spare
+        curve, N, u = _curve_setup(CURVES[name])
+        reference = _rule_gram(curve, 8 * (N + 1), u, N)
+        for q in range(2, _chosen_order(curve, N, monkeypatch) + 1):
+            error = np.linalg.norm(_rule_gram(curve, q, u, N) - reference, 2)
+            assert error <= operators._curve_bound(curve, q) + 1e-13, q
+
+    @pytest.mark.parametrize("name", sorted(CURVES))
+    def test_chosen_order_is_smallest_within_tolerance(self, name, monkeypatch):
+        curve, N, _ = _curve_setup(CURVES[name])
+        q = _chosen_order(curve, N, monkeypatch)
+        assert operators._curve_bound(curve, q) <= 2.0**-53 < operators._curve_bound(curve, q - 1)
+
+    def test_large_curve_order(self, monkeypatch):
+        # the divbench curve: its half circle of radius 2 sets q (53) for both lines (31)
+        curve, N, _ = _curve_setup(LINE_ARC_LINE)
+        assert _chosen_order(curve, N, monkeypatch) <= 60
+
+    @pytest.mark.parametrize("name", sorted(CURVES))
+    def test_gram_is_the_chosen_rule(self, name, monkeypatch):
+        curve, N, u = _curve_setup(CURVES[name])
+        q = _chosen_order(curve, N, monkeypatch)
+        assert np.array_equal(gram_matrix(curve, N), _rule_gram(curve, q, u, N))
+
+    @pytest.mark.parametrize("name", sorted(CURVES))
+    def test_centring_matches_sampled_circle(self, name):
+        # line ends alone give the circle of 257 samples on every piece
+        curve = CURVES[name]
+        t = np.linspace(0.0, 1.0, 257)
+        center, _ = ds.smallest_enclosing_circle(np.concatenate([p.point(t) for p in curve.pieces]))
+        assert np.array_equal(ds.centering_transform(curve)[1], center)
+
+    def test_oversized_curve_refused_before_its_rule(self):
+        # an arc of radius 1 wound through 1e6 rad needs about 1e7 nodes; 233,016 fit
+        curve = ds.PiecewiseCurve((ds.ArcPiece((0.0, 0.0), 1.0, 0.0, 1e6),))
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"N=19 on a Q=72 .* 233017x72 .*-byte limit"):
+                build_truncated_operator(curve, ds.IsotropicPas())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+        assert time.perf_counter() - start < 1.0
+
+    def test_zero_length_pieces_carry_no_nodes(self):
+        a, b, c = (0.0, 0.0), (1.0, 0.0), (1.0, 0.5)
+        curve = ds.PiecewiseCurve((ds.LinePiece(a, b), ds.LinePiece(b, b), ds.LinePiece(b, c)))
+        plain = ds.PiecewiseCurve((ds.LinePiece(a, b), ds.LinePiece(b, c)))
+        assert np.array_equal(gram_matrix(curve, 12), gram_matrix(plain, 12))
+        model = ds.VonMisesPas(kappa=2.0, alpha0=0.3)
+        lam = ds.solve_spectrum(build_truncated_operator(curve, model)).eigenvalues
+        assert np.array_equal(lam, ds.solve_spectrum(build_truncated_operator(plain, model)).eigenvalues)
+
+    @pytest.mark.parametrize(
+        "point",
+        [
+            ds.PiecewiseCurve((ds.LinePiece((0.3, 0.4), (0.3, 0.4)),) * 2),
+            # radius times span underflows: the arc's length is 0.0
+            ds.PiecewiseCurve((ds.ArcPiece((0.3, 0.4), 1e-300, 0.0, 1e-300),)),
+        ],
+        ids=["two-lines", "underflowing-arc"],
+    )
+    def test_zero_length_curve_is_a_point(self, point):
+        # one branch of full power, as for Segment(0) and Disk(0)
+        model = ds.UniformPas(delta=1.0, alpha0=0.2)
+        op = build_truncated_operator(point, model)
+        assert point.length == 0.0 and np.array_equal(op.offset, [0.3, 0.4])
+        lam = ds.solve_spectrum(op).eigenvalues
+        assert lam[0] == pytest.approx(1.0, abs=1e-12) and np.max(lam[1:]) < 1e-12
+        assert ds.nystrom_oracle(point, model).tolist() == [1.0]
 
 
 RTILDE_MODELS = {

@@ -199,3 +199,48 @@ class TestTailBounds:
             total = float(np.sum(special.jv(np.arange(-n_max, n_max + 1), x) ** 2))
             assert total <= 1.0 + 1e-14
             assert 1.0 - total <= specfun.bessel_sq_tail_bound(n_max, r) + 1e-14
+
+
+def _gauss_mean(f, q):
+    s, w = np.polynomial.legendre.leggauss(q)
+    return (w / 2.0) @ f(s)
+
+
+class TestGaussBounds:
+    """Each bound holds for every plane wave ``exp(j*w.x)``, ``|w| <= 4*pi``, on its piece.
+
+    The 1e-14 allowance is round-off: numpy's ``leggauss`` nodes and weights
+    alone move a 40-point mean by up to 7e-15.
+    """
+
+    @pytest.mark.parametrize("length", [0.3, 1.0, 4.0])
+    @pytest.mark.parametrize("q", [2, 5, 10, 20, 31])
+    def test_line_bound_holds(self, length, q):
+        # along the line the wave is exp(j*omega*s), |omega| <= 2*pi*length, with mean sin(omega)/omega
+        for omega in np.linspace(-2.0 * math.pi * length, 2.0 * math.pi * length, 41):
+            exact = np.sinc(omega / math.pi)
+            error = abs(exact - _gauss_mean(lambda s: np.exp(1j * omega * s), q))
+            assert error <= specfun.line_gauss_bound(q, length) + 1e-14
+
+    @pytest.mark.parametrize("radius, span", [(0.25, math.pi / 2), (0.5, 2.0), (2.0, math.pi), (1.0, 6.0)])
+    @pytest.mark.parametrize("q", [2, 5, 10, 20, 40])
+    def test_arc_bound_holds(self, radius, span, q):
+        # along the arc the wave is exp(j*z*cos(a + span*s/2)), z <= 4*pi*radius
+        rng = np.random.default_rng(q)
+        for z, a in zip(rng.uniform(0.0, 4.0 * math.pi * radius, 20), rng.uniform(0.0, 2 * math.pi, 20)):
+            f = lambda s: np.exp(1j * z * np.cos(a + span * s / 2.0))  # noqa: E731
+            error = abs(_gauss_mean(f, 200) - _gauss_mean(f, q))
+            assert error <= specfun.arc_gauss_bound(q, radius, span) + 1e-14
+
+    def test_bounds_fall_with_the_order(self):
+        line = [specfun.line_gauss_bound(q, 4.0) for q in range(1, 60)]
+        arc = [specfun.arc_gauss_bound(q, 2.0, math.pi) for q in range(1, 60)]
+        assert all(b <= a for a, b in zip(line, line[1:])) and line[0] == 2.0
+        assert all(b <= a for a, b in zip(arc, arc[1:])) and arc[0] == 2.0
+
+    def test_degenerate_pieces(self):
+        assert specfun.line_gauss_bound(3, 0.0) == 0.0
+        assert specfun.arc_gauss_bound(3, 1e-300, 1e-300) == 0.0  # its length underflows to 0
+        # no order within reach resolves an arc wound a million times; the bound stays trivial
+        assert specfun.arc_gauss_bound(233016, 1.0, 1e6) == 2.0
+        assert specfun.arc_gauss_bound(10, 1e-9, 1e-9) < 1e-80
