@@ -17,6 +17,7 @@ Lengths are wavelengths, angles radians.  All types are immutable.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, replace
@@ -72,10 +73,16 @@ class QuadratureRule:
         return self.nodes.shape[0]
 
 
+@functools.lru_cache(maxsize=64)
 def _gauss01(q: int):
-    """Gauss-Legendre nodes/weights mapped to [0, 1] with unit weight sum."""
-    xi, w = np.polynomial.legendre.leggauss(int(q))
-    return (xi + 1.0) / 2.0, w / 2.0
+    """Gauss-Legendre nodes/weights mapped to [0, 1] with unit weight sum, kept for 64 orders.
+
+    The arrays are shared by every caller, so they are read-only.
+    """
+    xi, w = np.polynomial.legendre.leggauss(q)
+    t, w = (xi + 1.0) / 2.0, w / 2.0
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
 
 
 def _direction(angle: float) -> np.ndarray:

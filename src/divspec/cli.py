@@ -339,10 +339,12 @@ def _sweep_operators(cfg: dict, kind: str, values):
     """``operator(value)`` of a radius, length or direction sweep point.
 
     A direction point differs from another only in ``alpha0``: the sweep
-    builds and checks one operator and gives each point its own
-    ``alpha0``; a refused build is not cached, so it is refused again at
-    every point.  Radius and length sweeps take the PAS model and ``N``
-    from the first point's config and build each point's operator with
+    builds and checks one operator and gives each point a copy with its
+    own ``alpha0``; a refused build is not cached, so it is refused again
+    at every point.  Copying reads ``gram``, so an operator that carries
+    its factor ``F`` forms ``G`` once for the whole sweep.  Radius and
+    length sweeps take the PAS model and ``N`` from the first point's
+    config and build each point's operator with
     :func:`~divspec.operators.build_truncated_operator`.
     """
     if kind == "direction":

@@ -23,6 +23,10 @@ periodic grid of ``Q`` angles, and the kernel is one weighted sum of
 plane waves on the same grid.  The grid's aliasing is certified by the
 same Bessel tail bound as the truncation, and a grid above ``Q = 4096``
 is refused for ``G``; see :func:`gram_matrix` and :func:`rho_n_kernel`.
+Arrays, curves, segments and parallel lines with a narrow enough Gauss
+rule are node sums, ``G = F^H F`` with a ``K x (2N+1)`` factor ``F``:
+their operator keeps ``F`` and forms ``G`` only where it is read (see
+:class:`TruncatedOperator`).
 The orders ``N`` and ``N_D`` and the tail bounds that certify the
 truncation come from :mod:`divspec.specfun`.
 
@@ -162,9 +166,7 @@ def _aperture_transform(aperture, u: np.ndarray, N: int) -> np.ndarray:
         shape = _sinc_factor(aperture.length, aperture.angle, u)
     else:
         centers, weights = [aperture.center], [1.0]
-        if isinstance(aperture, Segment):
-            shape = _sinc_factor(aperture.length, aperture.angle, u)
-        elif isinstance(aperture, Rectangle):
+        if isinstance(aperture, Rectangle):
             shape = _sinc_factor(aperture.width, aperture.angle, u)
             shape *= _sinc_factor(aperture.height, aperture.angle + math.pi / 2.0, u)
         elif isinstance(aperture, (Circle, Disk)):
@@ -206,11 +208,6 @@ def _node_factor(rule, u: np.ndarray, N: int) -> np.ndarray:
     return F
 
 
-def _array_factor(array: DiscreteArray, N: int) -> np.ndarray:
-    """Factor ``F`` of an array's ``G``: its antennas are exact point masses."""
-    return _node_factor(build_quadrature(array, 1), _gram_grid(array, N), N)
-
-
 def _factor_gram(F: np.ndarray) -> np.ndarray:
     G = F.conj().T @ F
     return 0.5 * (G + G.conj().T)
@@ -226,6 +223,40 @@ def _curve_bound(curve: PiecewiseCurve, q: int) -> float:
     )
 
 
+def _gauss_order(bound, pieces: int, Q: int) -> int:
+    """Smallest ``q`` with ``bound(q) <= _GAUSS_TOL``, or one past the ``pieces*q x Q`` budget."""
+    # bisection keeps bound(lo) > _GAUSS_TOL >= bound(hi); hi starts one past the byte budget
+    lo, hi = 0, _MAX_GRID_BYTES // (pieces * Q * np.dtype(complex).itemsize) + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if bound(mid) <= _GAUSS_TOL else (mid, hi)
+    return hi
+
+
+def _gram_factor(aperture, N: int) -> np.ndarray | None:
+    """Factor ``F`` of a node sum's ``G = F^H F`` (see :func:`gram_matrix`), else ``None``.
+
+    A rule whose ``rows x Q`` plane waves exceed the byte budget is refused
+    before it is built.
+    """
+    if not isinstance(aperture, (DiscreteArray, PiecewiseCurve, Segment, ParallelLines)):
+        return None
+    lines = getattr(aperture, "count", 1)
+    if lines > 1 and specfun.line_gauss_bound((2 * N) // lines, aperture.length) > _GAUSS_TOL:
+        return None  # the rule would have 2N+1 rows or more
+    u = _gram_grid(aperture, N)
+    if isinstance(aperture, DiscreteArray):
+        return _node_factor(build_quadrature(aperture, 1), u, N)
+    if isinstance(aperture, PiecewiseCurve):
+        pieces = sum(p.length > 0.0 for p in aperture.pieces) or 1
+        q = _gauss_order(lambda k: _curve_bound(aperture, k), pieces, len(u))
+    else:
+        pieces = lines
+        q = _gauss_order(lambda k: specfun.line_gauss_bound(k, aperture.length), pieces, len(u))
+    _check_grid_bytes(pieces * q, len(u), N)
+    return _node_factor(build_quadrature(aperture, q), u, N)
+
+
 def gram_matrix(aperture, N: int) -> np.ndarray:
     """Gram matrix ``G_mn = <v_m, v_n>`` over the aperture measure.
 
@@ -239,12 +270,14 @@ def gram_matrix(aperture, N: int) -> np.ndarray:
     and each entry of ``G`` by at most twice that, ``r1`` being the radius
     of the aperture about the origin.
 
-    Segments, circles, disks, rectangles and parallel lines have closed-form
-    transforms.  Discrete arrays and piecewise curves are weighted point
-    masses, whose ``G`` is ``F^H F`` with the ``K x (2N+1)`` factor
+    Circles, disks, rectangles and parallel lines whose rule would have
+    ``2N+1`` rows or more have closed-form transforms.  Discrete arrays,
+    piecewise curves, segments and the other parallel lines are weighted
+    point masses, whose ``G`` is ``F^H F`` with the ``K x (2N+1)`` factor
     ``F_kn = sqrt(w_k)*v_n(x_k)`` evaluated on the same grid.  An array's
-    antennas are exact point masses; a curve's are one Gauss rule of
-    ``q`` nodes on each piece of positive length.  With ``e_n(a) = exp(j*n*a)``,
+    antennas are exact point masses; the others' are one Gauss rule of
+    ``q`` nodes on each piece of positive length (a line being one piece).
+    With ``e_n(a) = exp(j*n*a)``,
     ``v(x) = (1/2pi) int exp(j*2*pi*x.u(a)) e(a) da``, so the rule moves ``G`` by
     ``dG = (1/4pi^2) int int E(a,b) e(a) e(b)^H da db`` with ``E`` its error on
     ``exp(j*2*pi*x.(u(a) - u(b)))``, a length-weighted mean of the pieces'
@@ -257,19 +290,10 @@ def gram_matrix(aperture, N: int) -> np.ndarray:
     curve's before its rule is built.
     """
     N = int(N)
-    if isinstance(aperture, DiscreteArray):
-        return _factor_gram(_array_factor(aperture, N))
-    u = _gram_grid(aperture, N)
-    if not isinstance(aperture, PiecewiseCurve):
-        return _gram_from_transform(_aperture_transform(aperture, u, N), N)
-    pieces = sum(p.length > 0.0 for p in aperture.pieces) or 1
-    # bisection keeps bound(lo) > _GAUSS_TOL >= bound(hi); hi starts one past the byte budget
-    lo, hi = 0, _MAX_GRID_BYTES // (pieces * len(u) * np.dtype(complex).itemsize) + 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if _curve_bound(aperture, mid) <= _GAUSS_TOL else (mid, hi)
-    _check_grid_bytes(pieces * hi, len(u), N)
-    return _factor_gram(_node_factor(build_quadrature(aperture, hi), u, N))
+    F = _gram_factor(aperture, N)
+    if F is not None:
+        return _factor_gram(F)
+    return _gram_from_transform(_aperture_transform(aperture, _gram_grid(aperture, N), N), N)
 
 
 def rtilde_matrix(model: PasModel, N: int) -> np.ndarray:
@@ -330,6 +354,21 @@ def rho_n_kernel(model: PasModel, x, N: int | None = None):
     return complex(values[0]) if scalar else values
 
 
+class _FormedOnRead:
+    """The ``gram`` field: the ``G`` it was given, or else ``F^H F``, formed when first read."""
+
+    def __get__(self, op, owner=None):
+        if op is None:
+            raise AttributeError("gram")  # no class-level default: the field is required
+        G = op.__dict__["_gram"]
+        if G is None:
+            G = op.__dict__["_gram"] = _factor_gram(op.gram_factor)
+        return G
+
+    def __set__(self, op, G):
+        op.__dict__["_gram"] = G
+
+
 @dataclass(frozen=True)
 class TruncatedOperator:
     """Matrix pair ``(G, R)`` plus the truncation metadata.
@@ -337,10 +376,13 @@ class TruncatedOperator:
     ``N`` is the truncation order, ``N_D`` the critical order for the
     enclosing radius ``r1`` of the centred aperture, ``rho_max`` the PAS
     peak factor entering the error bounds, and ``offset`` the translation
-    removed by centring.  For a discrete array of ``L`` antennas
-    ``gram_factor`` is the ``L x (2N+1)`` factor ``F`` with ``gram = F^H F``,
-    so ``G R`` has rank at most ``L`` and its other eigenvalues are exact
-    zeros; it is ``None`` for every other aperture kind.
+    removed by centring.  An array, a curve, a segment and parallel lines
+    whose Gauss rule has fewer than ``2N+1`` rows carry ``gram_factor``,
+    the ``K x (2N+1)`` factor ``F`` of ``G = F^H F`` (see
+    :func:`gram_matrix`), so ``G R`` has rank at most ``K``; it is
+    ``None`` for every other operator.  The build gives such an operator
+    ``gram=None``: ``gram`` is formed from ``F`` when it is first read, and
+    a solve with ``K < 2N+1`` never reads it.
 
     ``rtilde`` is ``R(0)``, ``R`` of the PAS about its own axis: real for
     the isotropic, uniform and von Mises models, so every factorisation
@@ -354,7 +396,7 @@ class TruncatedOperator:
     N: int
     N_D: int
     r1: float
-    gram: np.ndarray
+    gram: np.ndarray | None = _FormedOnRead()  # a required field; None with a gram_factor
     rtilde: np.ndarray
     rho_max: float
     offset: np.ndarray
@@ -389,26 +431,27 @@ def build_truncated_operator(aperture, model: PasModel, N: int | None = None) ->
     The aperture is centred first (the kernel is stationary, so this only
     shrinks the enclosing radius ``r1``), and ``N`` is chosen or refused by
     :func:`~divspec.specfun.series_order` at ``r1``.  ``R`` is built about
-    the PAS's own axis, the mean angle kept as ``alpha0``, and an array
-    keeps its Gram factor ``F`` (see :class:`TruncatedOperator`).  Each
-    invariant that can fail is tested once: here ``G``'s trace against the
-    tail bound and, unless ``G = F^H F`` makes them exact, its symmetry and
-    PSD, and ``R``'s symmetry and unit diagonal; ``R``'s PSD where ``R`` is
-    read, in :mod:`divspec.spectrum`.
+    the PAS's own axis, the mean angle kept as ``alpha0``.  A node sum
+    keeps its Gram factor ``F`` and forms no ``G`` (see
+    :class:`TruncatedOperator`).  Each invariant that can fail is tested
+    once: here ``G``'s trace against the tail bound, as ``||F||_F**2`` for
+    a factor, and the symmetry and PSD of a ``G`` from a transform, which
+    ``G = F^H F`` has by construction; ``R``'s symmetry and unit diagonal;
+    ``R``'s PSD where ``R`` is read, in :mod:`divspec.spectrum`.
     """
     centered, offset = centering_transform(aperture)
     r1 = enclosing_radius(centered)
     N, n_critical = specfun.series_order(r1, N)
-    if isinstance(centered, DiscreteArray):
-        F = _array_factor(centered, N)
-        G = _factor_gram(F)
-    else:
-        F, G = None, gram_matrix(centered, N)
+    F = _gram_factor(centered, N)
+    if F is None:
+        G = gram_matrix(centered, N)
         scale = max(1.0, float(np.max(np.abs(G))))
         if float(np.max(np.abs(G - G.conj().T))) > 1e-14 * scale:
             raise ArithmeticError("Gram matrix lost Hermitian symmetry")
         _check_psd(G, "Gram matrix")
-    trace = float(np.trace(G).real)
+        trace = float(np.trace(G).real)
+    else:
+        G, trace = None, float(np.vdot(F, F).real)
     if trace > 1.0 + 1e-12 or trace < -1e-12:
         raise ArithmeticError(f"Gram trace {trace} outside [0, 1]")
     residual = specfun.bessel_sq_tail_bound(N, r1)

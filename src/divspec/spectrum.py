@@ -10,10 +10,11 @@ solve goes through the spectral square root:
 which is manifestly real and non-negative and keeps the sort stable.
 ``R`` is ``R(0)``, about the PAS's own axis, with the mean angle applied
 as a phase on ``G`` (see :class:`~divspec.operators.TruncatedOperator`).
-For an array of ``L < 2N+1`` antennas ``G = F^H F`` with an ``L x (2N+1)``
-factor ``F``, and the nonzero eigenvalues of ``G R`` are those of the
-``L x L`` matrix ``F R F^H``; the solve takes that one eigendecomposition
-and pads with exact zeros.
+Where the operator carries a factor ``G = F^H F`` of ``K < 2N+1`` rows
+(an array of ``K`` antennas, or the Gauss rule of a curve, a segment or
+parallel lines), the nonzero eigenvalues of ``G R`` are those of the
+``K x K`` matrix ``F R F^H``; the solve takes that one eigendecomposition,
+pads with exact zeros and never forms ``G``.
 
 Each solve carries two certified error bounds scaled from the tail bound
 of :mod:`divspec.specfun`, which also sets ``N`` and ``N_D``: one for each
@@ -144,6 +145,20 @@ def _phased_gram(op: TruncatedOperator) -> np.ndarray:
     return op.gram * np.outer(d.conj(), d)
 
 
+def _narrow_product(op: TruncatedOperator) -> np.ndarray | None:
+    """``F' R F'^H`` (``F' = F * d``) of a Gram factor of ``K < 2N+1`` rows, else ``None``.
+
+    ``R`` is tested PSD first by a Cholesky factor of ``R + 1e-10*I``.
+    """
+    F = op.gram_factor
+    if F is None or len(F) >= op.size:
+        return None
+    _check_psd(op.rtilde, "coefficient correlation matrix")
+    # F' R F'^H = (R F'^H)^H F'^H
+    Fh = (F * np.exp(-1j * op.alpha0 * op.orders())).conj().T
+    return _times(op.rtilde, Fh).conj().T @ Fh
+
+
 def _error_bounds(op: TruncatedOperator) -> tuple[float, float]:
     """Certified bounds on each eigenvalue and on the squared Hilbert-Schmidt norm."""
     eig_error_bound = op.rho_max * specfun.bessel_abs_tail_bound(op.N, op.r1)
@@ -154,24 +169,21 @@ def solve_spectrum(op: TruncatedOperator) -> DiversitySpectrum:
     """Solve the truncated eigenvalue problem and attach certified bounds.
 
     The mean angle is the phase ``d = exp(-j*alpha0*n)`` on ``G``,
-    ``G' = G * outer(conj(d), d)``, or on ``F``, ``F' = F * d``.  The
-    general route is ``eigvalsh(R^(1/2) G' R^(1/2))`` of order ``2N+1``,
-    with ``R^(1/2)`` from an ``eigh`` of ``R`` that is also ``R``'s PSD
-    test: an eigenvalue below ``-1e-10`` is refused.  An operator whose
-    Gram factor ``F`` (``L x (2N+1)``, see
-    :class:`~divspec.operators.TruncatedOperator`) has ``L < 2N+1`` rows
-    tests ``R`` by a Cholesky factor of ``R + 1e-10*I`` and takes one
-    ``L x L`` ``eigvalsh(F' R F'^H)`` instead; its eigenvalues beyond rank
-    ``L`` are exact zeros.  Eigenvalues in ``(-1e-8, 0)`` clamp to zero,
+    ``G' = G * outer(conj(d), d)``, or on ``F``, ``F' = F * d``.  An
+    operator whose Gram factor ``F`` (``K x (2N+1)``, see
+    :class:`~divspec.operators.TruncatedOperator`: an array, a curve, a
+    segment, narrow parallel lines) has ``K < 2N+1`` rows tests ``R`` by a
+    Cholesky factor of ``R + 1e-10*I`` and takes one ``K x K``
+    ``eigvalsh(F' R F'^H)``; its eigenvalues beyond rank ``K`` are exact
+    zeros, and ``G`` is never formed.  Every other operator takes
+    ``eigvalsh(R^(1/2) G' R^(1/2))`` of order ``2N+1``, with ``R^(1/2)``
+    from an ``eigh`` of ``R`` that is also ``R``'s PSD test: an eigenvalue
+    below ``-1e-10`` is refused.  This reads ``G``, which a factor
+    operator forms then.  Eigenvalues in ``(-1e-8, 0)`` clamp to zero,
     and any below raises :class:`ExcessiveClampError`.
     """
-    F = op.gram_factor
-    if F is not None and len(F) < op.size:
-        _check_psd(op.rtilde, "coefficient correlation matrix")
-        # F' R F'^H = (R F'^H)^H F'^H
-        Fh = (F * np.exp(-1j * op.alpha0 * op.orders())).conj().T
-        sym = _times(op.rtilde, Fh).conj().T @ Fh
-    else:
+    sym = _narrow_product(op)
+    if sym is None:
         root = _hermitian_sqrt(op.rtilde)
         # R^(1/2) G' R^(1/2) = R^(1/2) (R^(1/2) G')^H
         sym = _times(root, _times(root, _phased_gram(op)).conj().T)
@@ -206,14 +218,18 @@ def solve_spectrum(op: TruncatedOperator) -> DiversitySpectrum:
 def omega_from_traces(op: TruncatedOperator) -> tuple[float, float, float]:
     """``omega`` and the interval of :func:`omega_corrected`, with no eigensolve.
 
-    With ``M = G' R`` (``G'`` as in :func:`solve_spectrum`) the eigenvalues
-    sum to ``tr(M)`` and their squares to ``tr(M^2) = sum(M * M^T)``, so one
-    product, ``M^H = R G'`` (real times complex for a real ``R``), and the
-    solve's own bounds give ``(omega, midpoint, half_width)``.  ``R`` is
-    tested PSD by a Cholesky factor of ``R + 1e-10*I``.
+    The eigenvalues of a matrix ``M`` with the nonzero spectrum of ``G' R``
+    sum to ``tr(M)`` and their squares to ``tr(M^2) = sum(M * M^T)``, so
+    one product and the solve's own bounds give ``(omega, midpoint,
+    half_width)``.  ``M`` is :func:`solve_spectrum`'s ``K x K``
+    ``F' R F'^H`` where that solve takes it, else ``M^H = R G'`` (real
+    times complex for a real ``R``), which reads ``G``.  Either way ``R``
+    is tested PSD by a Cholesky factor of ``R + 1e-10*I``.
     """
-    _check_psd(op.rtilde, "coefficient correlation matrix")
-    P = _times(op.rtilde, _phased_gram(op))
+    P = _narrow_product(op)
+    if P is None:
+        _check_psd(op.rtilde, "coefficient correlation matrix")
+        P = _times(op.rtilde, _phased_gram(op))
     trace = float(np.trace(P).real)
     hs_norm_sq = float(np.sum(P * P.T).real)
     return trace * trace / hs_norm_sq, *_omega_interval(hs_norm_sq, _error_bounds(op)[1])

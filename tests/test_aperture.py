@@ -16,6 +16,7 @@ from divspec.aperture import (
     Rectangle,
     Segment,
     UnsupportedApertureError,
+    _gauss01,
     build_quadrature,
     centering_transform,
     enclosing_radius,
@@ -66,6 +67,16 @@ class TestQuadratureRule:
     def test_unknown_kind_rejected(self):
         with pytest.raises(UnsupportedApertureError):
             build_quadrature(object(), 4)
+
+    def test_gauss_rule_built_once_and_read_only(self):
+        # every rule of one order shares one leggauss rule, which no caller may change
+        t, w = _gauss01(17)
+        assert _gauss01(17)[0] is t and build_quadrature(Segment(1.0), 17).weights is w
+        xi, wl = np.polynomial.legendre.leggauss(17)
+        assert np.array_equal(t, (xi + 1.0) / 2.0) and np.array_equal(w, wl / 2.0)
+        for array in (t, w):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
 
 
 class TestNodePlacement:

@@ -152,6 +152,23 @@ class TestSpectrumCommand:
         assert len(gram) == 39 and len(rtilde) == 39
         assert complex(rtilde[0].split(",")[0]) == 1.0 + 0.0j
 
+    @pytest.mark.parametrize(
+        "aperture",
+        [{"kind": "segment", "length": 1.0}, {"kind": "discrete_array", "points": [[0.0, 0.0], [0.5, 0.2]]}],
+        ids=["segment", "array"],
+    )
+    def test_dump_matrices_write_formed_gram(self, tmp_path, aperture):
+        # a Gauss or antenna factor F forms its G = F^H F only when the dump reads it
+        payload = {"aperture": aperture, "pas": {"kind": "von_mises", "kappa": 3.0}}
+        cfg = write_cfg(tmp_path / "c.cfg", payload)
+        out = tmp_path / "out.csv"
+        assert main(["spectrum", "--config", cfg, "--out", str(out), "--dump-matrices"]) == 0
+        op = ds.build_truncated_operator(cli.make_aperture(aperture), cli.make_pas(payload["pas"]))
+        assert len(op.gram_factor) < op.size
+        lines = (tmp_path / "out_gram.csv").read_text().splitlines()
+        gram = np.array([[complex(v) for v in line.split(",")] for line in lines])
+        assert np.array_equal(gram, operators._factor_gram(op.gram_factor))
+
     def test_oracle_column(self, tmp_path):
         cfg = write_cfg(
             tmp_path / "c.cfg",
@@ -659,10 +676,12 @@ def _assert_rows_close(rows, expected, rtol=1e-13):
                 assert abs(float(got) - float(ref)) <= rtol * abs(float(ref)), (row, want)
 
 
-def _count_work(monkeypatch):
-    counts = {"gram_matrix": 0, "cholesky": 0, "eigh": 0, "eigvalsh": 0}
+def _count_work(monkeypatch, *private):
+    """Calls of ``gram_matrix``, the ``private`` ``operators`` names and three factorisations."""
+    names = ("gram_matrix",) + private
+    counts = dict.fromkeys(names + ("cholesky", "eigh", "eigvalsh"), 0)
     linalg = [(np.linalg, name) for name in ("cholesky", "eigh", "eigvalsh")]
-    for module, name in [(operators, "gram_matrix")] + linalg:
+    for module, name in [(operators, name) for name in names] + linalg:
         original = getattr(module, name)
 
         def counted(*args, _original=original, _name=name, **kwargs):
@@ -699,11 +718,13 @@ class TestSweepReuse:
         _assert_rows_close(_sweep(tmp_path, cfg), _point_rows(cfg)[0])
 
     def test_direction_sweep_builds_once(self, tmp_path, monkeypatch):
-        # one G and its Cholesky test, then one Cholesky test of R per point
+        # one Gauss factor F of the segment's G, whose rule costs leggauss one companion
+        # eigvalsh, no G to test, then one Cholesky test of R per point
         cfg = json.loads((SCENARIO_DIR / "fig7.cfg").read_text())
-        counts = _count_work(monkeypatch)
+        ds.aperture._gauss01.cache_clear()
+        counts = _count_work(monkeypatch, "_node_factor")
         assert len(_sweep(tmp_path, cfg)) == 10
-        assert counts == {"gram_matrix": 1, "cholesky": 11, "eigh": 0, "eigvalsh": 0}
+        assert counts == {"gram_matrix": 0, "_node_factor": 1, "cholesky": 10, "eigh": 0, "eigvalsh": 1}
 
     def test_radius_sweep_runs_no_eigensolve(self, tmp_path, monkeypatch):
         # every point builds G and tests it and R by Cholesky factors

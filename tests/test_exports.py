@@ -34,6 +34,7 @@ REMOVED = [
     "QuadratureConvergenceError",
     "_default_order",
     "_DOUBLING_TOL",
+    "_array_factor",
 ]
 
 

@@ -327,6 +327,137 @@ class TestCurveRule:
         assert ds.nystrom_oracle(point, model).tolist() == [1.0]
 
 
+# 30 antennas within 0.1 wavelength: more rows than the 2N+1 = 25 orders
+_WIDE_ARRAY = np.random.default_rng(30).uniform(-0.1, 0.1, (30, 2))
+
+# line apertures whose Gauss rule has fewer rows than 2N+1: G is F^H F and never formed
+# by a build and solve; Segment(470) is the longest the angle grid admits
+NARROW_LINES = {
+    "segment-0": ds.Segment(0.0),
+    "segment-0.05": ds.Segment(0.05),
+    "segment-1": ds.Segment(1.0),
+    "segment-10": ds.Segment(10.0),
+    "segment-40": ds.Segment(40.0),
+    "segment-470": ds.Segment(470.0),
+    "segment-off-centre": NODE_SUM_CASES["segment"],
+    "one-line": ds.ParallelLines(1, 1.0),
+}
+WIDE_LINES = {
+    # divbench's lines8 (8 x 49 = 392 rows against 2N+1 = 107) and fig8's lines
+    "lines8": ds.ParallelLines(8, 8.0, 6.0, angle=math.radians(10.0)),
+    "fig8": ds.ParallelLines(4, 1.0, 1.0),
+}
+
+
+class _Stop(Exception):
+    pass
+
+
+def _order_at(aperture):
+    """The default ``N`` of ``aperture`` about the origin."""
+    return ds.truncation_order(ds.enclosing_radius(aperture)) + DEFAULT_ORDER_MARGIN
+
+
+class TestFactorRoute:
+    @pytest.mark.parametrize("name", sorted(NARROW_LINES))
+    def test_lines_take_their_rule(self, name, monkeypatch):
+        # the rule's order is read before the rule is built, so that Segment(470)
+        # (2,024 rows against 2N+1 = 4,035) builds neither its rule nor its F here
+        aperture, orders = NARROW_LINES[name], []
+
+        def stop(line, order):
+            orders.append(order)
+            raise _Stop
+
+        monkeypatch.setattr(operators, "build_quadrature", stop)
+        with pytest.raises(_Stop):
+            build_truncated_operator(aperture, ds.IsotropicPas())
+        rows = 1 if aperture.length == 0.0 else orders[0] * getattr(aperture, "count", 1)
+        assert rows < 2 * _order_at(ds.centering_transform(aperture)[0]) + 1
+
+    def test_one_line_is_its_segment(self):
+        model = ds.VonMisesPas(kappa=3.0, alpha0=0.4)
+        line = build_truncated_operator(ds.ParallelLines(1, 1.0, angle=0.3), model)
+        segment = build_truncated_operator(ds.Segment(1.0, angle=0.3), model)
+        assert np.array_equal(line.gram_factor, segment.gram_factor)
+        spectra = [ds.solve_spectrum(op).eigenvalues for op in (line, segment)]
+        assert np.array_equal(*spectra)
+
+    @pytest.mark.parametrize("name", sorted(WIDE_LINES))
+    def test_wide_lines_keep_their_transform(self, name):
+        op = build_truncated_operator(WIDE_LINES[name], ds.VonMisesPas(kappa=5.0))
+        assert op.gram_factor is None and op.gram.shape == (op.size, op.size)
+
+    @pytest.mark.parametrize("name", sorted(set(NARROW_LINES) - {"segment-470"}))
+    def test_factor_gram_within_bound_of_node_sum(self, name):
+        # the allowance is TestCurveRule's: 2**-53 bounds the rule, 1e-13 the round-off
+        # of G itself, whose plane-wave phases reach 2*pi*20 rad on Segment(40)
+        aperture = NARROW_LINES[name]
+        N = _order_at(aperture)
+        F = operators._gram_factor(aperture, N)
+        assert len(F) < 2 * N + 1
+        reference = node_sum_gram(aperture, N, 6 * (N + 1))
+        error = np.linalg.norm(operators._factor_gram(F) - reference, 2)
+        assert error <= 2.0**-53 + 1e-13
+
+    def test_segment_480_refused_before_allocation(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"N=2060 on a Q=4320 .* 298598400-byte"):
+                build_truncated_operator(ds.Segment(480.0), ds.IsotropicPas())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+
+    @pytest.mark.parametrize(
+        "aperture",
+        [ds.Segment(1.0), CURVES["line-arc"]],
+        ids=["segment", "curve"],
+    )
+    @pytest.mark.parametrize(
+        "scale, message",
+        [
+            (1.0 + 1e-9, r"trace .* outside \[0, 1\]"),
+            (1.0 - 1e-3, "trace deficit .* exceeds the tail bound"),
+        ],
+        ids=["trace-above-one", "trace-deficit"],
+    )
+    def test_broken_factor_refused(self, monkeypatch, aperture, scale, message):
+        # G = F^H F is Hermitian and PSD by construction; its trace ||F||_F^2 is checked
+        build = operators._node_factor
+        monkeypatch.setattr(operators, "_node_factor", lambda *args: scale * build(*args))
+        with pytest.raises(ArithmeticError, match=message):
+            build_truncated_operator(aperture, ds.UniformPas(delta=math.pi / 2))
+
+    @pytest.mark.parametrize(
+        "aperture, narrow",
+        [
+            (ds.Segment(1.0), True),
+            (ds.Segment(40.0), True),
+            (CURVES["two-lines-L"], True),
+            (ds.DiscreteArray(((0.0, 0.0), (0.5, 0.2))), True),
+            (LINE_ARC_LINE, False),
+            (ds.DiscreteArray(tuple(map(tuple, _WIDE_ARRAY.tolist()))), False),
+        ],
+        ids=["segment-1", "segment-40", "curve-narrow", "array-narrow", "curve-wide", "array-wide"],
+    )
+    def test_gram_formed_only_where_read(self, monkeypatch, aperture, narrow):
+        products = []
+        form = operators._factor_gram
+        monkeypatch.setattr(operators, "_factor_gram", lambda F: products.append(F.shape) or form(F))
+        op = build_truncated_operator(aperture, ds.VonMisesPas(kappa=3.0, alpha0=0.7))
+        ds.solve_spectrum(op)
+        ds.omega_from_traces(op)
+        K = len(op.gram_factor)
+        # a narrow solve reads only F; a wide one forms G once and keeps it
+        assert (K < op.size) == narrow
+        assert products == ([] if narrow else [(K, op.size)])
+        G = op.gram
+        assert op.gram is G and np.array_equal(G, form(op.gram_factor))
+        assert products == [(K, op.size)]
+
+
 RTILDE_MODELS = {
     "isotropic": ds.IsotropicPas(),
     "uniform-90deg": ds.UniformPas(delta=math.pi / 2, alpha0=0.7),
@@ -516,6 +647,10 @@ def _skew(M):
 # and by a sweep point; every other check when the operator is built
 _READERS = (ds.solve_spectrum, ds.omega_from_traces)
 
+# a broken G needs an aperture whose G comes from its closed-form transform and
+# is tested as a matrix; a segment carries its Gauss factor F and forms no G
+_TRANSFORM_STAND_IN = {"gram_matrix": ds.Rectangle(1.0, 0.5), "rtilde_matrix": ds.Segment(1.0)}
+
 
 class TestValidation:
     @pytest.mark.parametrize(
@@ -542,7 +677,7 @@ class TestValidation:
     def test_broken_matrix_refused(self, monkeypatch, target, breakage, message):
         build = getattr(operators, target)
         monkeypatch.setattr(operators, target, lambda *args: breakage(build(*args)))
-        aperture, model = ds.Segment(1.0), ds.UniformPas(delta=math.pi / 2)
+        aperture, model = _TRANSFORM_STAND_IN[target], ds.UniformPas(delta=math.pi / 2)
         if "correlation matrix indefinite" not in message:
             with pytest.raises(ArithmeticError, match=message):
                 build_truncated_operator(aperture, model)
@@ -578,7 +713,7 @@ class TestValidation:
         shift = self._gram_with_min_eig if target == "gram_matrix" else self._rtilde_with_min_eig
         build = getattr(operators, target)
         monkeypatch.setattr(operators, target, lambda *args: shift(build(*args), lam_min))
-        aperture, model = ds.Segment(1.0), ds.UniformPas(delta=math.pi / 2)
+        aperture, model = _TRANSFORM_STAND_IN[target], ds.UniformPas(delta=math.pi / 2)
         message = f"{label} indefinite: min eigenvalue -2.000e-10"
         if target == "gram_matrix" and refused:
             with pytest.raises(ArithmeticError, match=message):
@@ -639,7 +774,7 @@ class TestValidation:
             ds.solve_spectrum(op)
 
     def test_two_eigensolves_per_solve(self, linalg_calls):
-        for aperture in [ds.Segment(1.0), ds.Disk(0.8)]:
+        for aperture in [ds.Rectangle(1.0, 0.5), ds.Disk(0.8)]:
             linalg_calls.clear()
             op = build_truncated_operator(aperture, ds.VonMisesPas(kappa=3.0))
             ds.solve_spectrum(op)
@@ -658,6 +793,12 @@ class TestValidation:
         ds.solve_spectrum(op)
         assert op.size == 27
         assert linalg_calls == [("cholesky", (27, 27), "float64"), ("eigvalsh", (2, 2), "complex128")]
+        # a segment's 15-node Gauss rule against 31 orders: the same factor route
+        op = build_truncated_operator(ds.Segment(1.0), ds.VonMisesPas(kappa=3.0))
+        linalg_calls.clear()
+        ds.solve_spectrum(op)
+        assert (op.size, len(op.gram_factor)) == (31, 15)
+        assert linalg_calls == [("cholesky", (31, 31), "float64"), ("eigvalsh", (15, 15), "complex128")]
 
     @pytest.mark.parametrize(
         "model, dtype",
@@ -674,7 +815,8 @@ class TestValidation:
         # for the symmetric models at any mean angle; only a tabulated R is complex
         wide = np.random.default_rng(30).uniform(-0.1, 0.1, (30, 2))
         routes = {
-            ds.Segment(1.0): ("eigh", dtype),
+            ds.Rectangle(1.0, 0.5): ("eigh", dtype),
+            ds.Segment(1.0): ("cholesky", dtype),
             ds.DiscreteArray(((0.0, 0.0), (0.5, 0.2))): ("cholesky", dtype),
             ds.DiscreteArray(tuple(map(tuple, wide.tolist()))): ("eigh", dtype),
         }
