@@ -350,6 +350,8 @@ def build_quadrature(aperture, order: int) -> QuadratureRule:
     circle receives ``order`` angular nodes, the disk an ``order`` radial
     by ``2*order + 1`` angular grid, a zero-length curve piece none.  A discrete
     array is a point mass ``1/L`` per antenna, and a zero-length curve a point.
+    A segment's weights are the cached Gauss weights of its order, shared
+    and read-only; copy them to change them.
     """
     order = int(order)
     if order < 1:

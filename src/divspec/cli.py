@@ -21,7 +21,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -340,17 +339,16 @@ def _sweep_operators(cfg: dict, kind: str, values):
 
     A direction point differs from another only in ``alpha0``: the sweep
     builds and checks one operator and gives each point a copy with its
-    own ``alpha0``; a refused build is not cached, so it is refused again
-    at every point.  Copying reads ``gram``, so an operator that carries
-    its factor ``F`` forms ``G`` once for the whole sweep.  Radius and
-    length sweeps take the PAS model and ``N`` from the first point's
+    own ``alpha0``, which forms no ``G`` from a factor ``F``; a refused
+    build is not cached, so it is refused again at every point.  Radius
+    and length sweeps take the PAS model and ``N`` from the first point's
     config and build each point's operator with
     :func:`~divspec.operators.build_truncated_operator`.
     """
     if kind == "direction":
         aperture, model, N = _scenario(_apply_sweep(cfg, kind, 0.0))
         base = functools.cache(lambda: build_truncated_operator(aperture, model, N))
-        return lambda value: replace(base(), alpha0=wrap_angle(value * _RAD))
+        return lambda value: base().with_alpha0(wrap_angle(value * _RAD))
     _, model, N = _scenario(_apply_sweep(cfg, kind, float(values[0])))
     return lambda value: build_truncated_operator(
         make_aperture(_apply_sweep(cfg, kind, value)["aperture"]), model, N

@@ -23,8 +23,8 @@ periodic grid of ``Q`` angles, and the kernel is one weighted sum of
 plane waves on the same grid.  The grid's aliasing is certified by the
 same Bessel tail bound as the truncation, and a grid above ``Q = 4096``
 is refused for ``G``; see :func:`gram_matrix` and :func:`rho_n_kernel`.
-Arrays, curves, segments and parallel lines with a narrow enough Gauss
-rule are node sums, ``G = F^H F`` with a ``K x (2N+1)`` factor ``F``:
+Arrays, curves, segments and single parallel lines are node sums,
+``G = F^H F`` with a ``K x (2N+1)`` factor ``F``:
 their operator keeps ``F`` and forms ``G`` only where it is read (see
 :class:`TruncatedOperator`).
 The orders ``N`` and ``N_D`` and the tail bounds that certify the
@@ -37,7 +37,7 @@ order ``n = i - N``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -239,11 +239,11 @@ def _gram_factor(aperture, N: int) -> np.ndarray | None:
     A rule whose ``rows x Q`` plane waves exceed the byte budget is refused
     before it is built.
     """
-    if not isinstance(aperture, (DiscreteArray, PiecewiseCurve, Segment, ParallelLines)):
+    one_line = isinstance(aperture, Segment) or (
+        isinstance(aperture, ParallelLines) and aperture.count == 1
+    )
+    if not (one_line or isinstance(aperture, (DiscreteArray, PiecewiseCurve))):
         return None
-    lines = getattr(aperture, "count", 1)
-    if lines > 1 and specfun.line_gauss_bound((2 * N) // lines, aperture.length) > _GAUSS_TOL:
-        return None  # the rule would have 2N+1 rows or more
     u = _gram_grid(aperture, N)
     if isinstance(aperture, DiscreteArray):
         return _node_factor(build_quadrature(aperture, 1), u, N)
@@ -251,7 +251,7 @@ def _gram_factor(aperture, N: int) -> np.ndarray | None:
         pieces = sum(p.length > 0.0 for p in aperture.pieces) or 1
         q = _gauss_order(lambda k: _curve_bound(aperture, k), pieces, len(u))
     else:
-        pieces = lines
+        pieces = 1
         q = _gauss_order(lambda k: specfun.line_gauss_bound(k, aperture.length), pieces, len(u))
     _check_grid_bytes(pieces * q, len(u), N)
     return _node_factor(build_quadrature(aperture, q), u, N)
@@ -270,11 +270,11 @@ def gram_matrix(aperture, N: int) -> np.ndarray:
     and each entry of ``G`` by at most twice that, ``r1`` being the radius
     of the aperture about the origin.
 
-    Circles, disks, rectangles and parallel lines whose rule would have
-    ``2N+1`` rows or more have closed-form transforms.  Discrete arrays,
-    piecewise curves, segments and the other parallel lines are weighted
-    point masses, whose ``G`` is ``F^H F`` with the ``K x (2N+1)`` factor
-    ``F_kn = sqrt(w_k)*v_n(x_k)`` evaluated on the same grid.  An array's
+    Circles, disks, rectangles and two or more parallel lines have
+    closed-form transforms.  Discrete arrays, piecewise curves, segments
+    and one parallel line are weighted point masses, whose ``G`` is
+    ``F^H F`` with the ``K x (2N+1)`` factor ``F_kn = sqrt(w_k)*v_n(x_k)``
+    evaluated on the same grid.  An array's
     antennas are exact point masses; the others' are one Gauss rule of
     ``q`` nodes on each piece of positive length (a line being one piece).
     With ``e_n(a) = exp(j*n*a)``,
@@ -376,13 +376,14 @@ class TruncatedOperator:
     ``N`` is the truncation order, ``N_D`` the critical order for the
     enclosing radius ``r1`` of the centred aperture, ``rho_max`` the PAS
     peak factor entering the error bounds, and ``offset`` the translation
-    removed by centring.  An array, a curve, a segment and parallel lines
-    whose Gauss rule has fewer than ``2N+1`` rows carry ``gram_factor``,
-    the ``K x (2N+1)`` factor ``F`` of ``G = F^H F`` (see
-    :func:`gram_matrix`), so ``G R`` has rank at most ``K``; it is
-    ``None`` for every other operator.  The build gives such an operator
-    ``gram=None``: ``gram`` is formed from ``F`` when it is first read, and
-    a solve with ``K < 2N+1`` never reads it.
+    removed by centring.  An array, a curve, a segment and a single
+    parallel line carry ``gram_factor``, the ``K x (2N+1)`` factor ``F``
+    of ``G = F^H F`` (see :func:`gram_matrix`), so ``G R`` has rank at
+    most ``K``; it is ``None`` for every other operator.  The build gives
+    such an operator ``gram=None``: ``gram`` is formed from ``F`` when it
+    is first read, and a solve with ``K < 2N+1`` never reads it, nor does
+    :meth:`with_alpha0`.  ``repr``, ``==`` and ``dataclasses.asdict`` read
+    it.  An operator with neither ``gram`` nor ``gram_factor`` is refused.
 
     ``rtilde`` is ``R(0)``, ``R`` of the PAS about its own axis: real for
     the isotropic, uniform and von Mises models, so every factorisation
@@ -407,8 +408,16 @@ class TruncatedOperator:
     def size(self) -> int:
         return 2 * self.N + 1
 
+    def __post_init__(self):
+        if self.__dict__["_gram"] is None and self.gram_factor is None:
+            raise ValueError("TruncatedOperator needs a gram or a gram_factor")
+
     def orders(self) -> np.ndarray:
         return np.arange(-self.N, self.N + 1)
+
+    def with_alpha0(self, alpha0: float) -> TruncatedOperator:
+        """This operator under the PAS rotated to mean angle ``alpha0``; forms no ``G``."""
+        return replace(self, gram=self.__dict__["_gram"], alpha0=alpha0)
 
 
 def _check_psd(M: np.ndarray, label: str) -> None:

@@ -12,7 +12,7 @@ which is manifestly real and non-negative and keeps the sort stable.
 as a phase on ``G`` (see :class:`~divspec.operators.TruncatedOperator`).
 Where the operator carries a factor ``G = F^H F`` of ``K < 2N+1`` rows
 (an array of ``K`` antennas, or the Gauss rule of a curve, a segment or
-parallel lines), the nonzero eigenvalues of ``G R`` are those of the
+one parallel line), the nonzero eigenvalues of ``G R`` are those of the
 ``K x K`` matrix ``F R F^H``; the solve takes that one eigendecomposition,
 pads with exact zeros and never forms ``G``.
 
@@ -172,7 +172,7 @@ def solve_spectrum(op: TruncatedOperator) -> DiversitySpectrum:
     ``G' = G * outer(conj(d), d)``, or on ``F``, ``F' = F * d``.  An
     operator whose Gram factor ``F`` (``K x (2N+1)``, see
     :class:`~divspec.operators.TruncatedOperator`: an array, a curve, a
-    segment, narrow parallel lines) has ``K < 2N+1`` rows tests ``R`` by a
+    segment, one parallel line) has ``K < 2N+1`` rows tests ``R`` by a
     Cholesky factor of ``R + 1e-10*I`` and takes one ``K x K``
     ``eigvalsh(F' R F'^H)``; its eigenvalues beyond rank ``K`` are exact
     zeros, and ``G`` is never formed.  Every other operator takes

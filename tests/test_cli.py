@@ -719,12 +719,19 @@ class TestSweepReuse:
 
     def test_direction_sweep_builds_once(self, tmp_path, monkeypatch):
         # one Gauss factor F of the segment's G, whose rule costs leggauss one companion
-        # eigvalsh, no G to test, then one Cholesky test of R per point
+        # eigvalsh, no G formed or tested, then one Cholesky test of R per point
         cfg = json.loads((SCENARIO_DIR / "fig7.cfg").read_text())
         ds.aperture._gauss01.cache_clear()
-        counts = _count_work(monkeypatch, "_node_factor")
+        counts = _count_work(monkeypatch, "_node_factor", "_factor_gram")
         assert len(_sweep(tmp_path, cfg)) == 10
-        assert counts == {"gram_matrix": 0, "_node_factor": 1, "cholesky": 10, "eigh": 0, "eigvalsh": 1}
+        assert counts == {
+            "gram_matrix": 0,
+            "_node_factor": 1,
+            "_factor_gram": 0,
+            "cholesky": 10,
+            "eigh": 0,
+            "eigvalsh": 1,
+        }
 
     def test_radius_sweep_runs_no_eigensolve(self, tmp_path, monkeypatch):
         # every point builds G and tests it and R by Cholesky factors

@@ -342,10 +342,11 @@ NARROW_LINES = {
     "segment-off-centre": NODE_SUM_CASES["segment"],
     "one-line": ds.ParallelLines(1, 1.0),
 }
-WIDE_LINES = {
-    # divbench's lines8 (8 x 49 = 392 rows against 2N+1 = 107) and fig8's lines
+MANY_LINES = {
+    # divbench's lines8, fig8's lines, and short lines far apart, whose rule would be narrow
     "lines8": ds.ParallelLines(8, 8.0, 6.0, angle=math.radians(10.0)),
     "fig8": ds.ParallelLines(4, 1.0, 1.0),
+    "spaced-short": ds.ParallelLines(2, 0.1, 5.0),
 }
 
 
@@ -372,7 +373,7 @@ class TestFactorRoute:
         monkeypatch.setattr(operators, "build_quadrature", stop)
         with pytest.raises(_Stop):
             build_truncated_operator(aperture, ds.IsotropicPas())
-        rows = 1 if aperture.length == 0.0 else orders[0] * getattr(aperture, "count", 1)
+        rows = 1 if aperture.length == 0.0 else orders[0]
         assert rows < 2 * _order_at(ds.centering_transform(aperture)[0]) + 1
 
     def test_one_line_is_its_segment(self):
@@ -383,9 +384,9 @@ class TestFactorRoute:
         spectra = [ds.solve_spectrum(op).eigenvalues for op in (line, segment)]
         assert np.array_equal(*spectra)
 
-    @pytest.mark.parametrize("name", sorted(WIDE_LINES))
-    def test_wide_lines_keep_their_transform(self, name):
-        op = build_truncated_operator(WIDE_LINES[name], ds.VonMisesPas(kappa=5.0))
+    @pytest.mark.parametrize("name", sorted(MANY_LINES))
+    def test_many_lines_keep_their_transform(self, name):
+        op = build_truncated_operator(MANY_LINES[name], ds.VonMisesPas(kappa=5.0))
         assert op.gram_factor is None and op.gram.shape == (op.size, op.size)
 
     @pytest.mark.parametrize("name", sorted(set(NARROW_LINES) - {"segment-470"}))
@@ -452,10 +453,19 @@ class TestFactorRoute:
         K = len(op.gram_factor)
         # a narrow solve reads only F; a wide one forms G once and keeps it
         assert (K < op.size) == narrow
+        turned = op.with_alpha0(-0.4)
+        assert turned.alpha0 == -0.4 and turned.gram_factor is op.gram_factor
+        ds.solve_spectrum(turned)
         assert products == ([] if narrow else [(K, op.size)])
         G = op.gram
         assert op.gram is G and np.array_equal(G, form(op.gram_factor))
         assert products == [(K, op.size)]
+        assert op.with_alpha0(0.1).gram is G
+
+    def test_operator_without_gram_or_factor_refused(self):
+        op = build_truncated_operator(ds.Segment(1.0), ds.IsotropicPas())
+        with pytest.raises(ValueError, match="needs a gram or a gram_factor"):
+            replace(op, gram=None, gram_factor=None)
 
 
 RTILDE_MODELS = {
