@@ -490,9 +490,14 @@ def centering_transform(aperture):
     Returns the centred aperture together with the offset that was removed
     (the original circle centre).  Centring minimises the enclosing radius
     and therefore the truncation order; the correlation kernel depends only
-    on coordinate differences, so spectra are unaffected.
+    on coordinate differences, so spectra are unaffected.  A circle or a
+    disk is its own enclosing circle: it moves by exactly its centre, which
+    leaves it at the origin.
     """
-    center, _ = smallest_enclosing_circle(_extent_points(aperture))
+    if isinstance(aperture, (Circle, Disk)):
+        center = np.asarray(aperture.center)
+    else:
+        center, _ = smallest_enclosing_circle(_extent_points(aperture))
     return translate(aperture, -center), center
 
 

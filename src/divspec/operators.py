@@ -16,16 +16,20 @@ whole problem:
 The eigenvalues of their product approximate the diversity spectrum; see
 :mod:`divspec.spectrum`.
 
-``G`` and the correlation kernel are evaluated in the angle domain.  By
-Jacobi-Anger each ``v_n`` is an angle integral of plane waves, so ``G``
-is the 2-D DFT of the aperture measure's Fourier transform sampled on a
-periodic grid of ``Q`` angles, and the kernel is one weighted sum of
-plane waves on the same grid.  The grid's aliasing is certified by the
-same Bessel tail bound as the truncation, and a grid above ``Q = 4096``
-is refused for ``G``; see :func:`gram_matrix` and :func:`rho_n_kernel`.
-Arrays, curves, segments and single parallel lines are node sums,
-``G = F^H F`` with a ``K x (2N+1)`` factor ``F``:
-their operator keeps ``F`` and forms ``G`` only where it is read (see
+The measure of a centred circle or disk is rotation invariant, so its
+``G`` is diagonal in closed form, ``g_n = J_n(z)**2`` on a circle and
+``J_n(z)**2 - J_{n-1}(z)*J_{n+1}(z)`` on a disk, ``z = 2*pi*radius``;
+their operator keeps ``g``.  Every other ``G`` and the correlation kernel
+are evaluated in the angle domain.  By Jacobi-Anger each ``v_n`` is an
+angle integral of plane waves, so ``G`` is the 2-D DFT of the aperture
+measure's Fourier transform sampled on a periodic grid of ``Q`` angles,
+and the kernel is one weighted sum of plane waves on the same grid.  The
+grid's aliasing is certified by the same Bessel tail bound as the
+truncation, and a grid above ``Q = 4096`` is refused for ``G``; see
+:func:`gram_matrix` and :func:`rho_n_kernel`.  Arrays, curves, segments
+and single parallel lines are node sums, ``G = F^H F`` with a
+``K x (2N+1)`` factor ``F``: their operator keeps ``F``.  An operator
+that keeps ``g`` or ``F`` forms ``G`` only where it is read (see
 :class:`TruncatedOperator`).
 The orders ``N`` and ``N_D`` and the tail bounds that certify the
 truncation come from :mod:`divspec.specfun`.
@@ -74,7 +78,8 @@ _ALIAS_MARGIN = 40
 
 #: Largest complex matrix (bytes) of an angle-grid evaluation: the Gram
 #: assembly's ``Q x Q`` transform (``Q = 4096``), a curve's or an
-#: array's ``K x Q`` plane waves, or an array's correlation matrix.
+#: array's ``K x Q`` plane waves, or an array's correlation matrix; and
+#: a circle's or disk's ``R``, sized as complex whatever the PAS.
 _MAX_GRID_BYTES = 1 << 28
 
 #: Row-block size (bytes) of the streamed kernel evaluation, small enough
@@ -141,7 +146,8 @@ def _radial_factor(aperture, Q: int) -> np.ndarray:
 
     ``z = 2*pi*radius*|u_q - u_p|`` and ``|u_q - u_p| = 2*sin(pi*d/Q)``
     depend only on ``d = (q - p) mod Q``, so ``Q`` values are evaluated,
-    not ``Q**2``.
+    not ``Q**2``.  Only :func:`gram_matrix` of an off-centre circle or
+    disk reaches it: the operator centres first and keeps the diagonal.
     """
     d = np.arange(Q)
     z = 4.0 * math.pi * aperture.radius * np.sin(math.pi * d / Q)
@@ -183,6 +189,32 @@ def _gram_from_transform(phi: np.ndarray, N: int) -> np.ndarray:
     idx = np.arange(-N, N + 1) % Q
     G = np.fft.fft(np.fft.ifft(phi, axis=1)[:, idx], axis=0)[idx] / Q
     return 0.5 * (G + G.conj().T)
+
+
+def _gram_diagonal(aperture, N: int) -> np.ndarray | None:
+    """Diagonal ``g`` of a centred circle's or disk's ``G``, else ``None``.
+
+    ``G_nn`` is the mean of ``J_n(2*pi*rho)**2`` over the measure: at
+    ``rho = r`` on a circle, and with weight ``2*rho/r**2`` on a disk,
+    where ``int_0^r J_n(k*rho)**2 rho drho = (r**2/2)*(J_n(kr)**2 -
+    J_{n-1}(kr)*J_{n+1}(kr))``.  The operator's largest matrix is then
+    ``R``, of order ``2N+1``; one above ``_MAX_GRID_BYTES`` as a complex
+    matrix is refused before anything is allocated.
+    """
+    if not isinstance(aperture, (Circle, Disk)) or tuple(aperture.center) != (0.0, 0.0):
+        return None
+    size = 2 * N + 1
+    nbytes = size * size * np.dtype(complex).itemsize
+    if nbytes > _MAX_GRID_BYTES:
+        raise ValueError(
+            f"evaluation at N={N} needs a {size}x{size} {nbytes}-byte coefficient "
+            f"correlation matrix R, above the {_MAX_GRID_BYTES}-byte limit"
+        )
+    J = jv(np.arange(-N - 1, N + 2), 2.0 * math.pi * aperture.radius)
+    if isinstance(aperture, Circle):
+        return J[1:-1] ** 2
+    # an integral of a square: round-off below zero clamps
+    return np.maximum(J[1:-1] ** 2 - J[:-2] * J[2:], 0.0)
 
 
 def _gram_grid(aperture, N: int) -> np.ndarray:
@@ -270,8 +302,10 @@ def gram_matrix(aperture, N: int) -> np.ndarray:
     and each entry of ``G`` by at most twice that, ``r1`` being the radius
     of the aperture about the origin.
 
-    Circles, disks, rectangles and two or more parallel lines have
-    closed-form transforms.  Discrete arrays, piecewise curves, segments
+    A centred circle's or disk's ``G`` is diagonal in closed form (see
+    ``_gram_diagonal``) and is formed from it, with no grid; off centre,
+    circles and disks, like rectangles and two or more parallel lines,
+    have closed-form transforms.  Discrete arrays, piecewise curves, segments
     and one parallel line are weighted point masses, whose ``G`` is
     ``F^H F`` with the ``K x (2N+1)`` factor ``F_kn = sqrt(w_k)*v_n(x_k)``
     evaluated on the same grid.  An array's
@@ -287,9 +321,13 @@ def gram_matrix(aperture, N: int) -> np.ndarray:
     ``2**-53``, under the solve's round-off like the grid's ``0.2*exp(-40)``, so
     the printed bounds do not carry it.  ``Q > 4096``, or a node matrix above
     the same 256 MiB, is refused with ``ValueError`` before it is allocated, a
-    curve's before its rule is built.
+    curve's before its rule is built; a centred circle or disk is refused
+    when its ``2N+1``-order complex ``R`` would exceed those 256 MiB.
     """
     N = int(N)
+    g = _gram_diagonal(aperture, N)
+    if g is not None:
+        return np.diag(g)
     F = _gram_factor(aperture, N)
     if F is not None:
         return _factor_gram(F)
@@ -303,9 +341,13 @@ def rtilde_matrix(model: PasModel, N: int) -> np.ndarray:
     the diagonal is exactly one by the unit-power normalisation.
     """
     N = int(N)
-    s = model.fourier(np.arange(-2 * N, 2 * N + 1))
-    # window m of s_(-2N..2N), reversed, is s_(m-n) for n = 0..2N
-    return sliding_window_view(s, 2 * N + 1)[:, ::-1].copy()
+    return _toeplitz(model.fourier(np.arange(-2 * N, 2 * N + 1)))
+
+
+def _toeplitz(s: np.ndarray) -> np.ndarray:
+    """``T_mn = s_(m-n)``, ``m, n = 0..2N``, from ``s = s_(-2N..2N)``, of ``s``'s dtype."""
+    # window m of s, reversed, is s_(m-n) for n = 0..2N
+    return sliding_window_view(s, (len(s) + 1) // 2)[:, ::-1].copy()
 
 
 def _kernel_grid(model: PasModel, radius: float, N: int | None):
@@ -355,21 +397,23 @@ def rho_n_kernel(model: PasModel, x, N: int | None = None):
 
 
 class _FormedOnRead:
-    """The ``gram`` field: the ``G`` it was given, or else ``F^H F``, formed when first read."""
+    """The ``gram`` field: the ``G`` given, else ``F^H F`` or ``diag(g)``, formed on first read."""
 
     def __get__(self, op, owner=None):
         if op is None:
             raise AttributeError("gram")  # no class-level default: the field is required
         G = op.__dict__["_gram"]
         if G is None:
-            G = op.__dict__["_gram"] = _factor_gram(op.gram_factor)
+            F = op.gram_factor
+            G = _factor_gram(F) if F is not None else np.diag(op.gram_diagonal)
+            op.__dict__["_gram"] = G
         return G
 
     def __set__(self, op, G):
         op.__dict__["_gram"] = G
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruncatedOperator:
     """Matrix pair ``(G, R)`` plus the truncation metadata.
 
@@ -379,11 +423,15 @@ class TruncatedOperator:
     removed by centring.  An array, a curve, a segment and a single
     parallel line carry ``gram_factor``, the ``K x (2N+1)`` factor ``F``
     of ``G = F^H F`` (see :func:`gram_matrix`), so ``G R`` has rank at
-    most ``K``; it is ``None`` for every other operator.  The build gives
-    such an operator ``gram=None``: ``gram`` is formed from ``F`` when it
-    is first read, and a solve with ``K < 2N+1`` never reads it, nor does
-    :meth:`with_alpha0`.  ``repr``, ``==`` and ``dataclasses.asdict`` read
-    it.  An operator with neither ``gram`` nor ``gram_factor`` is refused.
+    most ``K``.  A circle and a disk carry ``gram_diagonal``, the real
+    ``g`` of their diagonal ``G = diag(g)``.  Each is ``None`` for every
+    other operator.  The build gives an operator with either ``gram=None``:
+    ``gram`` is formed from ``F`` or ``g`` when it is first read.  The
+    solve of a circle, a disk or a factor with ``K < 2N+1`` never reads
+    it, nor does :meth:`with_alpha0`; ``repr`` and
+    ``dataclasses.asdict`` read it.  ``==`` compares identity and reads
+    no matrix.  An operator with none of ``gram``, ``gram_factor`` and
+    ``gram_diagonal`` is refused.
 
     ``rtilde`` is ``R(0)``, ``R`` of the PAS about its own axis: real for
     the isotropic, uniform and von Mises models, so every factorisation
@@ -391,26 +439,28 @@ class TruncatedOperator:
     ``alpha0`` is the PAS's mean angle: the operator stands for
     ``(G, R(alpha0))`` with ``R(alpha0) = D R(0) D^H`` exactly,
     ``D = diag(exp(-j*n*alpha0))``, which the solve applies as a phase on
-    ``G`` (or ``F``); ``R(alpha0)`` is PSD exactly when ``R(0)`` is.
+    ``G`` (or ``F``); ``R(alpha0)`` is PSD exactly when ``R(0)`` is, and a
+    diagonal ``G`` commutes with ``D``.
     """
 
     N: int
     N_D: int
     r1: float
-    gram: np.ndarray | None = _FormedOnRead()  # a required field; None with a gram_factor
+    gram: np.ndarray | None = _FormedOnRead()  # a required field; None with a factor or diagonal
     rtilde: np.ndarray
     rho_max: float
     offset: np.ndarray
     gram_factor: np.ndarray | None = None
     alpha0: float = 0.0
+    gram_diagonal: np.ndarray | None = None
 
     @property
     def size(self) -> int:
         return 2 * self.N + 1
 
     def __post_init__(self):
-        if self.__dict__["_gram"] is None and self.gram_factor is None:
-            raise ValueError("TruncatedOperator needs a gram or a gram_factor")
+        if all(m is None for m in (self.__dict__["_gram"], self.gram_factor, self.gram_diagonal)):
+            raise ValueError("TruncatedOperator needs a gram, a gram_factor or a gram_diagonal")
 
     def orders(self) -> np.ndarray:
         return np.arange(-self.N, self.N + 1)
@@ -427,11 +477,20 @@ def _check_psd(M: np.ndarray, label: str) -> None:
     (up to round-off in the factorisation); only a refusal pays for
     ``eigvalsh``, to name that eigenvalue.
     """
+    shifted = M.copy()
+    shifted.flat[:: len(M) + 1] += _PSD_TOL
     try:
-        np.linalg.cholesky(M + _PSD_TOL * np.eye(len(M)))
+        np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         lam_min = float(np.linalg.eigvalsh(M)[0])
         raise ArithmeticError(f"{label} indefinite: min eigenvalue {lam_min:.3e}") from None
+
+
+def _asymmetry(M: np.ndarray) -> float:
+    """``max |M - M^H|``, formed in one scratch matrix of ``M``'s size."""
+    D = np.conj(M.T)
+    np.subtract(M, D, out=D)
+    return float(np.max(np.abs(D, out=D)).real)
 
 
 def build_truncated_operator(aperture, model: PasModel, N: int | None = None) -> TruncatedOperator:
@@ -440,27 +499,32 @@ def build_truncated_operator(aperture, model: PasModel, N: int | None = None) ->
     The aperture is centred first (the kernel is stationary, so this only
     shrinks the enclosing radius ``r1``), and ``N`` is chosen or refused by
     :func:`~divspec.specfun.series_order` at ``r1``.  ``R`` is built about
-    the PAS's own axis, the mean angle kept as ``alpha0``.  A node sum
-    keeps its Gram factor ``F`` and forms no ``G`` (see
+    the PAS's own axis, the mean angle kept as ``alpha0``, and is real
+    when its coefficients are.  A circle or a disk keeps its diagonal
+    ``g`` and a node sum its Gram factor ``F``; neither forms ``G`` (see
     :class:`TruncatedOperator`).  Each invariant that can fail is tested
-    once: here ``G``'s trace against the tail bound, as ``||F||_F**2`` for
-    a factor, and the symmetry and PSD of a ``G`` from a transform, which
-    ``G = F^H F`` has by construction; ``R``'s symmetry and unit diagonal;
-    ``R``'s PSD where ``R`` is read, in :mod:`divspec.spectrum`.
+    once: here ``G``'s trace against the tail bound, as ``sum(g)`` or
+    ``||F||_F**2``, and the symmetry and PSD of a ``G`` from a transform,
+    which ``diag(g)`` and ``F^H F`` have by construction; ``R``'s symmetry
+    and unit diagonal; ``R``'s PSD where ``R`` is read, in
+    :mod:`divspec.spectrum`.
     """
     centered, offset = centering_transform(aperture)
     r1 = enclosing_radius(centered)
     N, n_critical = specfun.series_order(r1, N)
+    g = _gram_diagonal(centered, N)
     F = _gram_factor(centered, N)
-    if F is None:
+    if g is not None:
+        G, trace = None, float(g.sum())
+    elif F is not None:
+        G, trace = None, float(np.vdot(F, F).real)
+    else:
         G = gram_matrix(centered, N)
         scale = max(1.0, float(np.max(np.abs(G))))
-        if float(np.max(np.abs(G - G.conj().T))) > 1e-14 * scale:
+        if _asymmetry(G) > 1e-14 * scale:
             raise ArithmeticError("Gram matrix lost Hermitian symmetry")
         _check_psd(G, "Gram matrix")
         trace = float(np.trace(G).real)
-    else:
-        G, trace = None, float(np.vdot(F, F).real)
     if trace > 1.0 + 1e-12 or trace < -1e-12:
         raise ArithmeticError(f"Gram trace {trace} outside [0, 1]")
     residual = specfun.bessel_sq_tail_bound(N, r1)
@@ -468,10 +532,9 @@ def build_truncated_operator(aperture, model: PasModel, N: int | None = None) ->
         raise ArithmeticError(
             f"Gram trace deficit {1.0 - trace:.3e} exceeds the tail bound {residual:.3e}"
         )
-    R = rtilde_matrix(model._on_axis(), N)
-    if not R.imag.any():
-        R = R.real.copy()
-    if float(np.max(np.abs(R - R.conj().T))) > 1e-14:
+    s = model._on_axis().fourier(np.arange(-2 * N, 2 * N + 1))
+    R = _toeplitz(s if s.imag.any() else s.real)
+    if _asymmetry(R) > 1e-14:
         raise ArithmeticError("coefficient correlation matrix is not Hermitian")
     if float(np.max(np.abs(np.diag(R) - 1.0))) > 1e-12:
         raise ArithmeticError("coefficient correlation matrix diagonal is not 1")
@@ -485,4 +548,5 @@ def build_truncated_operator(aperture, model: PasModel, N: int | None = None) ->
         offset=np.asarray(offset, dtype=float),
         gram_factor=F,
         alpha0=model.alpha0,
+        gram_diagonal=g,
     )

@@ -10,11 +10,13 @@ solve goes through the spectral square root:
 which is manifestly real and non-negative and keeps the sort stable.
 ``R`` is ``R(0)``, about the PAS's own axis, with the mean angle applied
 as a phase on ``G`` (see :class:`~divspec.operators.TruncatedOperator`).
-Where the operator carries a factor ``G = F^H F`` of ``K < 2N+1`` rows
-(an array of ``K`` antennas, or the Gauss rule of a curve, a segment or
-one parallel line), the nonzero eigenvalues of ``G R`` are those of the
-``K x K`` matrix ``F R F^H``; the solve takes that one eigendecomposition,
-pads with exact zeros and never forms ``G``.
+Two kinds of operator need no ``R^(1/2)`` and never form ``G``.  A
+circle's or disk's ``G = diag(g)`` is diagonal, so ``G R`` has the
+spectrum of ``diag(sqrt(g)) R diag(sqrt(g))``, real with ``R``.  Where
+the operator carries a factor ``G = F^H F`` of ``K < 2N+1`` rows (an
+array of ``K`` antennas, or the Gauss rule of a curve, a segment or one
+parallel line), the nonzero eigenvalues of ``G R`` are those of the
+``K x K`` matrix ``F R F^H``; the solve pads them with exact zeros.
 
 Each solve carries two certified error bounds scaled from the tail bound
 of :mod:`divspec.specfun`, which also sets ``N`` and ``N_D``: one for each
@@ -145,15 +147,22 @@ def _phased_gram(op: TruncatedOperator) -> np.ndarray:
     return op.gram * np.outer(d.conj(), d)
 
 
-def _narrow_product(op: TruncatedOperator) -> np.ndarray | None:
-    """``F' R F'^H`` (``F' = F * d``) of a Gram factor of ``K < 2N+1`` rows, else ``None``.
+def _product_without_gram(op: TruncatedOperator) -> np.ndarray | None:
+    """A Hermitian matrix with the nonzero spectrum of ``G' R``, formed with no ``G``, or ``None``.
 
-    ``R`` is tested PSD first by a Cholesky factor of ``R + 1e-10*I``.
+    For a circle's or disk's ``G = diag(g)``, which the phase leaves as it
+    is, that is ``diag(sqrt(g)) R diag(sqrt(g))``, of order ``2N+1`` and
+    real with ``R``; for a Gram factor of ``K < 2N+1`` rows it is the
+    ``K x K`` ``F' R F'^H`` (``F' = F * d``).  ``R`` is tested PSD first
+    by a Cholesky factor of ``R + 1e-10*I``.
     """
-    F = op.gram_factor
-    if F is None or len(F) >= op.size:
+    g, F = op.gram_diagonal, op.gram_factor
+    if g is None and (F is None or len(F) >= op.size):
         return None
     _check_psd(op.rtilde, "coefficient correlation matrix")
+    if g is not None:
+        w = np.sqrt(g)
+        return w[:, None] * op.rtilde * w
     # F' R F'^H = (R F'^H)^H F'^H
     Fh = (F * np.exp(-1j * op.alpha0 * op.orders())).conj().T
     return _times(op.rtilde, Fh).conj().T @ Fh
@@ -169,20 +178,25 @@ def solve_spectrum(op: TruncatedOperator) -> DiversitySpectrum:
     """Solve the truncated eigenvalue problem and attach certified bounds.
 
     The mean angle is the phase ``d = exp(-j*alpha0*n)`` on ``G``,
-    ``G' = G * outer(conj(d), d)``, or on ``F``, ``F' = F * d``.  An
-    operator whose Gram factor ``F`` (``K x (2N+1)``, see
+    ``G' = G * outer(conj(d), d)``, or on ``F``, ``F' = F * d``; a
+    diagonal ``G`` commutes with it.  Two routes form no ``G`` and take no
+    ``R^(1/2)``: each tests ``R`` by a Cholesky factor of ``R + 1e-10*I``
+    and takes one ``eigvalsh``.  A circle or a disk, whose operator
+    carries the diagonal ``g`` of ``G``, takes
+    ``eigvalsh(diag(sqrt(g)) R diag(sqrt(g)))`` of order ``2N+1``, real
+    for the isotropic, uniform and von Mises models.  An operator whose
+    Gram factor ``F`` (``K x (2N+1)``, see
     :class:`~divspec.operators.TruncatedOperator`: an array, a curve, a
-    segment, one parallel line) has ``K < 2N+1`` rows tests ``R`` by a
-    Cholesky factor of ``R + 1e-10*I`` and takes one ``K x K``
+    segment, one parallel line) has ``K < 2N+1`` rows takes one ``K x K``
     ``eigvalsh(F' R F'^H)``; its eigenvalues beyond rank ``K`` are exact
-    zeros, and ``G`` is never formed.  Every other operator takes
+    zeros.  Every other operator takes
     ``eigvalsh(R^(1/2) G' R^(1/2))`` of order ``2N+1``, with ``R^(1/2)``
     from an ``eigh`` of ``R`` that is also ``R``'s PSD test: an eigenvalue
     below ``-1e-10`` is refused.  This reads ``G``, which a factor
     operator forms then.  Eigenvalues in ``(-1e-8, 0)`` clamp to zero,
     and any below raises :class:`ExcessiveClampError`.
     """
-    sym = _narrow_product(op)
+    sym = _product_without_gram(op)
     if sym is None:
         root = _hermitian_sqrt(op.rtilde)
         # R^(1/2) G' R^(1/2) = R^(1/2) (R^(1/2) G')^H
@@ -220,13 +234,17 @@ def omega_from_traces(op: TruncatedOperator) -> tuple[float, float, float]:
 
     The eigenvalues of a matrix ``M`` with the nonzero spectrum of ``G' R``
     sum to ``tr(M)`` and their squares to ``tr(M^2) = sum(M * M^T)``, so
-    one product and the solve's own bounds give ``(omega, midpoint,
-    half_width)``.  ``M`` is :func:`solve_spectrum`'s ``K x K``
-    ``F' R F'^H`` where that solve takes it, else ``M^H = R G'`` (real
-    times complex for a real ``R``), which reads ``G``.  Either way ``R``
-    is tested PSD by a Cholesky factor of ``R + 1e-10*I``.
+    one matrix and the solve's own bounds give ``(omega, midpoint,
+    half_width)``.  ``M`` is the matrix that :func:`solve_spectrum`
+    eigensolves where it forms no ``G``: for a circle or a disk
+    ``diag(sqrt(g)) R diag(sqrt(g))``, whose traces are ``sum g_n R_nn``
+    and ``sum g_m g_n |R_mn|**2``, read in ``O(N**2)`` with no matrix
+    product; for a Gram factor of ``K < 2N+1`` rows ``F' R F'^H``.  Else
+    it is ``M^H = R G'`` (real times complex for a real ``R``), which
+    reads ``G``.  Either way ``R`` is tested PSD by a Cholesky factor of
+    ``R + 1e-10*I``.
     """
-    P = _narrow_product(op)
+    P = _product_without_gram(op)
     if P is None:
         _check_psd(op.rtilde, "coefficient correlation matrix")
         P = _times(op.rtilde, _phased_gram(op))

@@ -114,6 +114,18 @@ class TestSpectrumCommand:
         assert time.perf_counter() - start < 1.0
         assert "byte limit" in capsys.readouterr().err and not out.exists()
 
+    @pytest.mark.parametrize("kind", ["circle", "disk"])
+    def test_oversized_circle_refused_quickly(self, tmp_path, capsys, kind):
+        # radius 240 needs a 4121 x 4121 R, above the byte limit as a complex matrix
+        payload = {"aperture": {"kind": kind, "radius": 240.0}, "pas": {"kind": "von_mises", "kappa": 3.0}}
+        cfg = write_cfg(tmp_path / "c.cfg", payload)
+        out = tmp_path / "o.csv"
+        start = time.perf_counter()
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 3
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "4121x4121 271722256-byte coefficient correlation matrix R" in err and not out.exists()
+
     def test_missing_field_exit_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.cfg", {"aperture": {"kind": "circle"}, "pas": {"kind": "isotropic"}})
         assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
@@ -223,6 +235,12 @@ class TestSpectrumCommand:
         assert float(rows[0][2]) <= 1.0 + 1e-9
 
 
+# a broken G needs points whose G comes from the closed-form transform
+LENGTH_SWEEP = {
+    "aperture": {"kind": "rectangle", "width": 1.0, "height": 0.5},
+    "pas": {"kind": "uniform", "delta_deg": 90.0},
+    "sweep": {"kind": "length", "start": 0.5, "stop": 1.0, "steps": 3},
+}
 DIRECTION_SWEEP = {"kind": "direction", "start": 0.0, "stop": 90.0, "steps": 3}
 ISOTROPIC_DOPPLER = {"pas": {"kind": "isotropic"}}
 NAN = float("nan")
@@ -496,7 +514,9 @@ def test_angle_grid_certified_on_shipped_inputs(monkeypatch):
     for path in paths:
         for cfg in _gram_inputs(json.loads(path.read_text())):
             cli._solve_scenario(cfg)
-    assert len(grids) == 2 + 90 + 5
+    # circles and disks (fig2 to fig5, disk3) build no grid: fig6 to fig8 build 20 + 10 + 10,
+    # the divbench segment, curve, lines and rectangle one each
+    assert len(grids) == 40 + 4
     for N, r1, Q in grids:
         assert ds.bessel_abs_tail_bound(Q - N - 1, r1) <= 1e-17
 
@@ -734,11 +754,20 @@ class TestSweepReuse:
         }
 
     def test_radius_sweep_runs_no_eigensolve(self, tmp_path, monkeypatch):
-        # every point builds G and tests it and R by Cholesky factors
+        # every point keeps its circle's diagonal G, forms no transform and no G,
+        # and tests R by one Cholesky factor
         cfg = json.loads((SCENARIO_DIR / "fig4.cfg").read_text())
-        counts = _count_work(monkeypatch)
+        counts = _count_work(monkeypatch, "_gram_diagonal", "_aperture_transform", "_factor_gram")
         assert len(_sweep(tmp_path, cfg)) == 25
-        assert counts == {"gram_matrix": 25, "cholesky": 50, "eigh": 0, "eigvalsh": 0}
+        assert counts == {
+            "gram_matrix": 0,
+            "_gram_diagonal": 25,
+            "_aperture_transform": 0,
+            "_factor_gram": 0,
+            "cholesky": 25,
+            "eigh": 0,
+            "eigvalsh": 0,
+        }
 
     @pytest.mark.parametrize(
         "cfg",
@@ -781,11 +810,12 @@ class TestSweepReuse:
 @pytest.mark.parametrize(
     "cfg, target, breakage, message",
     [
-        (RADIUS_SWEEP, "rtilde_matrix", lambda R: _rtilde_with_min_eig(R, -2e-10), R_INDEFINITE),
-        (DIRECTION_SWEEP, "rtilde_matrix", lambda R: _rtilde_with_min_eig(R, -2e-10), R_INDEFINITE),
-        (RADIUS_SWEEP, "gram_matrix", _skew, "Gram matrix lost Hermitian symmetry"),
-        (RADIUS_SWEEP, "gram_matrix", lambda G: G - 1e-6 * np.eye(len(G)), "Gram matrix indefinite"),
-        (RADIUS_SWEEP, "gram_matrix", lambda G: G * (1.0 - 1e-3), "trace deficit .* exceeds the tail bound"),
+        (RADIUS_SWEEP, "_toeplitz", lambda R: _rtilde_with_min_eig(R, -2e-10), R_INDEFINITE),
+        (DIRECTION_SWEEP, "_toeplitz", lambda R: _rtilde_with_min_eig(R, -2e-10), R_INDEFINITE),
+        (LENGTH_SWEEP, "gram_matrix", _skew, "Gram matrix lost Hermitian symmetry"),
+        (LENGTH_SWEEP, "gram_matrix", lambda G: G - 1e-6 * np.eye(len(G)), "Gram matrix indefinite"),
+        (LENGTH_SWEEP, "gram_matrix", lambda G: G * (1.0 - 1e-3), "trace deficit .* exceeds the tail bound"),
+        (RADIUS_SWEEP, "_gram_diagonal", lambda g: g * (1.0 - 1e-3), "trace deficit .* exceeds the tail bound"),
     ],
     ids=[
         "rtilde-indefinite-radius",
@@ -793,6 +823,7 @@ class TestSweepReuse:
         "gram-not-hermitian",
         "gram-indefinite",
         "trace-deficit",
+        "diagonal-trace-deficit",
     ],
 )
 def test_refusal_fires_on_every_sweep_point(cfg, target, breakage, message, tmp_path, monkeypatch, capsys):

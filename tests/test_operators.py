@@ -178,6 +178,19 @@ class TestGram:
         lam = ds.solve_spectrum(op).eigenvalues
         assert np.max(np.abs(lam - expected)) <= 1e-14
 
+    @pytest.mark.parametrize(
+        "aperture",
+        [kind(radius) for kind in (ds.Circle, ds.Disk) for radius in (1e-3, 0.02, 1.0, 3.0, 10.0, 40.0)]
+        + [ds.Disk(0.0)],
+        ids=lambda a: f"{type(a).__name__.lower()}-{a.radius:g}",
+    )
+    def test_closed_form_matches_transform(self, aperture):
+        # the centred diag(g) against the Q x Q angle-domain transform it replaced
+        N = ds.truncation_order(aperture.radius) + DEFAULT_ORDER_MARGIN
+        u = operators._gram_grid(aperture, N)
+        reference = operators._gram_from_transform(operators._aperture_transform(aperture, u, N), N)
+        assert np.max(np.abs(gram_matrix(aperture, N) - reference)) <= 2e-15
+
     def test_oversized_rule_refused_before_assembly(self):
         # default Segment(3000): N = 12820 needs a Q = 25920 angle grid, 10.7 GB
         N = ds.truncation_order(1500.0) + DEFAULT_ORDER_MARGIN
@@ -464,7 +477,7 @@ class TestFactorRoute:
 
     def test_operator_without_gram_or_factor_refused(self):
         op = build_truncated_operator(ds.Segment(1.0), ds.IsotropicPas())
-        with pytest.raises(ValueError, match="needs a gram or a gram_factor"):
+        with pytest.raises(ValueError, match="needs a gram, a gram_factor or a gram_diagonal"):
             replace(op, gram=None, gram_factor=None)
 
 
@@ -658,8 +671,9 @@ def _skew(M):
 _READERS = (ds.solve_spectrum, ds.omega_from_traces)
 
 # a broken G needs an aperture whose G comes from its closed-form transform and
-# is tested as a matrix; a segment carries its Gauss factor F and forms no G
-_TRANSFORM_STAND_IN = {"gram_matrix": ds.Rectangle(1.0, 0.5), "rtilde_matrix": ds.Segment(1.0)}
+# is tested as a matrix; a segment carries its Gauss factor F and forms no G.
+# A broken R is the build's Toeplitz window of R(0)'s coefficients, broken.
+_TRANSFORM_STAND_IN = {"gram_matrix": ds.Rectangle(1.0, 0.5), "_toeplitz": ds.Segment(1.0)}
 
 
 class TestValidation:
@@ -667,10 +681,10 @@ class TestValidation:
         "target, breakage, message",
         [
             ("gram_matrix", _skew, "Gram matrix lost Hermitian symmetry"),
-            ("rtilde_matrix", _skew, "correlation matrix is not Hermitian"),
-            ("rtilde_matrix", lambda R: R + 1e-9 * np.eye(len(R)), "diagonal is not 1"),
+            ("_toeplitz", _skew, "correlation matrix is not Hermitian"),
+            ("_toeplitz", lambda R: R + 1e-9 * np.eye(len(R)), "diagonal is not 1"),
             ("gram_matrix", lambda G: G - 1e-6 * np.eye(len(G)), "Gram matrix indefinite"),
-            ("rtilde_matrix", lambda R: 2.0 * R - np.eye(len(R)), "correlation matrix indefinite"),
+            ("_toeplitz", lambda R: 2.0 * R - np.eye(len(R)), "correlation matrix indefinite"),
             ("gram_matrix", lambda G: G * (1.0 + 1e-9), r"trace .* outside \[0, 1\]"),
             ("gram_matrix", lambda G: G * (1.0 - 1e-3), "trace deficit .* exceeds the tail bound"),
         ],
@@ -714,12 +728,12 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "target, label",
-        [("gram_matrix", "Gram matrix"), ("rtilde_matrix", "coefficient correlation matrix")],
+        [("gram_matrix", "Gram matrix"), ("_toeplitz", "coefficient correlation matrix")],
         ids=["gram", "rtilde"],
     )
     @pytest.mark.parametrize("lam_min, refused", [(-2e-10, True), (-1e-12, False)])
     def test_psd_threshold(self, monkeypatch, target, label, lam_min, refused):
-        # G is refused by its build; R by the solve's eigh and a sweep point's Cholesky factor
+        # G is refused by its build; R by the solve's and a sweep point's Cholesky factor
         shift = self._gram_with_min_eig if target == "gram_matrix" else self._rtilde_with_min_eig
         build = getattr(operators, target)
         monkeypatch.setattr(operators, target, lambda *args: shift(build(*args), lam_min))
@@ -742,9 +756,9 @@ class TestValidation:
     @pytest.mark.parametrize("lam_min, refused", [(-2e-10, True), (-1e-12, False)])
     def test_array_rtilde_psd_threshold(self, monkeypatch, linalg_calls, lam_min, refused):
         # an array's L x L solve and a sweep point test R by its own Cholesky factor
-        build = operators.rtilde_matrix
+        build = operators._toeplitz
         monkeypatch.setattr(
-            operators, "rtilde_matrix", lambda *args: self._rtilde_with_min_eig(build(*args), lam_min)
+            operators, "_toeplitz", lambda *args: self._rtilde_with_min_eig(build(*args), lam_min)
         )
         aperture, model = ds.DiscreteArray(((0.0, 0.0), (0.5, 0.2))), ds.UniformPas(delta=math.pi / 2)
         op = build_truncated_operator(aperture, model)
@@ -784,17 +798,22 @@ class TestValidation:
             ds.solve_spectrum(op)
 
     def test_two_eigensolves_per_solve(self, linalg_calls):
-        for aperture in [ds.Rectangle(1.0, 0.5), ds.Disk(0.8)]:
-            linalg_calls.clear()
-            op = build_truncated_operator(aperture, ds.VonMisesPas(kappa=3.0))
-            ds.solve_spectrum(op)
-            # a Cholesky factor of G, a real eigh(R) for R^(1/2) and its PSD test, one eigvalsh
-            shape = (op.size, op.size)
-            assert linalg_calls == [
-                ("cholesky", shape, "complex128"),
-                ("eigh", shape, "float64"),
-                ("eigvalsh", shape, "complex128"),
-            ]
+        op = build_truncated_operator(ds.Rectangle(1.0, 0.5), ds.VonMisesPas(kappa=3.0))
+        ds.solve_spectrum(op)
+        # a Cholesky factor of G, a real eigh(R) for R^(1/2) and its PSD test, one eigvalsh
+        shape = (op.size, op.size)
+        assert linalg_calls == [
+            ("cholesky", shape, "complex128"),
+            ("eigh", shape, "float64"),
+            ("eigvalsh", shape, "complex128"),
+        ]
+        # a disk's diagonal G: no factorisation of G, a real Cholesky factor of R
+        # and one real eigvalsh of diag(sqrt(g)) R diag(sqrt(g))
+        linalg_calls.clear()
+        op = build_truncated_operator(ds.Disk(0.8), ds.VonMisesPas(kappa=3.0))
+        ds.solve_spectrum(op)
+        shape = (op.size, op.size)
+        assert linalg_calls == [("cholesky", shape, "float64"), ("eigvalsh", shape, "float64")]
         # two antennas against 2N+1 = 27 orders: a real Cholesky factor of R,
         # no factorisation of G = F^H F, and one 2 x 2 eigvalsh
         linalg_calls.clear()
@@ -839,6 +858,88 @@ class TestValidation:
             linalg_calls.clear()
             ds.omega_from_traces(op)
             assert [(name, kind) for name, _, kind in linalg_calls] == [("cholesky", dtype)]
+
+
+CIRCLES_AND_DISKS = {
+    "circle": ds.Circle(1.0),
+    "disk-off-centre": ds.Disk(0.8, center=(0.3, -0.2)),
+    "disk-3": ds.Disk(3.0),
+    "disk-0": ds.Disk(0.0),
+}
+SYMMETRIC_MODELS = {
+    "isotropic": ds.IsotropicPas(alpha0=2.5),
+    "uniform": ds.UniformPas(delta=1.0, alpha0=-1.1),
+    "von-mises": ds.VonMisesPas(kappa=8.0, alpha0=0.7),
+}
+
+
+class TestDiagonalRoute:
+    @pytest.mark.parametrize("model", SYMMETRIC_MODELS.values(), ids=SYMMETRIC_MODELS)
+    @pytest.mark.parametrize("aperture", CIRCLES_AND_DISKS.values(), ids=CIRCLES_AND_DISKS)
+    def test_solve_forms_no_gram_and_no_root(self, monkeypatch, linalg_calls, aperture, model):
+        # no Q x Q transform and no dense G; R is tested by a real Cholesky factor
+        # and the solve takes one real eigvalsh, with no eigh(R) for R^(1/2)
+        formed = []
+        for name in ("_aperture_transform", "_gram_from_transform", "gram_matrix", "_factor_gram"):
+            monkeypatch.setattr(operators, name, lambda *args, _name=name: formed.append(_name))
+        op = build_truncated_operator(aperture, model)
+        assert op.gram_factor is None and op.gram_diagonal.shape == (op.size,)
+        assert op.gram_diagonal.dtype.name == "float64" and op.rtilde.dtype.name == "float64"
+        ds.solve_spectrum(op)
+        shape = (op.size, op.size)
+        assert linalg_calls == [("cholesky", shape, "float64"), ("eigvalsh", shape, "float64")]
+        linalg_calls.clear()
+        ds.omega_from_traces(op.with_alpha0(-0.4))
+        assert linalg_calls == [("cholesky", shape, "float64")]
+        assert formed == [] and op.__dict__["_gram"] is None
+
+    def test_gram_formed_from_the_diagonal_where_read(self):
+        op = build_truncated_operator(ds.Disk(1.5), ds.VonMisesPas(kappa=3.0, alpha0=0.7))
+        G = op.gram
+        assert op.gram is G and np.array_equal(G, np.diag(op.gram_diagonal))
+        assert op.with_alpha0(0.1).gram is G
+
+    @pytest.mark.parametrize("kind", [ds.Circle, ds.Disk])
+    def test_refused_on_rtilde_size_before_allocation(self, kind):
+        # R of order 2N+1 = 4121 is 272 MB as a complex matrix, whatever the PAS;
+        # 230 wavelengths (2N+1 = 3951, 250 MB) are admitted
+        N = ds.series_order(230.0)[0]
+        assert operators._gram_diagonal(kind(230.0), N).shape == (2 * N + 1,)
+        tracemalloc.start()
+        try:
+            for model in SYMMETRIC_MODELS.values():
+                message = r"N=2060 needs a 4121x4121 271722256-byte coefficient correlation matrix R"
+                with pytest.raises(ValueError, match=message):
+                    build_truncated_operator(kind(240.0), model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+
+    def test_build_holds_rtilde_and_one_scratch(self):
+        # R(0) is windowed from its real coefficients, never formed complex first, and
+        # its symmetry test takes one scratch matrix: the traced peak is about two R's
+        model = ds.VonMisesPas(kappa=3.0)
+        build_truncated_operator(ds.Disk(1.0), model)
+        tracemalloc.start()
+        try:
+            op = build_truncated_operator(ds.Disk(20.0), model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert op.rtilde.dtype.name == "float64" and op.size == 363
+        assert peak < 2.5 * op.rtilde.nbytes
+
+    def test_operators_compare_by_identity(self, monkeypatch):
+        # == reads no matrix: equal builds are distinct operators, and no G is formed
+        formed = []
+        form = operators._factor_gram
+        monkeypatch.setattr(operators, "_factor_gram", lambda F: formed.append(F.shape) or form(F))
+        model = ds.VonMisesPas(kappa=3.0)
+        for aperture in (ds.Segment(1.0), ds.Disk(0.8), ds.Rectangle(1.0, 0.5)):
+            a, b = (build_truncated_operator(aperture, model) for _ in range(2))
+            assert a == a and not a == b and a != b
+        assert formed == []
 
 
 ROTATED_MODELS = {
