@@ -490,11 +490,12 @@ def centering_transform(aperture):
     Returns the centred aperture together with the offset that was removed
     (the original circle centre).  Centring minimises the enclosing radius
     and therefore the truncation order; the correlation kernel depends only
-    on coordinate differences, so spectra are unaffected.  A circle or a
-    disk is its own enclosing circle: it moves by exactly its centre, which
-    leaves it at the origin.
+    on coordinate differences, so spectra are unaffected.  A segment, a
+    circle, a disk, a rectangle and a set of parallel lines are symmetric
+    about their centre, which is therefore their enclosing circle's: each
+    moves by exactly its centre, which leaves it at the origin.
     """
-    if isinstance(aperture, (Circle, Disk)):
+    if isinstance(aperture, (Segment, Circle, Disk, Rectangle, ParallelLines)):
         center = np.asarray(aperture.center)
     else:
         center, _ = smallest_enclosing_circle(_extent_points(aperture))

@@ -18,19 +18,20 @@ The eigenvalues of their product approximate the diversity spectrum; see
 
 The measure of a centred circle or disk is rotation invariant, so its
 ``G`` is diagonal in closed form, ``g_n = J_n(z)**2`` on a circle and
-``J_n(z)**2 - J_{n-1}(z)*J_{n+1}(z)`` on a disk, ``z = 2*pi*radius``;
-their operator keeps ``g``.  Every other ``G`` and the correlation kernel
-are evaluated in the angle domain.  By Jacobi-Anger each ``v_n`` is an
-angle integral of plane waves, so ``G`` is the 2-D DFT of the aperture
-measure's Fourier transform sampled on a periodic grid of ``Q`` angles,
-and the kernel is one weighted sum of plane waves on the same grid.  The
-grid's aliasing is certified by the same Bessel tail bound as the
-truncation, and a grid above ``Q = 4096`` is refused for ``G``; see
-:func:`gram_matrix` and :func:`rho_n_kernel`.  Arrays, curves, segments
-and single parallel lines are node sums, ``G = F^H F`` with a
-``K x (2N+1)`` factor ``F``: their operator keeps ``F``.  An operator
-that keeps ``g`` or ``F`` forms ``G`` only where it is read (see
-:class:`TruncatedOperator`).
+``J_n(z)**2 - J_{n-1}(z)*J_{n+1}(z)`` on a disk, ``z = 2*pi*radius``.
+Every other ``G`` and the correlation kernel are evaluated in the angle
+domain.  By Jacobi-Anger each ``v_n`` is an angle integral of plane
+waves, so ``G`` is the 2-D DFT of the aperture measure's Fourier
+transform sampled on a periodic grid of ``Q`` angles, and the kernel is
+one weighted sum of plane waves on the same grid.  The grid's aliasing is
+certified by the same Bessel tail bound as the truncation, and a
+transform above ``Q = 4096`` is refused; see :func:`gram_matrix` and
+:func:`rho_n_kernel`.  Arrays, curves, segments and single parallel lines
+are node sums, ``G = F^H F`` with a ``K x (2N+1)`` factor ``F``.
+
+The operator keeps ``G`` only as one factor ``F``, ``G = F^H F``, of at
+most ``2N+1`` rows (see :class:`TruncatedOperator`), which is all the
+solve reads.
 The orders ``N`` and ``N_D`` and the tail bounds that certify the
 truncation come from :mod:`divspec.specfun`.
 
@@ -76,10 +77,9 @@ __all__ = [
 #: of aliasing; the aliased Bessel tail is below ``0.2*exp(-_ALIAS_MARGIN)``.
 _ALIAS_MARGIN = 40
 
-#: Largest complex matrix (bytes) of an angle-grid evaluation: the Gram
-#: assembly's ``Q x Q`` transform (``Q = 4096``), a curve's or an
-#: array's ``K x Q`` plane waves, or an array's correlation matrix; and
-#: a circle's or disk's ``R``, sized as complex whatever the PAS.
+#: Largest complex matrix (bytes) of an evaluation: the Gram assembly's
+#: ``Q x Q`` transform (``Q = 4096``), a node sum's ``K x Q`` plane waves,
+#: an array's correlation matrix, or ``R``, sized as complex whatever the PAS.
 _MAX_GRID_BYTES = 1 << 28
 
 #: Row-block size (bytes) of the streamed kernel evaluation, small enough
@@ -89,8 +89,8 @@ _KERNEL_BLOCK_BYTES = 1 << 22
 #: Bound on ``||G_q - G||_2`` that chooses a curve's Gauss order ``q``.
 _GAUSS_TOL = 2.0**-53
 
-#: Tolerated magnitude of negative eigenvalues of ``G`` and ``R``: a Cholesky
-#: factor of ``M + _PSD_TOL * I``, or the ``eigh`` that takes ``R^(1/2)``, tests it.
+#: Tolerated magnitude of negative eigenvalues of ``G`` and ``R``: the ``eigh``
+#: that factors a transform's ``G``, or a Cholesky factor of ``R + _PSD_TOL*I``, tests it.
 _PSD_TOL = 1e-10
 
 
@@ -191,37 +191,21 @@ def _gram_from_transform(phi: np.ndarray, N: int) -> np.ndarray:
     return 0.5 * (G + G.conj().T)
 
 
-def _gram_diagonal(aperture, N: int) -> np.ndarray | None:
+def _circle_diagonal(aperture, N: int) -> np.ndarray | None:
     """Diagonal ``g`` of a centred circle's or disk's ``G``, else ``None``.
 
     ``G_nn`` is the mean of ``J_n(2*pi*rho)**2`` over the measure: at
     ``rho = r`` on a circle, and with weight ``2*rho/r**2`` on a disk,
     where ``int_0^r J_n(k*rho)**2 rho drho = (r**2/2)*(J_n(kr)**2 -
-    J_{n-1}(kr)*J_{n+1}(kr))``.  The operator's largest matrix is then
-    ``R``, of order ``2N+1``; one above ``_MAX_GRID_BYTES`` as a complex
-    matrix is refused before anything is allocated.
+    J_{n-1}(kr)*J_{n+1}(kr))``.
     """
     if not isinstance(aperture, (Circle, Disk)) or tuple(aperture.center) != (0.0, 0.0):
         return None
-    size = 2 * N + 1
-    nbytes = size * size * np.dtype(complex).itemsize
-    if nbytes > _MAX_GRID_BYTES:
-        raise ValueError(
-            f"evaluation at N={N} needs a {size}x{size} {nbytes}-byte coefficient "
-            f"correlation matrix R, above the {_MAX_GRID_BYTES}-byte limit"
-        )
     J = jv(np.arange(-N - 1, N + 2), 2.0 * math.pi * aperture.radius)
     if isinstance(aperture, Circle):
         return J[1:-1] ** 2
     # an integral of a square: round-off below zero clamps
     return np.maximum(J[1:-1] ** 2 - J[:-2] * J[2:], 0.0)
-
-
-def _gram_grid(aperture, N: int) -> np.ndarray:
-    """Angle grid of :func:`gram_matrix`; ``Q > 4096`` is refused before allocation."""
-    Q = _angle_grid_size(N, enclosing_radius(aperture))
-    _check_grid_bytes(Q, Q, N)
-    return _angle_grid(Q)
 
 
 def _node_factor(rule, u: np.ndarray, N: int) -> np.ndarray:
@@ -265,28 +249,69 @@ def _gauss_order(bound, pieces: int, Q: int) -> int:
     return hi
 
 
-def _gram_factor(aperture, N: int) -> np.ndarray | None:
+def _node_sum_factor(aperture, N: int) -> np.ndarray | None:
     """Factor ``F`` of a node sum's ``G = F^H F`` (see :func:`gram_matrix`), else ``None``.
 
     A rule whose ``rows x Q`` plane waves exceed the byte budget is refused
-    before it is built.
+    before it or the angle grid is built.
     """
     one_line = isinstance(aperture, Segment) or (
         isinstance(aperture, ParallelLines) and aperture.count == 1
     )
     if not (one_line or isinstance(aperture, (DiscreteArray, PiecewiseCurve))):
         return None
-    u = _gram_grid(aperture, N)
+    Q = _angle_grid_size(N, enclosing_radius(aperture))
     if isinstance(aperture, DiscreteArray):
-        return _node_factor(build_quadrature(aperture, 1), u, N)
-    if isinstance(aperture, PiecewiseCurve):
+        q, rows = 1, len(aperture.points)
+    elif isinstance(aperture, PiecewiseCurve):
         pieces = sum(p.length > 0.0 for p in aperture.pieces) or 1
-        q = _gauss_order(lambda k: _curve_bound(aperture, k), pieces, len(u))
+        q = _gauss_order(lambda k: _curve_bound(aperture, k), pieces, Q)
+        rows = pieces * q
     else:
-        pieces = 1
-        q = _gauss_order(lambda k: specfun.line_gauss_bound(k, aperture.length), pieces, len(u))
-    _check_grid_bytes(pieces * q, len(u), N)
-    return _node_factor(build_quadrature(aperture, q), u, N)
+        q = rows = _gauss_order(lambda k: specfun.line_gauss_bound(k, aperture.length), 1, Q)
+    _check_grid_bytes(rows, Q, N)
+    return _node_factor(build_quadrature(aperture, q), _angle_grid(Q), N)
+
+
+def _transform_factor(aperture, N: int) -> np.ndarray:
+    """Factor ``F`` of a centred rectangle's or lines' ``G``, from one real ``eigh``.
+
+    Rotating the aperture by ``theta`` multiplies ``v_n`` by
+    ``exp(j*n*theta)``, so ``G = P H P^H`` with ``P = diag(exp(-j*n*theta))``
+    and ``H`` the ``G`` of the same aperture at angle 0.  That one is even
+    in both axes, so ``H`` is real: its odd-offset entries vanish and the
+    others are their own conjugates.  With ``H = V diag(lam) V^T``,
+    ``F = diag(sqrt(lam)) V^T P^H``.  The ``eigh`` is also ``G``'s PSD test:
+    an eigenvalue below ``-_PSD_TOL`` is refused, the negative ones above
+    it are round-off and clamp to zero.
+    """
+    G = gram_matrix(replace(aperture, angle=0.0), N)
+    if _asymmetry(G) > 1e-14 * max(1.0, float(np.max(np.abs(G)))):
+        raise ArithmeticError("Gram matrix lost Hermitian symmetry")
+    H = G.real.copy()
+    del G  # freed before the eigh, so that the transform stays the build's peak
+    lam, V = np.linalg.eigh(H)
+    del H
+    if lam[0] < -_PSD_TOL:
+        raise ArithmeticError(f"Gram matrix indefinite: min eigenvalue {lam[0]:.3e}")
+    V *= np.sqrt(np.clip(lam, 0.0, None))
+    return V.T * np.exp(1j * aperture.angle * np.arange(-N, N + 1))
+
+
+def _gram_factor(aperture, N: int) -> np.ndarray:
+    """The operator's factor ``F`` of a centred aperture's ``G``, ``2N+1`` rows at most.
+
+    ``sqrt(g)`` of a circle's or disk's diagonal, held 1-D; a node sum's
+    ``F``, or its ``2N+1``-row triangular QR factor when it has more rows;
+    else ``_transform_factor``.
+    """
+    g = _circle_diagonal(aperture, N)
+    if g is not None:
+        return np.sqrt(g)
+    F = _node_sum_factor(aperture, N)
+    if F is None:
+        return _transform_factor(aperture, N)
+    return np.linalg.qr(F, mode="r") if len(F) > 2 * N + 1 else F
 
 
 def gram_matrix(aperture, N: int) -> np.ndarray:
@@ -303,7 +328,7 @@ def gram_matrix(aperture, N: int) -> np.ndarray:
     of the aperture about the origin.
 
     A centred circle's or disk's ``G`` is diagonal in closed form (see
-    ``_gram_diagonal``) and is formed from it, with no grid; off centre,
+    ``_circle_diagonal``) and is formed from it, with no grid; off centre,
     circles and disks, like rectangles and two or more parallel lines,
     have closed-form transforms.  Discrete arrays, piecewise curves, segments
     and one parallel line are weighted point masses, whose ``G`` is
@@ -319,19 +344,21 @@ def gram_matrix(aperture, N: int) -> np.ndarray:
     ``q`` is the smallest order at which :func:`~divspec.specfun.line_gauss_bound`
     and :func:`~divspec.specfun.arc_gauss_bound` bound every piece's ``|E|`` by
     ``2**-53``, under the solve's round-off like the grid's ``0.2*exp(-40)``, so
-    the printed bounds do not carry it.  ``Q > 4096``, or a node matrix above
-    the same 256 MiB, is refused with ``ValueError`` before it is allocated, a
-    curve's before its rule is built; a centred circle or disk is refused
-    when its ``2N+1``-order complex ``R`` would exceed those 256 MiB.
+    the printed bounds do not carry it.  A transform above ``Q = 4096``, or a
+    node sum's ``rows x Q`` plane waves above the same 256 MiB, is refused
+    with ``ValueError`` before it is allocated, a curve's before its rule is
+    built.
     """
     N = int(N)
-    g = _gram_diagonal(aperture, N)
+    g = _circle_diagonal(aperture, N)
     if g is not None:
         return np.diag(g)
-    F = _gram_factor(aperture, N)
+    F = _node_sum_factor(aperture, N)
     if F is not None:
         return _factor_gram(F)
-    return _gram_from_transform(_aperture_transform(aperture, _gram_grid(aperture, N), N), N)
+    Q = _angle_grid_size(N, enclosing_radius(aperture))
+    _check_grid_bytes(Q, Q, N)
+    return _gram_from_transform(_aperture_transform(aperture, _angle_grid(Q), N), N)
 
 
 def rtilde_matrix(model: PasModel, N: int) -> np.ndarray:
@@ -396,42 +423,24 @@ def rho_n_kernel(model: PasModel, x, N: int | None = None):
     return complex(values[0]) if scalar else values
 
 
-class _FormedOnRead:
-    """The ``gram`` field: the ``G`` given, else ``F^H F`` or ``diag(g)``, formed on first read."""
-
-    def __get__(self, op, owner=None):
-        if op is None:
-            raise AttributeError("gram")  # no class-level default: the field is required
-        G = op.__dict__["_gram"]
-        if G is None:
-            F = op.gram_factor
-            G = _factor_gram(F) if F is not None else np.diag(op.gram_diagonal)
-            op.__dict__["_gram"] = G
-        return G
-
-    def __set__(self, op, G):
-        op.__dict__["_gram"] = G
-
-
 @dataclass(frozen=True, eq=False)
 class TruncatedOperator:
-    """Matrix pair ``(G, R)`` plus the truncation metadata.
+    """Gram factor and ``R`` plus the truncation metadata.
 
     ``N`` is the truncation order, ``N_D`` the critical order for the
     enclosing radius ``r1`` of the centred aperture, ``rho_max`` the PAS
     peak factor entering the error bounds, and ``offset`` the translation
-    removed by centring.  An array, a curve, a segment and a single
-    parallel line carry ``gram_factor``, the ``K x (2N+1)`` factor ``F``
-    of ``G = F^H F`` (see :func:`gram_matrix`), so ``G R`` has rank at
-    most ``K``.  A circle and a disk carry ``gram_diagonal``, the real
-    ``g`` of their diagonal ``G = diag(g)``.  Each is ``None`` for every
-    other operator.  The build gives an operator with either ``gram=None``:
-    ``gram`` is formed from ``F`` or ``g`` when it is first read.  The
-    solve of a circle, a disk or a factor with ``K < 2N+1`` never reads
-    it, nor does :meth:`with_alpha0`; ``repr`` and
-    ``dataclasses.asdict`` read it.  ``==`` compares identity and reads
-    no matrix.  An operator with none of ``gram``, ``gram_factor`` and
-    ``gram_diagonal`` is refused.
+    removed by centring.
+
+    ``gram_factor`` is ``F``, ``G = F^H F``, with ``K <= 2N+1`` rows, so
+    ``G R`` has rank at most ``K``.  A circle's or disk's ``F`` is
+    ``sqrt(g)`` of its diagonal ``G = diag(g)``, held as a 1-D array and
+    read as a diagonal matrix.  A node sum's is ``F_kn = sqrt(w_k)*v_n(x_k)``
+    (see :func:`gram_matrix`), or its triangular QR factor when it has more
+    than ``2N+1`` nodes; a rectangle's or two or more lines' comes from one
+    real ``eigh`` (``_transform_factor``).  ``gram`` forms ``F^H F`` on each
+    read; only ``--dump-matrices`` and tests read it.  ``==`` compares
+    identity and reads no matrix.
 
     ``rtilde`` is ``R(0)``, ``R`` of the PAS about its own axis: real for
     the isotropic, uniform and von Mises models, so every factorisation
@@ -439,51 +448,27 @@ class TruncatedOperator:
     ``alpha0`` is the PAS's mean angle: the operator stands for
     ``(G, R(alpha0))`` with ``R(alpha0) = D R(0) D^H`` exactly,
     ``D = diag(exp(-j*n*alpha0))``, which the solve applies as a phase on
-    ``G`` (or ``F``); ``R(alpha0)`` is PSD exactly when ``R(0)`` is, and a
-    diagonal ``G`` commutes with ``D``.
+    ``F``; ``R(alpha0)`` is PSD exactly when ``R(0)`` is, and a diagonal
+    ``G`` commutes with ``D``.
     """
 
     N: int
     N_D: int
     r1: float
-    gram: np.ndarray | None = _FormedOnRead()  # a required field; None with a factor or diagonal
+    gram_factor: np.ndarray
     rtilde: np.ndarray
     rho_max: float
     offset: np.ndarray
-    gram_factor: np.ndarray | None = None
     alpha0: float = 0.0
-    gram_diagonal: np.ndarray | None = None
 
     @property
     def size(self) -> int:
         return 2 * self.N + 1
 
-    def __post_init__(self):
-        if all(m is None for m in (self.__dict__["_gram"], self.gram_factor, self.gram_diagonal)):
-            raise ValueError("TruncatedOperator needs a gram, a gram_factor or a gram_diagonal")
-
-    def orders(self) -> np.ndarray:
-        return np.arange(-self.N, self.N + 1)
-
-    def with_alpha0(self, alpha0: float) -> TruncatedOperator:
-        """This operator under the PAS rotated to mean angle ``alpha0``; forms no ``G``."""
-        return replace(self, gram=self.__dict__["_gram"], alpha0=alpha0)
-
-
-def _check_psd(M: np.ndarray, label: str) -> None:
-    """Refuse ``M`` unless ``M + _PSD_TOL*I`` has a Cholesky factor.
-
-    That admits every ``M`` whose smallest eigenvalue exceeds ``-_PSD_TOL``
-    (up to round-off in the factorisation); only a refusal pays for
-    ``eigvalsh``, to name that eigenvalue.
-    """
-    shifted = M.copy()
-    shifted.flat[:: len(M) + 1] += _PSD_TOL
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        lam_min = float(np.linalg.eigvalsh(M)[0])
-        raise ArithmeticError(f"{label} indefinite: min eigenvalue {lam_min:.3e}") from None
+    @property
+    def gram(self) -> np.ndarray:
+        F = self.gram_factor
+        return np.diag(F * F) if F.ndim == 1 else _factor_gram(F)
 
 
 def _asymmetry(M: np.ndarray) -> float:
@@ -498,33 +483,29 @@ def build_truncated_operator(aperture, model: PasModel, N: int | None = None) ->
 
     The aperture is centred first (the kernel is stationary, so this only
     shrinks the enclosing radius ``r1``), and ``N`` is chosen or refused by
-    :func:`~divspec.specfun.series_order` at ``r1``.  ``R`` is built about
-    the PAS's own axis, the mean angle kept as ``alpha0``, and is real
-    when its coefficients are.  A circle or a disk keeps its diagonal
-    ``g`` and a node sum its Gram factor ``F``; neither forms ``G`` (see
-    :class:`TruncatedOperator`).  Each invariant that can fail is tested
-    once: here ``G``'s trace against the tail bound, as ``sum(g)`` or
-    ``||F||_F**2``, and the symmetry and PSD of a ``G`` from a transform,
-    which ``diag(g)`` and ``F^H F`` have by construction; ``R``'s symmetry
-    and unit diagonal; ``R``'s PSD where ``R`` is read, in
-    :mod:`divspec.spectrum`.
+    :func:`~divspec.specfun.series_order` at ``r1``.  An ``R`` above
+    256 MiB as a complex matrix is refused next, before anything of order
+    ``2N+1`` is allocated.  ``R`` is built about the PAS's own axis, the
+    mean angle kept as ``alpha0``, and is real when its coefficients are.
+    ``G`` is kept as its factor ``F`` (see :class:`TruncatedOperator`).
+    Each invariant that can fail is tested once: here ``G``'s trace
+    ``||F||_F**2`` against the tail bound, a transform ``G``'s symmetry and
+    PSD (in ``_transform_factor``; every other ``F^H F`` has both by
+    construction), and ``R``'s symmetry and unit diagonal; ``R``'s PSD
+    where ``R`` is read, in :mod:`divspec.spectrum`.
     """
     centered, offset = centering_transform(aperture)
     r1 = enclosing_radius(centered)
     N, n_critical = specfun.series_order(r1, N)
-    g = _gram_diagonal(centered, N)
+    size = 2 * N + 1
+    nbytes = size * size * np.dtype(complex).itemsize
+    if nbytes > _MAX_GRID_BYTES:
+        raise ValueError(
+            f"evaluation at N={N} needs a {size}x{size} {nbytes}-byte coefficient "
+            f"correlation matrix R, above the {_MAX_GRID_BYTES}-byte limit"
+        )
     F = _gram_factor(centered, N)
-    if g is not None:
-        G, trace = None, float(g.sum())
-    elif F is not None:
-        G, trace = None, float(np.vdot(F, F).real)
-    else:
-        G = gram_matrix(centered, N)
-        scale = max(1.0, float(np.max(np.abs(G))))
-        if _asymmetry(G) > 1e-14 * scale:
-            raise ArithmeticError("Gram matrix lost Hermitian symmetry")
-        _check_psd(G, "Gram matrix")
-        trace = float(np.trace(G).real)
+    trace = float(np.vdot(F, F).real)
     if trace > 1.0 + 1e-12 or trace < -1e-12:
         raise ArithmeticError(f"Gram trace {trace} outside [0, 1]")
     residual = specfun.bessel_sq_tail_bound(N, r1)
@@ -542,11 +523,9 @@ def build_truncated_operator(aperture, model: PasModel, N: int | None = None) ->
         N=N,
         N_D=n_critical,
         r1=r1,
-        gram=G,
+        gram_factor=F,
         rtilde=R,
         rho_max=float(model.rho_max()),
         offset=np.asarray(offset, dtype=float),
-        gram_factor=F,
         alpha0=model.alpha0,
-        gram_diagonal=g,
     )

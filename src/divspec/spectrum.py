@@ -2,28 +2,23 @@
 
 The eigenvalues of the product of the Gram and coefficient correlation
 matrices approximate the spectrum of the spatial autocorrelation operator.
-The product of two Hermitian matrices is not Hermitian itself, so the
-solve goes through the spectral square root:
+The product of two Hermitian matrices is not Hermitian itself, but the
+operator keeps ``G`` as a factor ``G = F^H F`` of ``K <= 2N+1`` rows
+(see :class:`~divspec.operators.TruncatedOperator`), so
 
-    eig(R^(1/2) G R^(1/2)) = eig(G R),
+    eig(G R) = eig(F R F^H), padded with 2N+1-K exact zeros,
 
 which is manifestly real and non-negative and keeps the sort stable.
 ``R`` is ``R(0)``, about the PAS's own axis, with the mean angle applied
-as a phase on ``G`` (see :class:`~divspec.operators.TruncatedOperator`).
-Two kinds of operator need no ``R^(1/2)`` and never form ``G``.  A
-circle's or disk's ``G = diag(g)`` is diagonal, so ``G R`` has the
-spectrum of ``diag(sqrt(g)) R diag(sqrt(g))``, real with ``R``.  Where
-the operator carries a factor ``G = F^H F`` of ``K < 2N+1`` rows (an
-array of ``K`` antennas, or the Gauss rule of a curve, a segment or one
-parallel line), the nonzero eigenvalues of ``G R`` are those of the
-``K x K`` matrix ``F R F^H``; the solve pads them with exact zeros.
+as a phase on ``F``.  Every solve and every sweep point reads this one
+matrix, after one Cholesky test of ``R``.
 
 Each solve carries two certified error bounds scaled from the tail bound
 of :mod:`divspec.specfun`, which also sets ``N`` and ``N_D``: one for each
 eigenvalue and one for the squared Hilbert-Schmidt norm, which
 :func:`omega_corrected` turns into an interval enclosing the converged
 diversity measure.  :func:`omega_from_traces` reads the measure and that
-interval off ``tr(G R)`` and ``tr((G R)^2)``, with no eigensolve.
+interval off ``tr(F R F^H)`` and ``tr((F R F^H)^2)``, with no eigensolve.
 
 :func:`nystrom_oracle` solves the same eigenvalue problem by direct
 kernel discretisation.  It takes its nodes from
@@ -55,7 +50,6 @@ from .operators import (
     _MAX_GRID_BYTES,
     _PSD_TOL,
     TruncatedOperator,
-    _check_psd,
     _kernel_grid,
     _plane_waves,
 )
@@ -126,45 +120,37 @@ def _times(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return (A @ np.ascontiguousarray(B).view(float)).view(complex)
 
 
-def _hermitian_sqrt(R: np.ndarray) -> np.ndarray:
-    """``R^(1/2)`` of a Hermitian ``R``, whose ``eigh`` is also ``R``'s PSD test.
+def _check_psd(R: np.ndarray) -> None:
+    """Refuse ``R`` unless ``R + _PSD_TOL*I`` has a Cholesky factor.
 
-    An eigenvalue below ``-_PSD_TOL`` refuses ``R`` as :func:`_check_psd`
-    does; the negative ones above it are round-off and clamp to zero.
+    That admits every ``R`` whose smallest eigenvalue exceeds ``-_PSD_TOL``
+    (up to round-off in the factorisation); only a refusal pays for
+    ``eigvalsh``, to name that eigenvalue.
     """
-    vals, vecs = np.linalg.eigh(R)
-    if vals[0] < -_PSD_TOL:
+    shifted = R.copy()
+    shifted.flat[:: len(R) + 1] += _PSD_TOL
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        lam_min = float(np.linalg.eigvalsh(R)[0])
         raise ArithmeticError(
-            f"coefficient correlation matrix indefinite: min eigenvalue {vals[0]:.3e}"
-        )
-    np.clip(vals, 0.0, None, out=vals)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+            f"coefficient correlation matrix indefinite: min eigenvalue {lam_min:.3e}"
+        ) from None
 
 
-def _phased_gram(op: TruncatedOperator) -> np.ndarray:
-    """``G' = G * outer(conj(d), d)``, the mean angle as the phase ``d = exp(-j*alpha0*n)``."""
-    d = np.exp(-1j * op.alpha0 * op.orders())
-    return op.gram * np.outer(d.conj(), d)
+def _kl_matrix(op: TruncatedOperator) -> np.ndarray:
+    """``F' R F'^H``, Hermitian with the nonzero spectrum of ``G' R``, after ``R``'s PSD test.
 
-
-def _product_without_gram(op: TruncatedOperator) -> np.ndarray | None:
-    """A Hermitian matrix with the nonzero spectrum of ``G' R``, formed with no ``G``, or ``None``.
-
-    For a circle's or disk's ``G = diag(g)``, which the phase leaves as it
-    is, that is ``diag(sqrt(g)) R diag(sqrt(g))``, of order ``2N+1`` and
-    real with ``R``; for a Gram factor of ``K < 2N+1`` rows it is the
-    ``K x K`` ``F' R F'^H`` (``F' = F * d``).  ``R`` is tested PSD first
-    by a Cholesky factor of ``R + 1e-10*I``.
+    ``F' = F * d`` carries the mean angle as the phase ``d = exp(-j*alpha0*n)``,
+    which a circle's or disk's diagonal ``G`` commutes with: its 1-D ``F``
+    gives ``diag(F) R diag(F)``, real with ``R``.
     """
-    g, F = op.gram_diagonal, op.gram_factor
-    if g is None and (F is None or len(F) >= op.size):
-        return None
-    _check_psd(op.rtilde, "coefficient correlation matrix")
-    if g is not None:
-        w = np.sqrt(g)
-        return w[:, None] * op.rtilde * w
+    _check_psd(op.rtilde)
+    F = op.gram_factor
+    if F.ndim == 1:
+        return F[:, None] * op.rtilde * F
     # F' R F'^H = (R F'^H)^H F'^H
-    Fh = (F * np.exp(-1j * op.alpha0 * op.orders())).conj().T
+    Fh = (F * np.exp(-1j * op.alpha0 * np.arange(-op.N, op.N + 1))).conj().T
     return _times(op.rtilde, Fh).conj().T @ Fh
 
 
@@ -177,30 +163,15 @@ def _error_bounds(op: TruncatedOperator) -> tuple[float, float]:
 def solve_spectrum(op: TruncatedOperator) -> DiversitySpectrum:
     """Solve the truncated eigenvalue problem and attach certified bounds.
 
-    The mean angle is the phase ``d = exp(-j*alpha0*n)`` on ``G``,
-    ``G' = G * outer(conj(d), d)``, or on ``F``, ``F' = F * d``; a
-    diagonal ``G`` commutes with it.  Two routes form no ``G`` and take no
-    ``R^(1/2)``: each tests ``R`` by a Cholesky factor of ``R + 1e-10*I``
-    and takes one ``eigvalsh``.  A circle or a disk, whose operator
-    carries the diagonal ``g`` of ``G``, takes
-    ``eigvalsh(diag(sqrt(g)) R diag(sqrt(g)))`` of order ``2N+1``, real
-    for the isotropic, uniform and von Mises models.  An operator whose
-    Gram factor ``F`` (``K x (2N+1)``, see
-    :class:`~divspec.operators.TruncatedOperator`: an array, a curve, a
-    segment, one parallel line) has ``K < 2N+1`` rows takes one ``K x K``
-    ``eigvalsh(F' R F'^H)``; its eigenvalues beyond rank ``K`` are exact
-    zeros.  Every other operator takes
-    ``eigvalsh(R^(1/2) G' R^(1/2))`` of order ``2N+1``, with ``R^(1/2)``
-    from an ``eigh`` of ``R`` that is also ``R``'s PSD test: an eigenvalue
-    below ``-1e-10`` is refused.  This reads ``G``, which a factor
-    operator forms then.  Eigenvalues in ``(-1e-8, 0)`` clamp to zero,
-    and any below raises :class:`ExcessiveClampError`.
+    ``R`` is tested PSD by a Cholesky factor of ``R + 1e-10*I`` (an
+    eigenvalue below ``-1e-10`` is refused), then one ``K x K``
+    ``eigvalsh(F' R F'^H)`` gives the nonzero eigenvalues of ``G' R``
+    (see ``_kl_matrix``); those beyond rank ``K`` are exact zeros.  It is
+    real for a circle or a disk under the isotropic, uniform and von Mises
+    models.  Eigenvalues in ``(-1e-8, 0)`` clamp to zero, and any below
+    raises :class:`ExcessiveClampError`.
     """
-    sym = _product_without_gram(op)
-    if sym is None:
-        root = _hermitian_sqrt(op.rtilde)
-        # R^(1/2) G' R^(1/2) = R^(1/2) (R^(1/2) G')^H
-        sym = _times(root, _times(root, _phased_gram(op)).conj().T)
+    sym = _kl_matrix(op)
     sym = 0.5 * (sym + sym.conj().T)
     lam = np.linalg.eigvalsh(sym)[::-1].copy()
     if lam[-1] < -_CLAMP_FLOOR:
@@ -232,22 +203,14 @@ def solve_spectrum(op: TruncatedOperator) -> DiversitySpectrum:
 def omega_from_traces(op: TruncatedOperator) -> tuple[float, float, float]:
     """``omega`` and the interval of :func:`omega_corrected`, with no eigensolve.
 
-    The eigenvalues of a matrix ``M`` with the nonzero spectrum of ``G' R``
-    sum to ``tr(M)`` and their squares to ``tr(M^2) = sum(M * M^T)``, so
-    one matrix and the solve's own bounds give ``(omega, midpoint,
-    half_width)``.  ``M`` is the matrix that :func:`solve_spectrum`
-    eigensolves where it forms no ``G``: for a circle or a disk
-    ``diag(sqrt(g)) R diag(sqrt(g))``, whose traces are ``sum g_n R_nn``
-    and ``sum g_m g_n |R_mn|**2``, read in ``O(N**2)`` with no matrix
-    product; for a Gram factor of ``K < 2N+1`` rows ``F' R F'^H``.  Else
-    it is ``M^H = R G'`` (real times complex for a real ``R``), which
-    reads ``G``.  Either way ``R`` is tested PSD by a Cholesky factor of
-    ``R + 1e-10*I``.
+    The eigenvalues of ``M = F' R F'^H``, the matrix that
+    :func:`solve_spectrum` eigensolves after the same test of ``R``, sum
+    to ``tr(M)`` and their squares to ``tr(M^2) = sum(M * M^T)``, so one
+    matrix and the solve's own bounds give ``(omega, midpoint,
+    half_width)``.  For a circle or a disk ``M`` is formed in ``O(N**2)``
+    with no matrix product.
     """
-    P = _product_without_gram(op)
-    if P is None:
-        _check_psd(op.rtilde, "coefficient correlation matrix")
-        P = _times(op.rtilde, _phased_gram(op))
+    P = _kl_matrix(op)
     trace = float(np.trace(P).real)
     hs_norm_sq = float(np.sum(P * P.T).real)
     return trace * trace / hs_norm_sq, *_omega_interval(hs_norm_sq, _error_bounds(op)[1])

@@ -69,7 +69,7 @@ def suite_spectra():
 def linalg_calls(monkeypatch):
     """``(name, shape, dtype)`` of every ``np.linalg`` factorisation the test calls."""
     calls = []
-    for name in ("cholesky", "eigh", "eigvalsh"):
+    for name in ("cholesky", "eigh", "eigvalsh", "qr"):
         original = getattr(np.linalg, name)
 
         def counted(a, *args, _original=original, _name=name, **kwargs):

@@ -193,6 +193,23 @@ class TestCentering:
         assert offset == pytest.approx([0.0, 0.0], abs=1e-12)
         assert centered == Disk(0.7)
 
+    @pytest.mark.parametrize(
+        "aperture",
+        [
+            Segment(1.3, angle=0.7, center=(0.3, -1.1)),
+            Circle(0.8, center=(1.0, 0.5)),
+            Disk(0.6, center=(-0.2, 0.3)),
+            Rectangle(1.2, 0.4, angle=-0.7, center=(0.1, 0.1)),
+            Rectangle(1.5, 0.7, angle=0.4, center=(0.8, -0.3)),
+            ParallelLines(3, 0.9, 0.6, angle=0.2, center=(0.7, -0.4)),
+        ],
+        ids=["segment", "circle", "disk", "rectangle", "rectangle-2", "lines"],
+    )
+    def test_symmetric_kinds_move_by_exactly_their_centre(self, aperture):
+        # each is symmetric about its centre, which is its enclosing circle's
+        centered, offset = centering_transform(aperture)
+        assert tuple(offset) == aperture.center and centered.center == (0.0, 0.0)
+
     def test_discrete_midpoint(self):
         arr = DiscreteArray(((0.0, 0.0), (2.0, 0.0)))
         centered, offset = centering_transform(arr)

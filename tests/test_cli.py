@@ -697,10 +697,10 @@ def _assert_rows_close(rows, expected, rtol=1e-13):
 
 
 def _count_work(monkeypatch, *private):
-    """Calls of ``gram_matrix``, the ``private`` ``operators`` names and three factorisations."""
+    """Calls of ``gram_matrix``, the ``private`` ``operators`` names and four factorisations."""
     names = ("gram_matrix",) + private
-    counts = dict.fromkeys(names + ("cholesky", "eigh", "eigvalsh"), 0)
-    linalg = [(np.linalg, name) for name in ("cholesky", "eigh", "eigvalsh")]
+    counts = dict.fromkeys(names + ("cholesky", "eigh", "eigvalsh", "qr"), 0)
+    linalg = [(np.linalg, name) for name in ("cholesky", "eigh", "eigvalsh", "qr")]
     for module, name in [(operators, name) for name in names] + linalg:
         original = getattr(module, name)
 
@@ -751,22 +751,24 @@ class TestSweepReuse:
             "cholesky": 10,
             "eigh": 0,
             "eigvalsh": 1,
+            "qr": 0,
         }
 
     def test_radius_sweep_runs_no_eigensolve(self, tmp_path, monkeypatch):
         # every point keeps its circle's diagonal G, forms no transform and no G,
         # and tests R by one Cholesky factor
         cfg = json.loads((SCENARIO_DIR / "fig4.cfg").read_text())
-        counts = _count_work(monkeypatch, "_gram_diagonal", "_aperture_transform", "_factor_gram")
+        counts = _count_work(monkeypatch, "_circle_diagonal", "_aperture_transform", "_factor_gram")
         assert len(_sweep(tmp_path, cfg)) == 25
         assert counts == {
             "gram_matrix": 0,
-            "_gram_diagonal": 25,
+            "_circle_diagonal": 25,
             "_aperture_transform": 0,
             "_factor_gram": 0,
             "cholesky": 25,
             "eigh": 0,
             "eigvalsh": 0,
+            "qr": 0,
         }
 
     @pytest.mark.parametrize(
@@ -788,7 +790,7 @@ class TestSweepReuse:
         assert all(r[1:] == ["", "", ""] for r in rows)
         err = capsys.readouterr().err
         assert err == warnings and err.count("warning: param=") == len(rows)
-        assert "below the critical order N_D=43" in err or "Q=5184" in err
+        assert "below the critical order N_D=43" in err or "5145x5145 423536400-byte coefficient" in err
 
     def test_partial_failures_keep_surviving_rows(self, tmp_path, capsys):
         # N = 14 serves the small radii, is too loose at 1.1 and 1.55 and
@@ -815,7 +817,7 @@ class TestSweepReuse:
         (LENGTH_SWEEP, "gram_matrix", _skew, "Gram matrix lost Hermitian symmetry"),
         (LENGTH_SWEEP, "gram_matrix", lambda G: G - 1e-6 * np.eye(len(G)), "Gram matrix indefinite"),
         (LENGTH_SWEEP, "gram_matrix", lambda G: G * (1.0 - 1e-3), "trace deficit .* exceeds the tail bound"),
-        (RADIUS_SWEEP, "_gram_diagonal", lambda g: g * (1.0 - 1e-3), "trace deficit .* exceeds the tail bound"),
+        (RADIUS_SWEEP, "_circle_diagonal", lambda g: g * (1.0 - 1e-3), "trace deficit .* exceeds the tail bound"),
     ],
     ids=[
         "rtilde-indefinite-radius",

@@ -187,16 +187,34 @@ class TestGram:
     def test_closed_form_matches_transform(self, aperture):
         # the centred diag(g) against the Q x Q angle-domain transform it replaced
         N = ds.truncation_order(aperture.radius) + DEFAULT_ORDER_MARGIN
-        u = operators._gram_grid(aperture, N)
+        u = operators._angle_grid(operators._angle_grid_size(N, ds.enclosing_radius(aperture)))
         reference = operators._gram_from_transform(operators._aperture_transform(aperture, u, N), N)
         assert np.max(np.abs(gram_matrix(aperture, N) - reference)) <= 2e-15
+
+    @pytest.mark.parametrize(
+        "aperture, rows",
+        [(ds.Segment(1e5), 20), (ds.Rectangle(1e5, 1.0), 864000)],
+        ids=["segment", "rectangle"],
+    )
+    def test_refused_before_the_angle_grid(self, aperture, rows):
+        # Q = 864,000 angles: the grid alone would be 13.8 MB, refused before it is made
+        N = ds.truncation_order(5e4) + DEFAULT_ORDER_MARGIN
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=rf"on a Q=864000 angle grid needs a {rows}x864000"):
+                gram_matrix(aperture, N)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
 
     def test_oversized_rule_refused_before_assembly(self):
         # default Segment(3000): N = 12820 needs a Q = 25920 angle grid, 10.7 GB
         N = ds.truncation_order(1500.0) + DEFAULT_ORDER_MARGIN
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=r"N=12820 on a Q=25920 .* 10749542400-byte"):
+            # refused on its own 648 x Q plane waves, one row past the byte budget
+            with pytest.raises(ValueError, match=r"N=12820 on a Q=25920 .* 648x25920 268738560-byte"):
                 gram_matrix(ds.Segment(3000.0), N)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -344,7 +362,7 @@ class TestCurveRule:
 _WIDE_ARRAY = np.random.default_rng(30).uniform(-0.1, 0.1, (30, 2))
 
 # line apertures whose Gauss rule has fewer rows than 2N+1: G is F^H F and never formed
-# by a build and solve; Segment(470) is the longest the angle grid admits
+# by a build and solve; Segment(476) is the longest R's size guard admits
 NARROW_LINES = {
     "segment-0": ds.Segment(0.0),
     "segment-0.05": ds.Segment(0.05),
@@ -398,9 +416,11 @@ class TestFactorRoute:
         assert np.array_equal(*spectra)
 
     @pytest.mark.parametrize("name", sorted(MANY_LINES))
-    def test_many_lines_keep_their_transform(self, name):
+    def test_many_lines_keep_their_transform(self, name, linalg_calls):
+        # G from the transform, factored by one real eigh of the lines' G at angle 0
         op = build_truncated_operator(MANY_LINES[name], ds.VonMisesPas(kappa=5.0))
-        assert op.gram_factor is None and op.gram.shape == (op.size, op.size)
+        assert op.gram_factor.shape == (op.size, op.size)
+        assert linalg_calls == [("eigh", (op.size, op.size), "float64")]
 
     @pytest.mark.parametrize("name", sorted(set(NARROW_LINES) - {"segment-470"}))
     def test_factor_gram_within_bound_of_node_sum(self, name):
@@ -415,9 +435,11 @@ class TestFactorRoute:
         assert error <= 2.0**-53 + 1e-13
 
     def test_segment_480_refused_before_allocation(self):
+        # refused on R of order 2N+1 = 4121, as a complex matrix, before its rule is sized
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=r"N=2060 on a Q=4320 .* 298598400-byte"):
+            message = r"N=2060 needs a 4121x4121 271722256-byte coefficient correlation matrix R"
+            with pytest.raises(ValueError, match=message):
                 build_truncated_operator(ds.Segment(480.0), ds.IsotropicPas())
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -464,21 +486,23 @@ class TestFactorRoute:
         ds.solve_spectrum(op)
         ds.omega_from_traces(op)
         K = len(op.gram_factor)
-        # a narrow solve reads only F; a wide one forms G once and keeps it
-        assert (K < op.size) == narrow
-        turned = op.with_alpha0(-0.4)
+        # a narrow factor keeps its nodes' rows, a wide one is its 2N+1-row QR factor
+        assert K < op.size if narrow else K == op.size
+        turned = replace(op, alpha0=-0.4)
         assert turned.alpha0 == -0.4 and turned.gram_factor is op.gram_factor
         ds.solve_spectrum(turned)
-        assert products == ([] if narrow else [(K, op.size)])
-        G = op.gram
-        assert op.gram is G and np.array_equal(G, form(op.gram_factor))
+        assert products == []
+        # gram forms F^H F on each read
+        assert np.array_equal(op.gram, form(op.gram_factor))
         assert products == [(K, op.size)]
-        assert op.with_alpha0(0.1).gram is G
 
     def test_operator_without_gram_or_factor_refused(self):
         op = build_truncated_operator(ds.Segment(1.0), ds.IsotropicPas())
-        with pytest.raises(ValueError, match="needs a gram, a gram_factor or a gram_diagonal"):
-            replace(op, gram=None, gram_factor=None)
+        with pytest.raises(TypeError, match="gram"):
+            replace(op, gram=op.gram)
+        fields = {f: getattr(op, f) for f in ("N", "N_D", "r1", "rtilde", "rho_max", "offset")}
+        with pytest.raises(TypeError, match="gram_factor"):
+            ds.TruncatedOperator(**fields)
 
 
 RTILDE_MODELS = {
@@ -713,8 +737,9 @@ class TestValidation:
 
     @staticmethod
     def _gram_with_min_eig(G, target):
-        # move only the smallest eigenvalue; the trace moves by ~1e-10
-        lam, vecs = np.linalg.eigh(G)
+        # move only the smallest eigenvalue, along a real eigenvector of the real G
+        # of the stand-in at angle 0; the trace moves by ~1e-10
+        lam, vecs = np.linalg.eigh(G.real)
         v = vecs[:, :1]
         G = G + (target - lam[0]) * (v @ v.conj().T)
         return 0.5 * (G + G.conj().T)
@@ -733,10 +758,13 @@ class TestValidation:
     )
     @pytest.mark.parametrize("lam_min, refused", [(-2e-10, True), (-1e-12, False)])
     def test_psd_threshold(self, monkeypatch, target, label, lam_min, refused):
-        # G is refused by its build; R by the solve's and a sweep point's Cholesky factor
+        # G is refused by the eigh that factors it, which clamps an admitted negative
+        # eigenvalue to zero; R by the solve's and a sweep point's Cholesky factor
         shift = self._gram_with_min_eig if target == "gram_matrix" else self._rtilde_with_min_eig
-        build = getattr(operators, target)
-        monkeypatch.setattr(operators, target, lambda *args: shift(build(*args), lam_min))
+        build, broken = getattr(operators, target), []
+        monkeypatch.setattr(
+            operators, target, lambda *args: broken.append(shift(build(*args), lam_min)) or broken[-1]
+        )
         aperture, model = _TRANSFORM_STAND_IN[target], ds.UniformPas(delta=math.pi / 2)
         message = f"{label} indefinite: min eigenvalue -2.000e-10"
         if target == "gram_matrix" and refused:
@@ -744,8 +772,12 @@ class TestValidation:
                 build_truncated_operator(aperture, model)
             return
         op = build_truncated_operator(aperture, model)
-        matrix = op.gram if target == "gram_matrix" else op.rtilde
-        assert np.linalg.eigvalsh(matrix)[0] == pytest.approx(lam_min, abs=1e-14)
+        if target == "gram_matrix":
+            # G's spectrum is the broken one with its negative eigenvalue set to zero
+            expected = np.clip(np.linalg.eigvalsh(broken[0].real), 0.0, None)
+            assert np.max(np.abs(np.linalg.eigvalsh(op.gram) - expected)) <= 1e-15
+        else:
+            assert np.linalg.eigvalsh(op.rtilde)[0] == pytest.approx(lam_min, abs=1e-14)
         for read in _READERS:
             if refused:
                 with pytest.raises(ArithmeticError, match=message):
@@ -777,7 +809,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("lam_min, refused", [(-2e-10, True), (-1e-12, False)])
     def test_hand_built_rtilde_psd_threshold(self, lam_min, refused):
-        # a hand-built R is tested by the solve's eigh and a sweep point's Cholesky factor
+        # a hand-built R is tested by the Cholesky factor of a solve and of a sweep point
         op = build_truncated_operator(ds.Segment(1.0), ds.UniformPas(delta=math.pi / 2))
         op = replace(op, rtilde=self._rtilde_with_min_eig(op.rtilde, lam_min))
         if refused:
@@ -798,36 +830,26 @@ class TestValidation:
             ds.solve_spectrum(op)
 
     def test_two_eigensolves_per_solve(self, linalg_calls):
-        op = build_truncated_operator(ds.Rectangle(1.0, 0.5), ds.VonMisesPas(kappa=3.0))
-        ds.solve_spectrum(op)
-        # a Cholesky factor of G, a real eigh(R) for R^(1/2) and its PSD test, one eigvalsh
-        shape = (op.size, op.size)
-        assert linalg_calls == [
-            ("cholesky", shape, "complex128"),
-            ("eigh", shape, "float64"),
-            ("eigvalsh", shape, "complex128"),
-        ]
-        # a disk's diagonal G: no factorisation of G, a real Cholesky factor of R
-        # and one real eigvalsh of diag(sqrt(g)) R diag(sqrt(g))
-        linalg_calls.clear()
-        op = build_truncated_operator(ds.Disk(0.8), ds.VonMisesPas(kappa=3.0))
-        ds.solve_spectrum(op)
-        shape = (op.size, op.size)
-        assert linalg_calls == [("cholesky", shape, "float64"), ("eigvalsh", shape, "float64")]
-        # two antennas against 2N+1 = 27 orders: a real Cholesky factor of R,
-        # no factorisation of G = F^H F, and one 2 x 2 eigvalsh
-        linalg_calls.clear()
-        aperture = ds.DiscreteArray(((0.0, 0.0), (0.5, 0.2)))
-        op = build_truncated_operator(aperture, ds.VonMisesPas(kappa=3.0))
-        ds.solve_spectrum(op)
-        assert op.size == 27
-        assert linalg_calls == [("cholesky", (27, 27), "float64"), ("eigvalsh", (2, 2), "complex128")]
-        # a segment's 15-node Gauss rule against 31 orders: the same factor route
-        op = build_truncated_operator(ds.Segment(1.0), ds.VonMisesPas(kappa=3.0))
-        linalg_calls.clear()
-        ds.solve_spectrum(op)
-        assert (op.size, len(op.gram_factor)) == (31, 15)
-        assert linalg_calls == [("cholesky", (31, 31), "float64"), ("eigvalsh", (15, 15), "complex128")]
+        # every solve: a real Cholesky test of R and one K x K eigvalsh of F' R F'^H,
+        # real for a disk's 1-D F (K = 2N+1), complex for every other F
+        rows = {
+            ds.Rectangle(1.0, 0.5): None,
+            ds.ParallelLines(4, 1.0, 1.0, angle=0.3): None,
+            ds.Disk(0.8): None,
+            ds.DiscreteArray(((0.0, 0.0), (0.5, 0.2))): 2,
+            ds.Segment(1.0): 15,
+            LINE_ARC_LINE: None,
+            ds.DiscreteArray(tuple(map(tuple, _WIDE_ARRAY.tolist()))): None,
+        }
+        for aperture, K in rows.items():
+            op = build_truncated_operator(aperture, ds.VonMisesPas(kappa=3.0))
+            K = K or op.size
+            diagonal = isinstance(aperture, ds.Disk)
+            assert op.gram_factor.shape == ((K,) if diagonal else (K, op.size))
+            linalg_calls.clear()
+            ds.solve_spectrum(op)
+            shape, dtype = (op.size, op.size), "float64" if diagonal else "complex128"
+            assert linalg_calls == [("cholesky", shape, "float64"), ("eigvalsh", (K, K), dtype)]
 
     @pytest.mark.parametrize(
         "model, dtype",
@@ -843,18 +865,19 @@ class TestValidation:
         # every factorisation of R, by the solve or at a sweep point, is real
         # for the symmetric models at any mean angle; only a tabulated R is complex
         wide = np.random.default_rng(30).uniform(-0.1, 0.1, (30, 2))
-        routes = {
-            ds.Rectangle(1.0, 0.5): ("eigh", dtype),
-            ds.Segment(1.0): ("cholesky", dtype),
-            ds.DiscreteArray(((0.0, 0.0), (0.5, 0.2))): ("cholesky", dtype),
-            ds.DiscreteArray(tuple(map(tuple, wide.tolist()))): ("eigh", dtype),
-        }
-        for aperture, factor in routes.items():
+        apertures = (
+            ds.Rectangle(1.0, 0.5),
+            ds.Segment(1.0),
+            ds.DiscreteArray(((0.0, 0.0), (0.5, 0.2))),
+            ds.DiscreteArray(tuple(map(tuple, wide.tolist()))),
+        )
+        for aperture in apertures:
             op = build_truncated_operator(aperture, model)
             assert op.rtilde.dtype.name == dtype and op.alpha0 == model.alpha0
             linalg_calls.clear()
             ds.solve_spectrum(op)
-            assert [(name, kind) for name, _, kind in linalg_calls] == [factor, ("eigvalsh", "complex128")]
+            expected = [("cholesky", dtype), ("eigvalsh", "complex128")]
+            assert [(name, kind) for name, _, kind in linalg_calls] == expected
             linalg_calls.clear()
             ds.omega_from_traces(op)
             assert [(name, kind) for name, _, kind in linalg_calls] == [("cholesky", dtype)]
@@ -883,28 +906,29 @@ class TestDiagonalRoute:
         for name in ("_aperture_transform", "_gram_from_transform", "gram_matrix", "_factor_gram"):
             monkeypatch.setattr(operators, name, lambda *args, _name=name: formed.append(_name))
         op = build_truncated_operator(aperture, model)
-        assert op.gram_factor is None and op.gram_diagonal.shape == (op.size,)
-        assert op.gram_diagonal.dtype.name == "float64" and op.rtilde.dtype.name == "float64"
+        assert op.gram_factor.shape == (op.size,)
+        assert op.gram_factor.dtype.name == "float64" and op.rtilde.dtype.name == "float64"
         ds.solve_spectrum(op)
         shape = (op.size, op.size)
         assert linalg_calls == [("cholesky", shape, "float64"), ("eigvalsh", shape, "float64")]
         linalg_calls.clear()
-        ds.omega_from_traces(op.with_alpha0(-0.4))
+        ds.omega_from_traces(replace(op, alpha0=-0.4))
         assert linalg_calls == [("cholesky", shape, "float64")]
-        assert formed == [] and op.__dict__["_gram"] is None
+        assert formed == []
 
     def test_gram_formed_from_the_diagonal_where_read(self):
+        # the 1-D factor is sqrt(g): gram forms diag(g) on each read
         op = build_truncated_operator(ds.Disk(1.5), ds.VonMisesPas(kappa=3.0, alpha0=0.7))
-        G = op.gram
-        assert op.gram is G and np.array_equal(G, np.diag(op.gram_diagonal))
-        assert op.with_alpha0(0.1).gram is G
+        g = operators._circle_diagonal(ds.Disk(1.5), op.N)
+        assert np.array_equal(op.gram_factor, np.sqrt(g))
+        assert np.max(np.abs(op.gram - np.diag(g))) <= 1e-16
 
     @pytest.mark.parametrize("kind", [ds.Circle, ds.Disk])
     def test_refused_on_rtilde_size_before_allocation(self, kind):
         # R of order 2N+1 = 4121 is 272 MB as a complex matrix, whatever the PAS;
         # 230 wavelengths (2N+1 = 3951, 250 MB) are admitted
         N = ds.series_order(230.0)[0]
-        assert operators._gram_diagonal(kind(230.0), N).shape == (2 * N + 1,)
+        assert operators._circle_diagonal(kind(230.0), N).shape == (2 * N + 1,)
         tracemalloc.start()
         try:
             for model in SYMMETRIC_MODELS.values():
@@ -940,6 +964,60 @@ class TestDiagonalRoute:
             a, b = (build_truncated_operator(aperture, model) for _ in range(2))
             assert a == a and not a == b and a != b
         assert formed == []
+
+
+FACTOR_KINDS = {
+    "segment": ds.Segment(2.0, angle=0.4),
+    "segment-off-centre": NODE_SUM_CASES["segment"],
+    "one-line": ds.ParallelLines(1, 1.0, angle=0.3),
+    "circle": ds.Circle(0.8, center=(0.3, 0.2)),
+    "disk": ds.Disk(3.0),
+    "rectangle": ds.Rectangle(1.0, 0.5),
+    "rectangle-rotated": ds.Rectangle(0.7, 0.3, angle=0.2),
+    "rectangle-rotated-off-centre": NODE_SUM_CASES["rectangle-rotated-off-centre"],
+    "lines-angled": NODE_SUM_CASES["lines-angled"],
+    "lines8": MANY_LINES["lines8"],
+    "curve-narrow": CURVES["two-lines-L"],
+    "curve-wide": LINE_ARC_LINE,
+    "array": ds.DiscreteArray(((0.0, 0.0), (0.5, 0.1), (-0.2, 0.4))),
+    "array-wide": ds.DiscreteArray(tuple(map(tuple, _WIDE_ARRAY.tolist()))),
+}
+FACTOR_MODELS = dict(
+    SYMMETRIC_MODELS,
+    tabulated=ds.TabulatedPas(np.radians([0.0, 40.0, 150.0]), [1.0, 3.0, 0.5], alpha0=2.0),
+)
+
+
+class TestGramFactor:
+    @pytest.mark.parametrize("model", FACTOR_MODELS.values(), ids=FACTOR_MODELS)
+    @pytest.mark.parametrize("aperture", FACTOR_KINDS.values(), ids=FACTOR_KINDS)
+    def test_factor_has_at_most_2n_plus_1_rows_and_matches_gram(self, aperture, model):
+        op = build_truncated_operator(aperture, model)
+        F = op.gram_factor
+        assert F.shape[-1] == op.size and len(F) <= op.size
+        centered, _ = ds.centering_transform(aperture)
+        assert np.max(np.abs(op.gram - gram_matrix(centered, op.N))) <= 1e-14
+
+    @pytest.mark.parametrize("name", ["curve-wide", "array-wide"])
+    def test_wide_node_sum_is_its_qr_factor(self, name, linalg_calls):
+        # more nodes than 2N+1 orders: the build's one factorisation is a QR of F
+        op = build_truncated_operator(FACTOR_KINDS[name], ds.VonMisesPas(kappa=3.0))
+        (call,) = linalg_calls
+        assert call[0] == "qr" and call[1][0] > op.size and call[1][1] == op.size
+        assert op.gram_factor.shape == (op.size, op.size)
+
+    @pytest.mark.parametrize(
+        "name", ["rectangle-rotated", "rectangle-rotated-off-centre", "lines-angled", "lines8"]
+    )
+    def test_rotated_gram_is_a_phased_real_gram(self, name):
+        # G = P H P^H with P = diag(exp(-j*n*angle)) and H, G at angle 0, real
+        centered, _ = ds.centering_transform(FACTOR_KINDS[name])
+        N = _order_at(centered)
+        H = gram_matrix(replace(centered, angle=0.0), N)
+        assert np.max(np.abs(H.imag)) <= 1e-16
+        p = np.exp(-1j * centered.angle * np.arange(-N, N + 1))
+        G = gram_matrix(centered, N)
+        assert np.max(np.abs(G - p[:, None] * H.real * p.conj())) <= 1e-15
 
 
 ROTATED_MODELS = {

@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -72,17 +73,13 @@ class TestSolve:
         assert spec.hs_error_bound == pytest.approx(0.4 * 16.0 * decay, rel=1e-14)
 
     def test_excessive_clamp_raises(self):
+        # R just passes its test (min eigenvalue -9e-11 > -1e-10), and a scaled F
+        # along that eigenvector takes F R F^H to -9e-8, below the clamping floor
         op = ds.build_truncated_operator(ds.Circle(1.0), ds.IsotropicPas())
-        broken = ds.TruncatedOperator(
-            N=op.N,
-            N_D=op.N_D,
-            r1=op.r1,
-            gram=op.gram - 1e-6 * np.eye(op.size),
-            rtilde=op.rtilde,
-            rho_max=op.rho_max,
-            offset=op.offset,
-        )
-        with pytest.raises(ExcessiveClampError):
+        lam, vecs = np.linalg.eigh(op.rtilde)
+        rtilde = op.rtilde + (-9e-11 - lam[0]) * np.outer(vecs[:, 0], vecs[:, 0])
+        broken = replace(op, rtilde=rtilde, gram_factor=np.sqrt(1e3) * vecs[:, :1].T.astype(complex))
+        with pytest.raises(ExcessiveClampError, match="eigenvalue -9.0..e-08 below the clamping floor"):
             ds.solve_spectrum(broken)
 
     def test_translation_invariance(self):
@@ -382,7 +379,7 @@ class TestArrayFactorRoute:
         spec = ds.solve_spectrum(op)
         lam, omega = _full_route(op, model)
         L = len(points)
-        assert op.gram_factor.shape == (L, op.size)
+        assert op.gram_factor.shape == (min(L, op.size), op.size)
         assert len(spec.eigenvalues) == op.size
         assert np.all(spec.eigenvalues[L:] == 0.0)
         assert np.max(np.abs(spec.eigenvalues - lam)) <= 1e-13
@@ -395,9 +392,9 @@ class TestArrayFactorRoute:
         assert np.array_equal(op.gram, op.gram.conj().T)
         assert np.linalg.eigvalsh(op.gram)[0] >= -1e-14
 
-    def test_wide_array_takes_full_route(self, linalg_calls):
-        # 30 antennas within radius 0.2 exceed 2N+1 = 25: the build takes
-        # eigh(R) for R^(1/2), which is also R's PSD test, and no Cholesky
+    def test_wide_array_takes_its_qr_factor(self, linalg_calls):
+        # 30 antennas within radius 0.2 exceed 2N+1 = 25: the build replaces their
+        # 30-row F by its 25-row QR factor, and the solve is the narrow route's
         rng = np.random.default_rng(30)
         r = 0.2 * np.sqrt(rng.uniform(0.0, 1.0, 30))
         beta = rng.uniform(0.0, TWO_PI, 30)
@@ -405,8 +402,12 @@ class TestArrayFactorRoute:
         aperture = ds.DiscreteArray(tuple(map(tuple, points.tolist())))
         op = ds.build_truncated_operator(aperture, ds.VonMisesPas(kappa=2.0))
         ds.solve_spectrum(op)
-        assert op.size == 25
-        assert linalg_calls == [("eigh", (25, 25), "float64"), ("eigvalsh", (25, 25), "complex128")]
+        assert op.size == 25 and op.gram_factor.shape == (25, 25)
+        assert linalg_calls == [
+            ("qr", (30, 25), "complex128"),
+            ("cholesky", (25, 25), "float64"),
+            ("eigvalsh", (25, 25), "complex128"),
+        ]
 
 
 _WIDE_ARRAY = np.random.default_rng(30).uniform(-0.1, 0.1, (30, 2))
