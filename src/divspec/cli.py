@@ -21,7 +21,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -50,7 +49,7 @@ from .pas import (
     doppler_spectrum,
     wrap_angle,
 )
-from .operators import build_truncated_operator, rtilde_matrix
+from .operators import _with_alpha0, build_truncated_operator, rtilde_matrix
 from .specfun import bessel_abs_tail_bound, series_order
 from .spectrum import (
     _omega_interval,
@@ -340,7 +339,8 @@ def _sweep_operators(cfg: dict, kind: str, values):
 
     A direction point differs from another only in ``alpha0``: the sweep
     builds and checks one operator and gives each point a copy with its
-    own ``alpha0``, sharing its Gram factor ``F`` and ``R``; a refused
+    own ``alpha0``, sharing its Gram factor ``F``, ``R`` and ``R``'s PSD
+    certificate (``operators._with_alpha0``); a refused
     build is not cached, so it is refused again at every point.  Radius
     and length sweeps take the PAS model and ``N`` from the first point's
     config and build each point's operator with
@@ -349,7 +349,7 @@ def _sweep_operators(cfg: dict, kind: str, values):
     if kind == "direction":
         aperture, model, N = _scenario(_apply_sweep(cfg, kind, 0.0))
         base = functools.cache(lambda: build_truncated_operator(aperture, model, N))
-        return lambda value: replace(base(), alpha0=wrap_angle(value * _RAD))
+        return lambda value: _with_alpha0(base(), wrap_angle(value * _RAD))
     _, model, N = _scenario(_apply_sweep(cfg, kind, float(values[0])))
     return lambda value: build_truncated_operator(
         make_aperture(_apply_sweep(cfg, kind, value)["aperture"]), model, N

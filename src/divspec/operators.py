@@ -42,7 +42,7 @@ order ``n = i - N``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -63,7 +63,7 @@ from .aperture import (
     centering_transform,
     enclosing_radius,
 )
-from .pas import PasModel
+from .pas import IsotropicPas, PasModel, TabulatedPas, UniformPas, VonMisesPas
 
 __all__ = [
     "TruncatedOperator",
@@ -90,8 +90,14 @@ _KERNEL_BLOCK_BYTES = 1 << 22
 _GAUSS_TOL = 2.0**-53
 
 #: Tolerated magnitude of negative eigenvalues of ``G`` and ``R``: the ``eigh``
-#: that factors a transform's ``G``, or a Cholesky factor of ``R + _PSD_TOL*I``, tests it.
+#: that factors a transform's ``G`` tests it, and ``_check_psd`` an ``R`` that is
+#: not proven PSD (one built for a model outside ``_PSD_MODELS``, or by hand).
 _PSD_TOL = 1e-10
+
+#: PAS models whose ``R(0)`` is PSD by construction, to within ``_PSD_TOL``
+#: (see :func:`build_truncated_operator`); matched by exact type, since a
+#: subclass may override ``fourier``.
+_PSD_MODELS = (IsotropicPas, UniformPas, VonMisesPas, TabulatedPas)
 
 
 def _angle_grid_size(N: int, r1: float) -> int:
@@ -450,6 +456,13 @@ class TruncatedOperator:
     ``D = diag(exp(-j*n*alpha0))``, which the solve applies as a phase on
     ``F``; ``R(alpha0)`` is PSD exactly when ``R(0)`` is, and a diagonal
     ``G`` commutes with ``D``.
+
+    ``_psd_certified`` records that ``R(0)`` is PSD to within ``_PSD_TOL``,
+    proven or tested once by :func:`build_truncated_operator`, the only
+    place that sets it; ``_with_alpha0`` carries it to a direction-sweep
+    point.  It is not an ``__init__`` argument and ``dataclasses.replace``
+    resets it, so a hand-built ``R`` is tested by ``_check_psd`` where it
+    is read, by every solve and sweep point (:mod:`divspec.spectrum`).
     """
 
     N: int
@@ -460,6 +473,7 @@ class TruncatedOperator:
     rho_max: float
     offset: np.ndarray
     alpha0: float = 0.0
+    _psd_certified: bool = field(init=False, default=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -471,11 +485,40 @@ class TruncatedOperator:
         return np.diag(F * F) if F.ndim == 1 else _factor_gram(F)
 
 
+def _with_alpha0(op: TruncatedOperator, alpha0: float) -> TruncatedOperator:
+    """``op`` with mean angle ``alpha0``, keeping ``R(0)``'s certificate.
+
+    The copy shares ``F`` and ``R(0)``; ``R(alpha0) = D R(0) D^H`` is PSD
+    exactly when ``R(0)`` is.
+    """
+    rotated = replace(op, alpha0=alpha0)
+    object.__setattr__(rotated, "_psd_certified", op._psd_certified)
+    return rotated
+
+
 def _asymmetry(M: np.ndarray) -> float:
     """``max |M - M^H|``, formed in one scratch matrix of ``M``'s size."""
     D = np.conj(M.T)
     np.subtract(M, D, out=D)
     return float(np.max(np.abs(D, out=D)).real)
+
+
+def _check_psd(R: np.ndarray) -> None:
+    """Refuse ``R`` unless ``R + _PSD_TOL*I`` has a Cholesky factor.
+
+    That admits every ``R`` whose smallest eigenvalue exceeds ``-_PSD_TOL``
+    (up to round-off in the factorisation); only a refusal pays for
+    ``eigvalsh``, to name that eigenvalue.
+    """
+    shifted = R.copy()
+    shifted.flat[:: len(R) + 1] += _PSD_TOL
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        lam_min = float(np.linalg.eigvalsh(R)[0])
+        raise ArithmeticError(
+            f"coefficient correlation matrix indefinite: min eigenvalue {lam_min:.3e}"
+        ) from None
 
 
 def build_truncated_operator(aperture, model: PasModel, N: int | None = None) -> TruncatedOperator:
@@ -488,11 +531,29 @@ def build_truncated_operator(aperture, model: PasModel, N: int | None = None) ->
     ``2N+1`` is allocated.  ``R`` is built about the PAS's own axis, the
     mean angle kept as ``alpha0``, and is real when its coefficients are.
     ``G`` is kept as its factor ``F`` (see :class:`TruncatedOperator`).
-    Each invariant that can fail is tested once: here ``G``'s trace
+    Each invariant that can fail is tested once, here: ``G``'s trace
     ``||F||_F**2`` against the tail bound, a transform ``G``'s symmetry and
     PSD (in ``_transform_factor``; every other ``F^H F`` has both by
-    construction), and ``R``'s symmetry and unit diagonal; ``R``'s PSD
-    where ``R`` is read, in :mod:`divspec.spectrum`.
+    construction), and ``R``'s symmetry and unit diagonal on the
+    coefficients ``s = s_(-2N..2N)`` it is windowed from, ``s_(-k) =
+    conj(s_k)`` and ``s_0 = 1``, which are ``R``'s own because
+    ``R_mn = s_(m-n)``.  A NaN fails every one of these tests.
+
+    ``R``'s PSD is proven for the four shipped models (by exact type:
+    ``IsotropicPas``, ``UniformPas``, ``VonMisesPas``, ``TabulatedPas``),
+    whose constructors refuse a negative density ``S``.  With the exact
+    ``s_k = int S(a) exp(-j*k*a) da``,
+    ``x^H R x = int S(a) |sum_n x_n exp(j*n*a)|**2 da >= 0`` (Caratheodory-
+    Toeplitz), and the computed ``R`` differs from the exact one by the
+    Toeplitz matrix of the errors ``ds_k``, of norm at most
+    ``sum |ds_k| <= (4N+1)*max |ds_k|``.  Against 40-digit values
+    ``max |ds_k|`` is 0 for the isotropic model and at most 3e-16 for the
+    others (uniform 1 to 360 degrees, von Mises ``kappa`` 0 to 700, a table
+    with a zero arc, ``|k| <= 4094``), so up to the largest admitted ``N``,
+    2047, ``R``'s eigenvalues stay above ``-2.5e-12``, inside ``-_PSD_TOL``.
+    ``R`` of any other :class:`~divspec.pas.PasModel` is tested once by a
+    Cholesky factor (``_check_psd``).  Either way the operator carries the
+    certificate, and no solve or sweep point tests ``R`` again.
     """
     centered, offset = centering_transform(aperture)
     r1 = enclosing_radius(centered)
@@ -506,7 +567,7 @@ def build_truncated_operator(aperture, model: PasModel, N: int | None = None) ->
         )
     F = _gram_factor(centered, N)
     trace = float(np.vdot(F, F).real)
-    if trace > 1.0 + 1e-12 or trace < -1e-12:
+    if not trace <= 1.0 + 1e-12:
         raise ArithmeticError(f"Gram trace {trace} outside [0, 1]")
     residual = specfun.bessel_sq_tail_bound(N, r1)
     if 1.0 - trace > residual + 1e-9:
@@ -514,12 +575,14 @@ def build_truncated_operator(aperture, model: PasModel, N: int | None = None) ->
             f"Gram trace deficit {1.0 - trace:.3e} exceeds the tail bound {residual:.3e}"
         )
     s = model._on_axis().fourier(np.arange(-2 * N, 2 * N + 1))
-    R = _toeplitz(s if s.imag.any() else s.real)
-    if _asymmetry(R) > 1e-14:
+    if not float(np.max(np.abs(s - s[::-1].conj()))) <= 1e-14:
         raise ArithmeticError("coefficient correlation matrix is not Hermitian")
-    if float(np.max(np.abs(np.diag(R) - 1.0))) > 1e-12:
+    if not abs(s[2 * N] - 1.0) <= 1e-12:
         raise ArithmeticError("coefficient correlation matrix diagonal is not 1")
-    return TruncatedOperator(
+    R = _toeplitz(s if s.imag.any() else s.real)
+    if type(model) not in _PSD_MODELS:
+        _check_psd(R)
+    op = TruncatedOperator(
         N=N,
         N_D=n_critical,
         r1=r1,
@@ -529,3 +592,5 @@ def build_truncated_operator(aperture, model: PasModel, N: int | None = None) ->
         offset=np.asarray(offset, dtype=float),
         alpha0=model.alpha0,
     )
+    object.__setattr__(op, "_psd_certified", True)
+    return op

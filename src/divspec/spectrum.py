@@ -11,7 +11,10 @@ operator keeps ``G`` as a factor ``G = F^H F`` of ``K <= 2N+1`` rows
 which is manifestly real and non-negative and keeps the sort stable.
 ``R`` is ``R(0)``, about the PAS's own axis, with the mean angle applied
 as a phase on ``F``.  Every solve and every sweep point reads this one
-matrix, after one Cholesky test of ``R``.
+matrix.  ``R`` is PSD by a certificate the build gives it, proven for the
+shipped PAS models and tested once for any other (see
+:func:`~divspec.operators.build_truncated_operator`); only an operator
+with no certificate has ``R`` tested by a Cholesky factor where it is read.
 
 Each solve carries two certified error bounds scaled from the tail bound
 of :mod:`divspec.specfun`, which also sets ``N`` and ``N_D``: one for each
@@ -48,8 +51,8 @@ from .aperture import (
 )
 from .operators import (
     _MAX_GRID_BYTES,
-    _PSD_TOL,
     TruncatedOperator,
+    _check_psd,
     _kernel_grid,
     _plane_waves,
 )
@@ -120,32 +123,18 @@ def _times(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return (A @ np.ascontiguousarray(B).view(float)).view(complex)
 
 
-def _check_psd(R: np.ndarray) -> None:
-    """Refuse ``R`` unless ``R + _PSD_TOL*I`` has a Cholesky factor.
-
-    That admits every ``R`` whose smallest eigenvalue exceeds ``-_PSD_TOL``
-    (up to round-off in the factorisation); only a refusal pays for
-    ``eigvalsh``, to name that eigenvalue.
-    """
-    shifted = R.copy()
-    shifted.flat[:: len(R) + 1] += _PSD_TOL
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        lam_min = float(np.linalg.eigvalsh(R)[0])
-        raise ArithmeticError(
-            f"coefficient correlation matrix indefinite: min eigenvalue {lam_min:.3e}"
-        ) from None
-
-
 def _kl_matrix(op: TruncatedOperator) -> np.ndarray:
-    """``F' R F'^H``, Hermitian with the nonzero spectrum of ``G' R``, after ``R``'s PSD test.
+    """``F' R F'^H``, Hermitian with the nonzero spectrum of ``G' R``.
 
     ``F' = F * d`` carries the mean angle as the phase ``d = exp(-j*alpha0*n)``,
     which a circle's or disk's diagonal ``G`` commutes with: its 1-D ``F``
-    gives ``diag(F) R diag(F)``, real with ``R``.
+    gives ``diag(F) R diag(F)``, real with ``R``.  A built operator's ``R``
+    is certified PSD by its build; any other ``R`` (built by hand, or an
+    operator constructed directly) is tested here by ``_check_psd``, a
+    Cholesky factor of ``R + 1e-10*I``.
     """
-    _check_psd(op.rtilde)
+    if not op._psd_certified:
+        _check_psd(op.rtilde)
     F = op.gram_factor
     if F.ndim == 1:
         return F[:, None] * op.rtilde * F
@@ -163,13 +152,14 @@ def _error_bounds(op: TruncatedOperator) -> tuple[float, float]:
 def solve_spectrum(op: TruncatedOperator) -> DiversitySpectrum:
     """Solve the truncated eigenvalue problem and attach certified bounds.
 
-    ``R`` is tested PSD by a Cholesky factor of ``R + 1e-10*I`` (an
-    eigenvalue below ``-1e-10`` is refused), then one ``K x K``
-    ``eigvalsh(F' R F'^H)`` gives the nonzero eigenvalues of ``G' R``
-    (see ``_kl_matrix``); those beyond rank ``K`` are exact zeros.  It is
-    real for a circle or a disk under the isotropic, uniform and von Mises
-    models.  Eigenvalues in ``(-1e-8, 0)`` clamp to zero, and any below
-    raises :class:`ExcessiveClampError`.
+    One ``K x K`` ``eigvalsh(F' R F'^H)`` gives the nonzero eigenvalues of
+    ``G' R`` (see ``_kl_matrix``); those beyond rank ``K`` are exact zeros.
+    ``R`` is PSD by the build's certificate; an ``R`` with none is first
+    tested by a Cholesky factor of ``R + 1e-10*I`` (an eigenvalue below
+    ``-1e-10`` is refused).  The eigensolve is real for a circle or a disk
+    under the isotropic, uniform and von Mises models.  Eigenvalues in
+    ``(-1e-8, 0)`` clamp to zero, and any below raises
+    :class:`ExcessiveClampError`.
     """
     sym = _kl_matrix(op)
     sym = 0.5 * (sym + sym.conj().T)
@@ -204,8 +194,8 @@ def omega_from_traces(op: TruncatedOperator) -> tuple[float, float, float]:
     """``omega`` and the interval of :func:`omega_corrected`, with no eigensolve.
 
     The eigenvalues of ``M = F' R F'^H``, the matrix that
-    :func:`solve_spectrum` eigensolves after the same test of ``R``, sum
-    to ``tr(M)`` and their squares to ``tr(M^2) = sum(M * M^T)``, so one
+    :func:`solve_spectrum` eigensolves, with the same certificate or test
+    of ``R``, sum to ``tr(M)`` and their squares to ``tr(M^2) = sum(M * M^T)``, so one
     matrix and the solve's own bounds give ``(omega, midpoint,
     half_width)``.  For a circle or a disk ``M`` is formed in ``O(N**2)``
     with no matrix product.

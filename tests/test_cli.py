@@ -647,6 +647,12 @@ def _skew(M):
     return M
 
 
+def _with_nan(F):
+    F = F.copy()
+    F.flat[0] = np.nan
+    return F
+
+
 RADIUS_SWEEP = {
     "aperture": {"kind": "circle", "radius": 0.5},
     "pas": {"kind": "uniform", "delta_deg": 90.0},
@@ -739,7 +745,7 @@ class TestSweepReuse:
 
     def test_direction_sweep_builds_once(self, tmp_path, monkeypatch):
         # one Gauss factor F of the segment's G, whose rule costs leggauss one companion
-        # eigvalsh, no G formed or tested, then one Cholesky test of R per point
+        # eigvalsh, no G formed or tested, and no test of the certified R at any point
         cfg = json.loads((SCENARIO_DIR / "fig7.cfg").read_text())
         ds.aperture._gauss01.cache_clear()
         counts = _count_work(monkeypatch, "_node_factor", "_factor_gram")
@@ -748,7 +754,7 @@ class TestSweepReuse:
             "gram_matrix": 0,
             "_node_factor": 1,
             "_factor_gram": 0,
-            "cholesky": 10,
+            "cholesky": 0,
             "eigh": 0,
             "eigvalsh": 1,
             "qr": 0,
@@ -756,7 +762,7 @@ class TestSweepReuse:
 
     def test_radius_sweep_runs_no_eigensolve(self, tmp_path, monkeypatch):
         # every point keeps its circle's diagonal G, forms no transform and no G,
-        # and tests R by one Cholesky factor
+        # and its R is certified by the build, with no Cholesky test
         cfg = json.loads((SCENARIO_DIR / "fig4.cfg").read_text())
         counts = _count_work(monkeypatch, "_circle_diagonal", "_aperture_transform", "_factor_gram")
         assert len(_sweep(tmp_path, cfg)) == 25
@@ -765,7 +771,7 @@ class TestSweepReuse:
             "_circle_diagonal": 25,
             "_aperture_transform": 0,
             "_factor_gram": 0,
-            "cholesky": 25,
+            "cholesky": 0,
             "eigh": 0,
             "eigvalsh": 0,
             "qr": 0,
@@ -818,6 +824,8 @@ class TestSweepReuse:
         (LENGTH_SWEEP, "gram_matrix", lambda G: G - 1e-6 * np.eye(len(G)), "Gram matrix indefinite"),
         (LENGTH_SWEEP, "gram_matrix", lambda G: G * (1.0 - 1e-3), "trace deficit .* exceeds the tail bound"),
         (RADIUS_SWEEP, "_circle_diagonal", lambda g: g * (1.0 - 1e-3), "trace deficit .* exceeds the tail bound"),
+        (LENGTH_SWEEP, "_gram_factor", _with_nan, r"Gram trace nan outside \[0, 1\]"),
+        (RADIUS_SWEEP, "_gram_factor", _with_nan, r"Gram trace nan outside \[0, 1\]"),
     ],
     ids=[
         "rtilde-indefinite-radius",
@@ -826,11 +834,15 @@ class TestSweepReuse:
         "gram-indefinite",
         "trace-deficit",
         "diagonal-trace-deficit",
+        "nan-factor-length",
+        "nan-factor-radius",
     ],
 )
 def test_refusal_fires_on_every_sweep_point(cfg, target, breakage, message, tmp_path, monkeypatch, capsys):
-    # with no eigensolve on a sweep, the build's checks of G and a Cholesky
-    # factor of R are what refuse a broken pair
+    # with no eigensolve on a sweep, the build's checks are what refuse a broken pair;
+    # R's PSD is tested there for a model outside the four whose PSD is proven
+    if target == "_toeplitz":
+        monkeypatch.setattr(operators, "_PSD_MODELS", ())
     build = getattr(operators, target)
     monkeypatch.setattr(operators, target, lambda *args: breakage(build(*args)))
     rows = _sweep(tmp_path, cfg)

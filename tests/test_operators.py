@@ -690,27 +690,57 @@ def _skew(M):
     return M
 
 
-# where a broken matrix is refused: R's PSD where R is read, by the solve
-# and by a sweep point; every other check when the operator is built
+def _unit(s):
+    """``e_0`` over ``s = s_(-2N..2N)``: one at ``s_0``."""
+    return np.arange(len(s)) == len(s) // 2
+
+
+def _skew_coefficient(s):
+    # s_1 no longer the conjugate of s_(-1)
+    s = s.copy()
+    s[len(s) // 2 + 1] += 1e-6
+    return s
+
+
+class _UnlistedPas(ds.UniformPas):
+    """A PAS outside the four shipped models: its ``R`` is not proven PSD."""
+
+
+# every broken matrix is refused by the build; a built operator's R is certified,
+# so the solve and a sweep point test only an R built by hand
 _READERS = (ds.solve_spectrum, ds.omega_from_traces)
 
 # a broken G needs an aperture whose G comes from its closed-form transform and
 # is tested as a matrix; a segment carries its Gauss factor F and forms no G.
-# A broken R is the build's Toeplitz window of R(0)'s coefficients, broken.
-_TRANSFORM_STAND_IN = {"gram_matrix": ds.Rectangle(1.0, 0.5), "_toeplitz": ds.Segment(1.0)}
+# A broken R is R(0)'s coefficients s, broken where the model returns them, or
+# the build's Toeplitz window of them.
+_TRANSFORM_STAND_IN = {
+    "gram_matrix": ds.Rectangle(1.0, 0.5),
+    "fourier": ds.Segment(1.0),
+    "_toeplitz": ds.Segment(1.0),
+}
+
+
+def _break(monkeypatch, target, breakage):
+    if target == "fourier":
+        fourier = ds.PasModel.fourier
+        monkeypatch.setattr(ds.PasModel, "fourier", lambda self, n: breakage(fourier(self, n)))
+    else:
+        build = getattr(operators, target)
+        monkeypatch.setattr(operators, target, lambda *args: breakage(build(*args)))
 
 
 class TestValidation:
     @pytest.mark.parametrize(
-        "target, breakage, message",
+        "target, breakage, model, message",
         [
-            ("gram_matrix", _skew, "Gram matrix lost Hermitian symmetry"),
-            ("_toeplitz", _skew, "correlation matrix is not Hermitian"),
-            ("_toeplitz", lambda R: R + 1e-9 * np.eye(len(R)), "diagonal is not 1"),
-            ("gram_matrix", lambda G: G - 1e-6 * np.eye(len(G)), "Gram matrix indefinite"),
-            ("_toeplitz", lambda R: 2.0 * R - np.eye(len(R)), "correlation matrix indefinite"),
-            ("gram_matrix", lambda G: G * (1.0 + 1e-9), r"trace .* outside \[0, 1\]"),
-            ("gram_matrix", lambda G: G * (1.0 - 1e-3), "trace deficit .* exceeds the tail bound"),
+            ("gram_matrix", _skew, ds.UniformPas, "Gram matrix lost Hermitian symmetry"),
+            ("fourier", _skew_coefficient, ds.UniformPas, "correlation matrix is not Hermitian"),
+            ("fourier", lambda s: s + 1e-9 * _unit(s), ds.UniformPas, "diagonal is not 1"),
+            ("gram_matrix", lambda G: G - 1e-6 * np.eye(len(G)), ds.UniformPas, "Gram matrix indefinite"),
+            ("fourier", lambda s: 2.0 * s - _unit(s), _UnlistedPas, "correlation matrix indefinite"),
+            ("gram_matrix", lambda G: G * (1.0 + 1e-9), ds.UniformPas, r"trace .* outside \[0, 1\]"),
+            ("gram_matrix", lambda G: G * (1.0 - 1e-3), ds.UniformPas, "trace deficit .* exceeds the tail bound"),
         ],
         ids=[
             "gram-not-hermitian",
@@ -722,18 +752,36 @@ class TestValidation:
             "trace-deficit",
         ],
     )
-    def test_broken_matrix_refused(self, monkeypatch, target, breakage, message):
-        build = getattr(operators, target)
-        monkeypatch.setattr(operators, target, lambda *args: breakage(build(*args)))
-        aperture, model = _TRANSFORM_STAND_IN[target], ds.UniformPas(delta=math.pi / 2)
-        if "correlation matrix indefinite" not in message:
-            with pytest.raises(ArithmeticError, match=message):
-                build_truncated_operator(aperture, model)
-            return
-        op = build_truncated_operator(aperture, model)
-        for read in _READERS:
-            with pytest.raises(ArithmeticError, match=message):
-                read(op)
+    def test_broken_matrix_refused(self, monkeypatch, target, breakage, model, message):
+        # R's symmetry and diagonal are tested on s for every model; its PSD by
+        # one Cholesky factor for a model outside the four whose PSD is proven
+        _break(monkeypatch, target, breakage)
+        with pytest.raises(ArithmeticError, match=message):
+            build_truncated_operator(_TRANSFORM_STAND_IN[target], model(delta=math.pi / 2))
+
+    @pytest.mark.parametrize(
+        "breakage",
+        [lambda s: s * np.nan, lambda s: np.where(_unit(s), np.nan, s)],
+        ids=["every-coefficient", "s0"],
+    )
+    def test_nan_coefficients_refused(self, monkeypatch, breakage):
+        _break(monkeypatch, "fourier", breakage)
+        with pytest.raises(ArithmeticError, match="correlation matrix is not Hermitian"):
+            build_truncated_operator(ds.Segment(1.0), ds.UniformPas(delta=math.pi / 2))
+
+    @pytest.mark.parametrize("aperture", [ds.Segment(1.0), ds.Disk(1.0)], ids=["segment", "disk"])
+    def test_nan_gram_factor_refused(self, monkeypatch, aperture):
+        # NaN compares False both ways: the trace test is written so that it fails
+        factor = operators._gram_factor
+
+        def with_nan(*args):
+            F = factor(*args).copy()
+            F.flat[0] = np.nan
+            return F
+
+        monkeypatch.setattr(operators, "_gram_factor", with_nan)
+        with pytest.raises(ArithmeticError, match=r"Gram trace nan outside \[0, 1\]"):
+            build_truncated_operator(aperture, ds.VonMisesPas(kappa=3.0))
 
     @staticmethod
     def _gram_with_min_eig(G, target):
@@ -757,17 +805,17 @@ class TestValidation:
         ids=["gram", "rtilde"],
     )
     @pytest.mark.parametrize("lam_min, refused", [(-2e-10, True), (-1e-12, False)])
-    def test_psd_threshold(self, monkeypatch, target, label, lam_min, refused):
+    def test_psd_threshold(self, monkeypatch, linalg_calls, target, label, lam_min, refused):
         # G is refused by the eigh that factors it, which clamps an admitted negative
-        # eigenvalue to zero; R by the solve's and a sweep point's Cholesky factor
+        # eigenvalue to zero; R of a model outside the four by the build's Cholesky factor
         shift = self._gram_with_min_eig if target == "gram_matrix" else self._rtilde_with_min_eig
         build, broken = getattr(operators, target), []
         monkeypatch.setattr(
             operators, target, lambda *args: broken.append(shift(build(*args), lam_min)) or broken[-1]
         )
-        aperture, model = _TRANSFORM_STAND_IN[target], ds.UniformPas(delta=math.pi / 2)
+        aperture, model = _TRANSFORM_STAND_IN[target], _UnlistedPas(delta=math.pi / 2)
         message = f"{label} indefinite: min eigenvalue -2.000e-10"
-        if target == "gram_matrix" and refused:
+        if refused:
             with pytest.raises(ArithmeticError, match=message):
                 build_truncated_operator(aperture, model)
             return
@@ -779,33 +827,33 @@ class TestValidation:
         else:
             assert np.linalg.eigvalsh(op.rtilde)[0] == pytest.approx(lam_min, abs=1e-14)
         for read in _READERS:
-            if refused:
-                with pytest.raises(ArithmeticError, match=message):
-                    read(op)
-            else:
-                read(op)
+            linalg_calls.clear()
+            read(op)
+            assert [c for c in linalg_calls if c[0] == "cholesky"] == []
 
     @pytest.mark.parametrize("lam_min, refused", [(-2e-10, True), (-1e-12, False)])
     def test_array_rtilde_psd_threshold(self, monkeypatch, linalg_calls, lam_min, refused):
-        # an array's L x L solve and a sweep point test R by its own Cholesky factor
+        # a model outside the four has its array's R tested once, by the build's
+        # Cholesky factor of order 2N+1, not the L x L solve's; no reader tests it again
         build = operators._toeplitz
         monkeypatch.setattr(
             operators, "_toeplitz", lambda *args: self._rtilde_with_min_eig(build(*args), lam_min)
         )
-        aperture, model = ds.DiscreteArray(((0.0, 0.0), (0.5, 0.2))), ds.UniformPas(delta=math.pi / 2)
-        op = build_truncated_operator(aperture, model)
-        assert np.linalg.eigvalsh(op.rtilde)[0] == pytest.approx(lam_min, abs=1e-14)
-        # the eigvalsh calls are the breakage's, the refusal's message and the 2 x 2 solve
-        assert [c for c in linalg_calls if c[0] != "eigvalsh"] == []
+        aperture, model = ds.DiscreteArray(((0.0, 0.0), (0.5, 0.2))), _UnlistedPas(delta=math.pi / 2)
         message = "coefficient correlation matrix indefinite: min eigenvalue -2.000e-10"
-        for read in _READERS:
-            linalg_calls.clear()
-            if refused:
-                with pytest.raises(ArithmeticError, match=message):
-                    read(op)
-            else:
+        if refused:
+            with pytest.raises(ArithmeticError, match=message):
+                build_truncated_operator(aperture, model)
+        else:
+            op = build_truncated_operator(aperture, model)
+            assert np.linalg.eigvalsh(op.rtilde)[0] == pytest.approx(lam_min, abs=1e-14)
+        # the eigvalsh calls are the breakage's and the refusal's message
+        assert [c for c in linalg_calls if c[0] != "eigvalsh"] == [("cholesky", (27, 27), "float64")]
+        if not refused:
+            for read in _READERS:
+                linalg_calls.clear()
                 read(op)
-            assert [c for c in linalg_calls if c[0] != "eigvalsh"] == [("cholesky", (27, 27), "float64")]
+                assert [c[0] for c in linalg_calls] == (["eigvalsh"] if read is ds.solve_spectrum else [])
 
     @pytest.mark.parametrize("lam_min, refused", [(-2e-10, True), (-1e-12, False)])
     def test_hand_built_rtilde_psd_threshold(self, lam_min, refused):
@@ -829,9 +877,38 @@ class TestValidation:
         with pytest.raises(ArithmeticError, match="coefficient correlation matrix indefinite"):
             ds.solve_spectrum(op)
 
-    def test_two_eigensolves_per_solve(self, linalg_calls):
-        # every solve: a real Cholesky test of R and one K x K eigvalsh of F' R F'^H,
-        # real for a disk's 1-D F (K = 2N+1), complex for every other F
+    def test_certificate_is_set_by_the_build_only(self, linalg_calls):
+        # replace() and a direct construction reset it, so their R is tested where it
+        # is read; _with_alpha0 keeps it for a direction-sweep point
+        op = build_truncated_operator(ds.Segment(1.0), ds.VonMisesPas(kappa=3.0, alpha0=0.4))
+        assert op._psd_certified
+        rotated = operators._with_alpha0(op, -1.2)
+        assert rotated._psd_certified and rotated.alpha0 == -1.2 and op.alpha0 == 0.4
+        assert rotated.gram_factor is op.gram_factor and rotated.rtilde is op.rtilde
+        fields = {name: getattr(op, name) for name in ("N", "N_D", "r1", "gram_factor", "rtilde", "rho_max", "offset")}
+        with pytest.raises(TypeError):
+            ds.TruncatedOperator(**fields, _psd_certified=True)
+        for uncertified in (replace(op, alpha0=-1.2), ds.TruncatedOperator(**fields, alpha0=-1.2)):
+            assert not uncertified._psd_certified
+            linalg_calls.clear()
+            assert ds.omega_from_traces(uncertified) == ds.omega_from_traces(rotated)
+            assert [c[0] for c in linalg_calls] == ["cholesky"]
+        linalg_calls.clear()
+        ds.omega_from_traces(rotated)
+        assert linalg_calls == []
+
+    def test_unlisted_model_tested_once_in_the_build(self, linalg_calls):
+        # a PasModel subclass may override fourier, so its R gets one Cholesky test
+        op = build_truncated_operator(ds.Segment(1.0), _UnlistedPas(delta=1.0, alpha0=0.3))
+        assert [c for c in linalg_calls if c[0] == "cholesky"] == [("cholesky", (op.size, op.size), "float64")]
+        linalg_calls.clear()
+        ds.solve_spectrum(op)
+        ds.omega_from_traces(operators._with_alpha0(op, 1.0))
+        assert [c[0] for c in linalg_calls] == ["eigvalsh"]
+
+    def test_one_eigensolve_per_solve(self, linalg_calls):
+        # every solve: one K x K eigvalsh of F' R F'^H, real for a disk's 1-D F
+        # (K = 2N+1), complex for every other F, and no test of the certified R
         rows = {
             ds.Rectangle(1.0, 0.5): None,
             ds.ParallelLines(4, 1.0, 1.0, angle=0.3): None,
@@ -848,8 +925,8 @@ class TestValidation:
             assert op.gram_factor.shape == ((K,) if diagonal else (K, op.size))
             linalg_calls.clear()
             ds.solve_spectrum(op)
-            shape, dtype = (op.size, op.size), "float64" if diagonal else "complex128"
-            assert linalg_calls == [("cholesky", shape, "float64"), ("eigvalsh", (K, K), dtype)]
+            dtype = "float64" if diagonal else "complex128"
+            assert linalg_calls == [("eigvalsh", (K, K), dtype)]
 
     @pytest.mark.parametrize(
         "model, dtype",
@@ -861,9 +938,9 @@ class TestValidation:
         ],
         ids=["isotropic", "uniform", "von-mises", "tabulated"],
     )
-    def test_rtilde_factored_about_the_axis(self, linalg_calls, model, dtype):
-        # every factorisation of R, by the solve or at a sweep point, is real
-        # for the symmetric models at any mean angle; only a tabulated R is complex
+    def test_rtilde_read_about_the_axis(self, linalg_calls, model, dtype):
+        # R(0) is real for the symmetric models at any mean angle, complex for a
+        # tabulated one; neither the solve nor a sweep point factors it
         wide = np.random.default_rng(30).uniform(-0.1, 0.1, (30, 2))
         apertures = (
             ds.Rectangle(1.0, 0.5),
@@ -876,11 +953,10 @@ class TestValidation:
             assert op.rtilde.dtype.name == dtype and op.alpha0 == model.alpha0
             linalg_calls.clear()
             ds.solve_spectrum(op)
-            expected = [("cholesky", dtype), ("eigvalsh", "complex128")]
-            assert [(name, kind) for name, _, kind in linalg_calls] == expected
+            assert [(name, kind) for name, _, kind in linalg_calls] == [("eigvalsh", "complex128")]
             linalg_calls.clear()
-            ds.omega_from_traces(op)
-            assert [(name, kind) for name, _, kind in linalg_calls] == [("cholesky", dtype)]
+            ds.omega_from_traces(operators._with_alpha0(op, -0.5))
+            assert linalg_calls == []
 
 
 CIRCLES_AND_DISKS = {
@@ -900,8 +976,8 @@ class TestDiagonalRoute:
     @pytest.mark.parametrize("model", SYMMETRIC_MODELS.values(), ids=SYMMETRIC_MODELS)
     @pytest.mark.parametrize("aperture", CIRCLES_AND_DISKS.values(), ids=CIRCLES_AND_DISKS)
     def test_solve_forms_no_gram_and_no_root(self, monkeypatch, linalg_calls, aperture, model):
-        # no Q x Q transform and no dense G; R is tested by a real Cholesky factor
-        # and the solve takes one real eigvalsh, with no eigh(R) for R^(1/2)
+        # no Q x Q transform and no dense G; the solve takes one real eigvalsh,
+        # with no eigh(R) for R^(1/2) and no Cholesky test of the certified R
         formed = []
         for name in ("_aperture_transform", "_gram_from_transform", "gram_matrix", "_factor_gram"):
             monkeypatch.setattr(operators, name, lambda *args, _name=name: formed.append(_name))
@@ -909,11 +985,10 @@ class TestDiagonalRoute:
         assert op.gram_factor.shape == (op.size,)
         assert op.gram_factor.dtype.name == "float64" and op.rtilde.dtype.name == "float64"
         ds.solve_spectrum(op)
-        shape = (op.size, op.size)
-        assert linalg_calls == [("cholesky", shape, "float64"), ("eigvalsh", shape, "float64")]
+        assert linalg_calls == [("eigvalsh", (op.size, op.size), "float64")]
         linalg_calls.clear()
-        ds.omega_from_traces(replace(op, alpha0=-0.4))
-        assert linalg_calls == [("cholesky", shape, "float64")]
+        ds.omega_from_traces(operators._with_alpha0(op, -0.4))
+        assert linalg_calls == []
         assert formed == []
 
     def test_gram_formed_from_the_diagonal_where_read(self):
@@ -940,9 +1015,9 @@ class TestDiagonalRoute:
             tracemalloc.stop()
         assert peak < 10e6
 
-    def test_build_holds_rtilde_and_one_scratch(self):
+    def test_build_holds_rtilde_and_no_scratch(self):
         # R(0) is windowed from its real coefficients, never formed complex first, and
-        # its symmetry test takes one scratch matrix: the traced peak is about two R's
+        # tested on those coefficients, with no R-sized scratch: the traced peak is about one R
         model = ds.VonMisesPas(kappa=3.0)
         build_truncated_operator(ds.Disk(1.0), model)
         tracemalloc.start()
@@ -952,7 +1027,7 @@ class TestDiagonalRoute:
         finally:
             tracemalloc.stop()
         assert op.rtilde.dtype.name == "float64" and op.size == 363
-        assert peak < 2.5 * op.rtilde.nbytes
+        assert peak < 1.5 * op.rtilde.nbytes
 
     def test_operators_compare_by_identity(self, monkeypatch):
         # == reads no matrix: equal builds are distinct operators, and no G is formed

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special
@@ -143,6 +144,68 @@ class TestFourier:
         vec = model.fourier(ns)
         for i, n in enumerate(ns):
             assert vec[i] == model.fourier(int(n))
+
+
+# the models whose R(0) build_truncated_operator proves PSD, at the edges of their
+# parameters; the table has a zero-density arc
+PROVEN_MODELS = {
+    "isotropic": IsotropicPas(),
+    "uniform-1deg": UniformPas(delta=math.radians(1.0)),
+    "uniform-2deg": UniformPas(delta=math.radians(2.0)),
+    "uniform-5deg": UniformPas(delta=math.radians(5.0)),
+    "uniform-90deg": UniformPas(delta=math.radians(90.0)),
+    "uniform-360deg": UniformPas(delta=TWO_PI),
+    "von-mises-0": VonMisesPas(kappa=0.0),
+    "von-mises-3": VonMisesPas(kappa=3.0),
+    "von-mises-700": VonMisesPas(kappa=700.0),
+    "tabulated-zero-arc": TabulatedPas(np.radians([0.0, 40.0, 150.0, 200.0]), [1.0, 3.0, 0.0, 0.5]),
+}
+
+
+def exact_coefficient(model, k: int):
+    """``s_k`` of the density ``model`` stands for, ``k >= 0``, as a 40-digit ``mpc``.
+
+    A table's density is the one its stored arcs ``[a, a + w)`` and values
+    define, so the reference shares the table's rounding of its input.
+    """
+    with mpmath.workdps(40):
+        if k == 0 or isinstance(model, IsotropicPas):
+            return mpmath.mpc(k == 0)
+        if isinstance(model, UniformPas):
+            x = k * mpmath.mpf(model.delta) / 2
+            return mpmath.mpc(mpmath.sin(x) / x)
+        if isinstance(model, VonMisesPas):
+            kappa = mpmath.mpf(model.kappa)
+            return mpmath.mpc(mpmath.besseli(k, kappa) / mpmath.besseli(0, kappa))
+        total = mpmath.mpc(0)
+        for a, w, v in zip(model._start, model._widths, model._values):
+            a, b = mpmath.mpf(a), mpmath.mpf(a) + mpmath.mpf(w)
+            total += mpmath.mpf(v) * (mpmath.expj(-k * a) - mpmath.expj(-k * b)) / mpmath.mpc(0, k)
+        return total
+
+
+class TestPsdPremise:
+    """``R(0)`` is PSD to within ``(4N+1)*max|ds_k|``, since the exact one is."""
+
+    @pytest.mark.parametrize("model", PROVEN_MODELS.values(), ids=PROVEN_MODELS)
+    def test_coefficients_against_40_digits(self, model):
+        # every order of N = 300; sampled orders of N = 2000 and of 2047, the
+        # largest N whose R the build admits; negative orders against conj(s_k)
+        for N, step in [(300, 1), (2000, 41), (2047, 41)]:
+            orders = np.unique(np.append(np.arange(0, 2 * N + 1, step), 2 * N))
+            pos, neg = model.fourier(orders), model.fourier(-orders)
+            err = 0.0
+            for k, sp, sn in zip(orders.tolist(), pos, neg):
+                exact = exact_coefficient(model, k)
+                err = max(err, float(abs(mpmath.mpc(sp) - exact)), float(abs(mpmath.mpc(sn) - mpmath.conj(exact))))
+            assert (4 * N + 1) * err <= 1e-10, (N, err)
+
+    @pytest.mark.parametrize("N", [50, 600])
+    @pytest.mark.parametrize("model", PROVEN_MODELS.values(), ids=PROVEN_MODELS)
+    def test_built_rtilde_psd(self, model, N):
+        op = build_truncated_operator(Circle(1.0), model, N)
+        assert op.N == N and op._psd_certified
+        assert np.linalg.eigvalsh(op.rtilde)[0] >= -1e-10
 
 
 class TestRhoMax:

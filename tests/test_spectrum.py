@@ -405,7 +405,6 @@ class TestArrayFactorRoute:
         assert op.size == 25 and op.gram_factor.shape == (25, 25)
         assert linalg_calls == [
             ("qr", (30, 25), "complex128"),
-            ("cholesky", (25, 25), "float64"),
             ("eigvalsh", (25, 25), "complex128"),
         ]
 
