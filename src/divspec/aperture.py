@@ -90,11 +90,20 @@ def _direction(angle: float) -> np.ndarray:
 
 
 def _segment_nodes(center: np.ndarray, length: float, angle: float, q: int):
-    """Shared node layout for straight-line geometry (keeps one code path)."""
+    """Shared node layout for straight-line geometry (keeps one code path).
+
+    The ``q``-point Gauss rule on ``[-1/2, 1/2]`` keeps the upper half of
+    ``_gauss01``'s rule, where ``t - 1/2`` is exact, and mirrors it: node
+    ``k`` is exactly ``-1`` times node ``q-1-k``, with the same weight, and
+    an odd rule's middle node is 0.
+    """
     t, w = _gauss01(q)
+    h = q // 2
+    upper = t[q - h :] - 0.5
+    s = np.concatenate([-upper[::-1], np.zeros(q % 2), upper])
+    w = np.concatenate([w[q - h :][::-1], w[h : q - h], w[q - h :]])
     d = _direction(angle)
-    nodes = center[None, :] + (t - 0.5)[:, None] * length * d[None, :]
-    return nodes, w
+    return center[None, :] + s[:, None] * length * d[None, :], w
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +359,8 @@ def build_quadrature(aperture, order: int) -> QuadratureRule:
     circle receives ``order`` angular nodes, the disk an ``order`` radial
     by ``2*order + 1`` angular grid, a zero-length curve piece none.  A discrete
     array is a point mass ``1/L`` per antenna, and a zero-length curve a point.
-    A segment's weights are the cached Gauss weights of its order, shared
-    and read-only; copy them to change them.
+    A segment's and a line's rule is mirrored about its centre exactly
+    (see ``_segment_nodes``).
     """
     order = int(order)
     if order < 1:

@@ -442,7 +442,9 @@ def cmd_doppler(args) -> int:
     return _doppler_csv(cfg, np.linspace(start, stop, steps), args.out)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process; ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="divspec",
         description="Diversity spectra of planar apertures under multipath fading",

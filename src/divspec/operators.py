@@ -29,9 +29,16 @@ transform above ``Q = 4096`` is refused; see :func:`gram_matrix` and
 :func:`rho_n_kernel`.  Arrays, curves, segments and single parallel lines
 are node sums, ``G = F^H F`` with a ``K x (2N+1)`` factor ``F``.
 
-The operator keeps ``G`` only as one factor ``F``, ``G = F^H F``, of at
-most ``2N+1`` rows (see :class:`TruncatedOperator`), which is all the
-solve reads.
+A centred segment, one centred line and an array found on a line through
+its centre in mirror pairs (``_line_angle``) fold: on the line
+``v_(-n) = exp(-2j*n*theta)*v_n``, so ``G`` has rank at most ``N+1``, and a
+node at ``-t`` repeats the one at ``t`` with its odd orders negated.  Their
+factor is a real ``K x (N+1)`` half factor ``P`` (``_line_factor``), and the
+solve reads ``R`` through a real ``(N+1) x (N+1)`` fold (``_line_fold``).
+
+The operator keeps ``G`` only as one factor, ``G = F^H F``, of at most
+``2N+1`` rows, or a line's ``P`` (see :class:`TruncatedOperator`), which
+is all the solve reads.
 The orders ``N`` and ``N_D`` and the tail bounds that certify the
 truncation come from :mod:`divspec.specfun`.
 
@@ -45,7 +52,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from scipy.special import jv
 
 from . import specfun
@@ -129,10 +136,20 @@ def _angle_grid(Q: int) -> np.ndarray:
 
 
 def _plane_waves(points, u: np.ndarray, N: int) -> np.ndarray:
-    """``E_kq = exp(j*2*pi*x_k.u_q)``, refused above ``_MAX_GRID_BYTES`` before allocation."""
+    """``E_kq = exp(j*2*pi*x_k.u_q)``, refused above ``_MAX_GRID_BYTES`` before allocation.
+
+    The real phase is formed in the imaginary half of the result, its
+    cosine written to the real half and its sine over itself: about half
+    the time of a complex ``exp``, and no array but the result.
+    """
     points = np.asarray(points, dtype=float)
     _check_grid_bytes(len(points), len(u), N)
-    return np.exp(2j * math.pi * (points @ u.T))
+    E = np.empty((len(points), len(u)), dtype=complex)
+    phase = np.matmul(points, u.T, out=E.imag)
+    phase *= 2.0 * math.pi
+    np.cos(phase, out=E.real)
+    np.sin(phase, out=phase)
+    return E
 
 
 def _point_masses(nodes, weights, u: np.ndarray, N: int) -> np.ndarray:
@@ -172,9 +189,9 @@ def _aperture_transform(aperture, u: np.ndarray, N: int) -> np.ndarray:
     Each kind is point masses (its centre or its line centres) times the
     closed-form transform of its shape about them.
     """
-    if isinstance(aperture, ParallelLines):
-        centers = aperture.line_centers()
-        weights = np.full(aperture.count, 1.0 / aperture.count)
+    if isinstance(aperture, (ParallelLines, Segment)):
+        centers = aperture.line_centers() if isinstance(aperture, ParallelLines) else [aperture.center]
+        weights = np.full(len(centers), 1.0 / len(centers))
         shape = _sinc_factor(aperture.length, aperture.angle, u)
     else:
         centers, weights = [aperture.center], [1.0]
@@ -255,16 +272,41 @@ def _gauss_order(bound, pieces: int, Q: int) -> int:
     return hi
 
 
-def _node_sum_factor(aperture, N: int) -> np.ndarray | None:
-    """Factor ``F`` of a node sum's ``G = F^H F`` (see :func:`gram_matrix`), else ``None``.
+def _line_angle(aperture) -> float | None:
+    """Angle of the line through the origin on which ``aperture`` lies in mirror pairs, else ``None``.
 
+    A segment or one parallel line centred at the origin lies on one, its
+    Gauss rule mirrored exactly (see :func:`~divspec.aperture.build_quadrature`).
+    An array qualifies when an exact floating-point test, with no tolerance,
+    finds it so: with ``p`` its antenna farthest from the origin, every
+    antenna ``x`` has ``x_1*p_2 == x_2*p_1``, and the antennas, sorted,
+    equal their negations, sorted (coincident antennas count with their
+    multiplicity).  Antennas at ``(t_k, 0)`` with ``t_k`` and ``-t_k`` both
+    present pass it; a rotated or ``linspace``-built array generally fails
+    it by rounding and keeps the node sum.
+    """
+    if isinstance(aperture, Segment) or (isinstance(aperture, ParallelLines) and aperture.count == 1):
+        return aperture.angle if aperture.center == (0.0, 0.0) else None
+    if not isinstance(aperture, DiscreteArray):
+        return None
+    pts = aperture.as_array()
+    p = pts[np.argmax(np.hypot(pts[:, 0], pts[:, 1]))]
+    z = pts[:, 0] + 1j * pts[:, 1]
+    if np.array_equal(pts[:, 0] * p[1], pts[:, 1] * p[0]) and np.array_equal(np.sort(z), np.sort(-z)):
+        return math.atan2(p[1], p[0])
+    return None
+
+
+def _node_sum_factor(aperture, N: int) -> np.ndarray | None:
+    """Factor of a node sum's ``G`` (see :func:`gram_matrix`), else ``None``.
+
+    On a line through the origin in mirror pairs (``_line_angle``) it is the
+    real half factor of ``_line_factor``, elsewhere ``F`` with ``G = F^H F``.
     A rule whose ``rows x Q`` plane waves exceed the byte budget is refused
     before it or the angle grid is built.
     """
-    one_line = isinstance(aperture, Segment) or (
-        isinstance(aperture, ParallelLines) and aperture.count == 1
-    )
-    if not (one_line or isinstance(aperture, (DiscreteArray, PiecewiseCurve))):
+    angle = _line_angle(aperture)
+    if angle is None and not isinstance(aperture, (DiscreteArray, PiecewiseCurve)):
         return None
     Q = _angle_grid_size(N, enclosing_radius(aperture))
     if isinstance(aperture, DiscreteArray):
@@ -276,7 +318,75 @@ def _node_sum_factor(aperture, N: int) -> np.ndarray | None:
     else:
         q = rows = _gauss_order(lambda k: specfun.line_gauss_bound(k, aperture.length), 1, Q)
     _check_grid_bytes(rows, Q, N)
-    return _node_factor(build_quadrature(aperture, q), _angle_grid(Q), N)
+    rule = build_quadrature(aperture, q)
+    if angle is None:
+        return _node_factor(rule, _angle_grid(Q), N)
+    return _line_factor(rule, angle, _angle_grid(Q), N)
+
+
+def _line_factor(rule, angle: float, u: np.ndarray, N: int) -> np.ndarray:
+    """Real half factor ``P`` of a rule on a line through the origin in mirror pairs.
+
+    A node at ``t*d``, ``d = (cos angle, sin angle)``, has ``v_n = exp(j*n*angle)
+    * j**n * J_n(2*pi*t)`` for either sign of ``t``, so the columns ``n`` and
+    ``-n`` of ``F`` are parallel.  Each node with ``t > 0`` gives the row
+    ``sqrt(2*w)*c_n*J_n(2*pi*t)``, ``n = 0..N``, ``c_0 = 1`` and ``c_n = sqrt(2)``,
+    and each node at the origin the row ``sqrt(w)`` at ``n = 0``.  The ``J_n`` are
+    the ``ifft`` of the plane waves of ``(t, 0)`` on the angle grid ``u``
+    (see ``_node_factor``), ``j**n*J_n``, read as its real part at even ``n``
+    and its imaginary part at odd ``n``.  The mirror of a ``t > 0`` row is the
+    same row with its odd ``n`` negated; their sum and difference over
+    ``sqrt(2)`` split it by the parity of ``n``.  ``P`` holds the even-``n``
+    block's rows, then the odd-``n`` block's, zero at the other parity, and
+    each block with more rows than columns is replaced by its triangular QR
+    factor.  ``||P||_F**2`` is ``||F||_F**2`` and ``P^T P`` is ``F^H F`` folded
+    (see ``_unfold``).
+    """
+    side = rule.nodes @ np.array([math.cos(angle), math.sin(angle)])
+    upper = side > 0.0
+    # the plane waves of (t, 0) are even in the angle: evaluate half the grid, mirror the rest
+    Q = len(u)
+    half = _plane_waves(side[upper, None] * [1.0, 0.0], u[: Q // 2 + 1], N)
+    V = np.fft.ifft(np.concatenate([half, half[:, Q - Q // 2 - 1 : 0 : -1]], axis=1), axis=1)
+    del half
+    A = np.where(np.arange(N + 1) % 2 == 0, V.real[:, : N + 1], V.imag[:, : N + 1])
+    # c_n*sqrt(2*w) is 2*sqrt(w) above n = 0, one rounding: sqrt(2)*sqrt(2*w) would
+    # bias ||P||_F**2, the build's trace, up by about 1.3e-16 relative
+    A[:, :1] *= np.sqrt(2.0 * rule.weights[upper])[:, None]
+    A[:, 1:] *= 2.0 * np.sqrt(rule.weights[upper])[:, None]
+    centre = np.zeros((int(np.count_nonzero(side == 0.0)), (N + 2) // 2))
+    centre[:, 0] = np.sqrt(rule.weights[side == 0.0])
+    blocks = [np.concatenate([A[:, 0::2], centre]), A[:, 1::2]]
+    blocks = [np.linalg.qr(B, mode="r") if len(B) > B.shape[1] else B for B in blocks]
+    P = np.zeros((len(blocks[0]) + len(blocks[1]), N + 1))
+    P[: len(blocks[0]), 0::2] = blocks[0]
+    P[len(blocks[0]) :, 1::2] = blocks[1]
+    return P
+
+
+def _unfold(P: np.ndarray, angle: float, N: int) -> np.ndarray:
+    """``K x (2N+1)`` factor ``F_kn = P_k|n| / c_|n| * exp(j*n*angle)``, ``G = F^H F``, of a line's ``P``."""
+    n = np.arange(-N, N + 1)
+    c = np.where(n[N:] == 0, 1.0, math.sqrt(2.0))
+    return (P / c)[:, np.abs(n)] * np.exp(1j * angle * n)
+
+
+def _line_fold(s: np.ndarray, psi: float, N: int) -> np.ndarray:
+    """``T``, ``(N+1) x (N+1)``, with ``T_ab = r_(a-b) + r_(a+b)``, row and column 0 over ``sqrt(2)``.
+
+    ``r_k = Re(exp(j*k*psi)*s_k)`` for the PAS coefficients ``s = s_(0..2N)``
+    about its axis and ``psi`` the line's angle from the mean angle.
+    """
+    k = np.arange(2 * N + 1)
+    r = np.cos(psi * k) * s.real - np.sin(psi * k) * s.imag
+    sym = np.concatenate([r[N:0:-1], r[: N + 1]])  # r_|k|, k = -N..N
+    step = r.strides[0]
+    # T_ab = sym[N + a - b] + r[a + b]: both index 0..2N of their own array
+    T = as_strided(sym[N:], (N + 1, N + 1), (step, -step)) + as_strided(r, (N + 1, N + 1), (step, step))
+    T[0, 1:] *= math.sqrt(0.5)
+    T[1:, 0] *= math.sqrt(0.5)
+    T[0, 0] *= 0.5
+    return T
 
 
 def _transform_factor(aperture, N: int) -> np.ndarray:
@@ -307,7 +417,8 @@ def _transform_factor(aperture, N: int) -> np.ndarray:
 def _gram_factor(aperture, N: int) -> np.ndarray:
     """The operator's factor ``F`` of a centred aperture's ``G``, ``2N+1`` rows at most.
 
-    ``sqrt(g)`` of a circle's or disk's diagonal, held 1-D; a node sum's
+    ``sqrt(g)`` of a circle's or disk's diagonal, held 1-D; a line's real
+    half factor (``_line_factor``, ``N+1`` columns); another node sum's
     ``F``, or its ``2N+1``-row triangular QR factor when it has more rows;
     else ``_transform_factor``.
     """
@@ -335,11 +446,13 @@ def gram_matrix(aperture, N: int) -> np.ndarray:
 
     A centred circle's or disk's ``G`` is diagonal in closed form (see
     ``_circle_diagonal``) and is formed from it, with no grid; off centre,
-    circles and disks, like rectangles and two or more parallel lines,
-    have closed-form transforms.  Discrete arrays, piecewise curves, segments
-    and one parallel line are weighted point masses, whose ``G`` is
-    ``F^H F`` with the ``K x (2N+1)`` factor ``F_kn = sqrt(w_k)*v_n(x_k)``
-    evaluated on the same grid.  An array's
+    circles, disks, segments and lines, like rectangles and two or more
+    parallel lines, have closed-form transforms.  Discrete arrays, piecewise
+    curves and centred segments and lines are weighted point masses, whose
+    ``G`` is ``F^H F`` with the ``K x (2N+1)`` factor ``F_kn = sqrt(w_k)*v_n(x_k)``
+    evaluated on the same grid; on a line through the origin in mirror
+    pairs ``F`` is unfolded from the real half factor that the operator
+    keeps (``_line_factor``, ``_unfold``).  An array's
     antennas are exact point masses; the others' are one Gauss rule of
     ``q`` nodes on each piece of positive length (a line being one piece).
     With ``e_n(a) = exp(j*n*a)``,
@@ -361,7 +474,8 @@ def gram_matrix(aperture, N: int) -> np.ndarray:
         return np.diag(g)
     F = _node_sum_factor(aperture, N)
     if F is not None:
-        return _factor_gram(F)
+        angle = _line_angle(aperture)
+        return _factor_gram(F if angle is None else _unfold(F, angle, N))
     Q = _angle_grid_size(N, enclosing_radius(aperture))
     _check_grid_bytes(Q, Q, N)
     return _gram_from_transform(_aperture_transform(aperture, _angle_grid(Q), N), N)
@@ -374,13 +488,13 @@ def rtilde_matrix(model: PasModel, N: int) -> np.ndarray:
     the diagonal is exactly one by the unit-power normalisation.
     """
     N = int(N)
-    return _toeplitz(model.fourier(np.arange(-2 * N, 2 * N + 1)))
+    return _toeplitz(model.fourier(np.arange(-2 * N, 2 * N + 1))).copy()
 
 
 def _toeplitz(s: np.ndarray) -> np.ndarray:
-    """``T_mn = s_(m-n)``, ``m, n = 0..2N``, from ``s = s_(-2N..2N)``, of ``s``'s dtype."""
+    """``T_mn = s_(m-n)``, ``m, n = 0..2N``, from ``s = s_(-2N..2N)``: a read-only view of ``s``."""
     # window m of s, reversed, is s_(m-n) for n = 0..2N
-    return sliding_window_view(s, (len(s) + 1) // 2)[:, ::-1].copy()
+    return sliding_window_view(s, (len(s) + 1) // 2)[:, ::-1]
 
 
 def _kernel_grid(model: PasModel, radius: float, N: int | None):
@@ -444,9 +558,14 @@ class TruncatedOperator:
     read as a diagonal matrix.  A node sum's is ``F_kn = sqrt(w_k)*v_n(x_k)``
     (see :func:`gram_matrix`), or its triangular QR factor when it has more
     than ``2N+1`` nodes; a rectangle's or two or more lines' comes from one
-    real ``eigh`` (``_transform_factor``).  ``gram`` forms ``F^H F`` on each
-    read; only ``--dump-matrices`` and tests read it.  ``==`` compares
-    identity and reads no matrix.
+    real ``eigh`` (``_transform_factor``).  ``_line_angle`` is ``None``
+    except on a line through the origin in mirror pairs, a centred segment
+    or line or such an array: there it is the line's angle ``theta`` and
+    ``gram_factor`` the real ``K x (N+1)`` half factor ``P`` of
+    ``_line_factor``, ``K <= N+1``, with ``||P||_F = ||F||_F``; ``F`` is
+    ``P`` unfolded (``_unfold``).  ``gram`` forms ``F^H F`` on each read;
+    only ``--dump-matrices`` and tests read it.  ``==`` compares identity
+    and reads no matrix.
 
     ``rtilde`` is ``R(0)``, ``R`` of the PAS about its own axis: real for
     the isotropic, uniform and von Mises models, so every factorisation
@@ -455,7 +574,10 @@ class TruncatedOperator:
     ``(G, R(alpha0))`` with ``R(alpha0) = D R(0) D^H`` exactly,
     ``D = diag(exp(-j*n*alpha0))``, which the solve applies as a phase on
     ``F``; ``R(alpha0)`` is PSD exactly when ``R(0)`` is, and a diagonal
-    ``G`` commutes with ``D``.
+    ``G`` commutes with ``D``.  A line's solve reads ``R(0)`` only through
+    its first column, ``s_(0..2N)``, which is all of a Toeplitz ``R(0)``,
+    so a line's ``rtilde`` is the read-only window of ``s`` (``_toeplitz``),
+    never formed.
 
     ``_psd_certified`` records that ``R(0)`` is PSD to within ``_PSD_TOL``,
     proven or tested once by :func:`build_truncated_operator`, the only
@@ -473,6 +595,7 @@ class TruncatedOperator:
     rho_max: float
     offset: np.ndarray
     alpha0: float = 0.0
+    _line_angle: float | None = field(default=None, repr=False)
     _psd_certified: bool = field(init=False, default=False, repr=False)
 
     @property
@@ -482,7 +605,9 @@ class TruncatedOperator:
     @property
     def gram(self) -> np.ndarray:
         F = self.gram_factor
-        return np.diag(F * F) if F.ndim == 1 else _factor_gram(F)
+        if F.ndim == 1:
+            return np.diag(F * F)
+        return _factor_gram(F if self._line_angle is None else _unfold(F, self._line_angle, self.N))
 
 
 def _with_alpha0(op: TruncatedOperator, alpha0: float) -> TruncatedOperator:
@@ -529,8 +654,12 @@ def build_truncated_operator(aperture, model: PasModel, N: int | None = None) ->
     :func:`~divspec.specfun.series_order` at ``r1``.  An ``R`` above
     256 MiB as a complex matrix is refused next, before anything of order
     ``2N+1`` is allocated.  ``R`` is built about the PAS's own axis, the
-    mean angle kept as ``alpha0``, and is real when its coefficients are.
-    ``G`` is kept as its factor ``F`` (see :class:`TruncatedOperator`).
+    mean angle kept as ``alpha0``, and is real when its coefficients are;
+    on a line it stays an unformed window of them.  ``G`` is kept as its
+    factor ``F``, on a line as the half factor ``P`` (see
+    :class:`TruncatedOperator`).  A line keeps ``R``'s size refusal,
+    although it forms no ``R``, so that it admits and refuses what the other
+    routes do.
     Each invariant that can fail is tested once, here: ``G``'s trace
     ``||F||_F**2`` against the tail bound, a transform ``G``'s symmetry and
     PSD (in ``_transform_factor``; every other ``F^H F`` has both by
@@ -579,7 +708,10 @@ def build_truncated_operator(aperture, model: PasModel, N: int | None = None) ->
         raise ArithmeticError("coefficient correlation matrix is not Hermitian")
     if not abs(s[2 * N] - 1.0) <= 1e-12:
         raise ArithmeticError("coefficient correlation matrix diagonal is not 1")
+    line_angle = _line_angle(centered)
     R = _toeplitz(s if s.imag.any() else s.real)
+    if line_angle is None:  # a line's solve reads R(0) only through its first column
+        R = R.copy()
     if type(model) not in _PSD_MODELS:
         _check_psd(R)
     op = TruncatedOperator(
@@ -591,6 +723,7 @@ def build_truncated_operator(aperture, model: PasModel, N: int | None = None) ->
         rho_max=float(model.rho_max()),
         offset=np.asarray(offset, dtype=float),
         alpha0=model.alpha0,
+        _line_angle=line_angle,
     )
     object.__setattr__(op, "_psd_certified", True)
     return op

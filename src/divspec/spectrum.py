@@ -11,8 +11,12 @@ operator keeps ``G`` as a factor ``G = F^H F`` of ``K <= 2N+1`` rows
 which is manifestly real and non-negative and keeps the sort stable.
 ``R`` is ``R(0)``, about the PAS's own axis, with the mean angle applied
 as a phase on ``F``.  Every solve and every sweep point reads this one
-matrix.  ``R`` is PSD by a certificate the build gives it, proven for the
-shipped PAS models and tested once for any other (see
+matrix.  On a line through the centre in mirror pairs (a segment, one
+line, a ULA) it is unitarily similar to the real ``P T P^T`` of the
+operator's real half factor ``P`` and the real fold ``T`` of ``R``, of
+order ``K <= N+1``, which the solve forms instead.  ``R`` is PSD by a
+certificate the build gives it, proven for the shipped PAS models and
+tested once for any other (see
 :func:`~divspec.operators.build_truncated_operator`); only an operator
 with no certificate has ``R`` tested by a Cholesky factor where it is read.
 
@@ -54,6 +58,7 @@ from .operators import (
     TruncatedOperator,
     _check_psd,
     _kernel_grid,
+    _line_fold,
     _plane_waves,
 )
 from .pas import PasModel, _check_finite
@@ -128,16 +133,29 @@ def _kl_matrix(op: TruncatedOperator) -> np.ndarray:
 
     ``F' = F * d`` carries the mean angle as the phase ``d = exp(-j*alpha0*n)``,
     which a circle's or disk's diagonal ``G`` commutes with: its 1-D ``F``
-    gives ``diag(F) R diag(F)``, real with ``R``.  A built operator's ``R``
-    is certified PSD by its build; any other ``R`` (built by hand, or an
-    operator constructed directly) is tested here by ``_check_psd``, a
-    Cholesky factor of ``R + 1e-10*I``.
+    gives ``diag(F) R diag(F)``, real with ``R``.  On a line at ``theta``
+    (``op._line_angle``) ``F'`` is the half factor ``P`` unfolded with the
+    phase ``exp(j*n*psi)``, ``psi = theta - alpha0``.  Summing ``R``'s orders
+    ``+-a`` and ``+-b`` folds ``F' R F'^H`` to ``B T B^H`` with the real
+    ``T_ab = r_(a-b) + r_(a+b)``, ``r_k = Re(exp(j*k*psi)*s_k)``
+    (``_line_fold``), where ``B`` is ``P`` with its odd columns times ``j``.
+    ``P``'s even-``n`` block of rows is zero at odd ``n`` and its odd-``n``
+    block at even ``n``, so ``diag(1, j)`` over those blocks takes ``B T B^H``
+    to the real ``P T P^T``, unitarily similar and of ``P``'s order, which is
+    returned.  ``T`` is congruent to ``S^T D R D^H S``, ``S`` summing orders
+    ``+-a``, so it is PSD with ``R`` and carries ``R``'s certificate.  A
+    built operator's ``R`` is certified PSD by its build; any other ``R``
+    (built by hand, or an operator constructed directly) is tested here by
+    ``_check_psd``, a Cholesky factor of ``R + 1e-10*I``.
     """
     if not op._psd_certified:
         _check_psd(op.rtilde)
     F = op.gram_factor
     if F.ndim == 1:
         return F[:, None] * op.rtilde * F
+    if op._line_angle is not None:
+        T = _line_fold(op.rtilde[:, 0], op._line_angle - op.alpha0, op.N)
+        return (F @ T) @ F.T
     # F' R F'^H = (R F'^H)^H F'^H
     Fh = (F * np.exp(-1j * op.alpha0 * np.arange(-op.N, op.N + 1))).conj().T
     return _times(op.rtilde, Fh).conj().T @ Fh
@@ -157,7 +175,8 @@ def solve_spectrum(op: TruncatedOperator) -> DiversitySpectrum:
     ``R`` is PSD by the build's certificate; an ``R`` with none is first
     tested by a Cholesky factor of ``R + 1e-10*I`` (an eigenvalue below
     ``-1e-10`` is refused).  The eigensolve is real for a circle or a disk
-    under the isotropic, uniform and von Mises models.  Eigenvalues in
+    under the isotropic, uniform and von Mises models, and for a line
+    through the centre in mirror pairs under any PAS.  Eigenvalues in
     ``(-1e-8, 0)`` clamp to zero, and any below raises
     :class:`ExcessiveClampError`.
     """

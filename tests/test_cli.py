@@ -1,8 +1,11 @@
 import copy
 import json
 import math
-import time
+import os
 import re
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -170,16 +173,18 @@ class TestSpectrumCommand:
         ids=["segment", "array"],
     )
     def test_dump_matrices_write_formed_gram(self, tmp_path, aperture):
-        # a Gauss or antenna factor F forms its G = F^H F only when the dump reads it
+        # a line's half factor (both apertures lie on a line through their centre in
+        # mirror pairs) forms its G = F^H F, unfolded, only when the dump reads it
         payload = {"aperture": aperture, "pas": {"kind": "von_mises", "kappa": 3.0}}
         cfg = write_cfg(tmp_path / "c.cfg", payload)
         out = tmp_path / "out.csv"
         assert main(["spectrum", "--config", cfg, "--out", str(out), "--dump-matrices"]) == 0
         op = ds.build_truncated_operator(cli.make_aperture(aperture), cli.make_pas(payload["pas"]))
-        assert len(op.gram_factor) < op.size
+        assert op.gram_factor.shape[1] == op.N + 1 and op._line_angle is not None
         lines = (tmp_path / "out_gram.csv").read_text().splitlines()
         gram = np.array([[complex(v) for v in line.split(",")] for line in lines])
-        assert np.array_equal(gram, operators._factor_gram(op.gram_factor))
+        F = operators._unfold(op.gram_factor, op._line_angle, op.N)
+        assert np.array_equal(gram, operators._factor_gram(F))
 
     def test_oracle_column(self, tmp_path):
         cfg = write_cfg(
@@ -744,20 +749,22 @@ class TestSweepReuse:
         _assert_rows_close(_sweep(tmp_path, cfg), _point_rows(cfg)[0])
 
     def test_direction_sweep_builds_once(self, tmp_path, monkeypatch):
-        # one Gauss factor F of the segment's G, whose rule costs leggauss one companion
-        # eigvalsh, no G formed or tested, and no test of the certified R at any point
+        # one real half factor of the segment's G, whose rule costs leggauss one companion
+        # eigvalsh and whose two parity blocks, each with more rows than columns, one QR
+        # each; no G formed or tested, and no test of the certified R at any point
         cfg = json.loads((SCENARIO_DIR / "fig7.cfg").read_text())
         ds.aperture._gauss01.cache_clear()
-        counts = _count_work(monkeypatch, "_node_factor", "_factor_gram")
+        counts = _count_work(monkeypatch, "_line_factor", "_node_factor", "_factor_gram")
         assert len(_sweep(tmp_path, cfg)) == 10
         assert counts == {
             "gram_matrix": 0,
-            "_node_factor": 1,
+            "_line_factor": 1,
+            "_node_factor": 0,
             "_factor_gram": 0,
             "cholesky": 0,
             "eigh": 0,
             "eigvalsh": 1,
-            "qr": 0,
+            "qr": 2,
         }
 
     def test_radius_sweep_runs_no_eigensolve(self, tmp_path, monkeypatch):
@@ -906,3 +913,33 @@ class TestDeterminism:
         assert main(["spectrum", "--config", cfg, "--out", str(a)]) == 0
         assert main(["spectrum", "--config", cfg, "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_consecutive_calls_match_fresh_processes(self, tmp_path):
+        # main parses with one parser per process: after a spectrum, a sweep, a
+        # doppler table, a refused config and a refused argument list, each call
+        # writes what a fresh process writes and exits with its code
+        segment = {**UCA_CFG, "aperture": {"kind": "segment", "length": 2.0}}
+        table = {"pas": {"kind": "isotropic"}, "doppler": {"nu_max": 1.0, "steps": 5}}
+        no_length = {"aperture": {"kind": "segment"}, "pas": {"kind": "isotropic"}}
+        calls = {
+            "spectrum": (0, ["spectrum", "--config", write_cfg(tmp_path / "s.cfg", segment)]),
+            "sweep": (0, ["sweep", "--config", str(SCENARIO_DIR / "fig6.cfg")]),
+            "doppler": (0, ["doppler", "--config", write_cfg(tmp_path / "d.cfg", table)]),
+            "refused": (2, ["sweep", "--config", write_cfg(tmp_path / "r.cfg", no_length)]),
+            "no-config": (2, ["spectrum"]),
+        }
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        fresh = {}
+        for name, (_, argv) in calls.items():
+            out = tmp_path / f"{name}-fresh.csv"
+            cmd = [sys.executable, "-m", "divspec.cli", *argv, "--out", str(out)]
+            code = subprocess.run(cmd, env=env, capture_output=True, cwd=tmp_path).returncode
+            fresh[name] = (code, out.read_bytes() if code == 0 else None)
+        for name, (expected, argv) in list(calls.items()) * 2:
+            out = tmp_path / f"{name}.csv"
+            try:
+                code = main([*argv, "--out", str(out)])
+            except SystemExit as exc:
+                code = exc.code
+            assert code == expected and (code, out.read_bytes() if code == 0 else None) == fresh[name], name

@@ -390,6 +390,10 @@ def _order_at(aperture):
     return ds.truncation_order(ds.enclosing_radius(aperture)) + DEFAULT_ORDER_MARGIN
 
 
+# two antennas lie, centred, on a line through the origin in mirror pairs
+FACTOR_ROUTE_PAIR = ds.DiscreteArray(((0.0, 0.0), (0.5, 0.2)))
+
+
 class TestFactorRoute:
     @pytest.mark.parametrize("name", sorted(NARROW_LINES))
     def test_lines_take_their_rule(self, name, monkeypatch):
@@ -425,12 +429,14 @@ class TestFactorRoute:
     @pytest.mark.parametrize("name", sorted(set(NARROW_LINES) - {"segment-470"}))
     def test_factor_gram_within_bound_of_node_sum(self, name):
         # the allowance is TestCurveRule's: 2**-53 bounds the rule, 1e-13 the round-off
-        # of G itself, whose plane-wave phases reach 2*pi*20 rad on Segment(40)
-        aperture = NARROW_LINES[name]
+        # of G itself, whose plane-wave phases reach 2*pi*20 rad on Segment(40); the
+        # centred line's factor is its real half factor, of at most N+1 rows
+        aperture, _ = ds.centering_transform(NARROW_LINES[name])
         N = _order_at(aperture)
-        F = operators._gram_factor(aperture, N)
-        assert len(F) < 2 * N + 1
+        P = operators._gram_factor(aperture, N)
+        assert P.dtype.name == "float64" and len(P) <= N + 1 and P.shape[1] == N + 1
         reference = node_sum_gram(aperture, N, 6 * (N + 1))
+        F = operators._unfold(P, aperture.angle, N)
         error = np.linalg.norm(operators._factor_gram(F) - reference, 2)
         assert error <= 2.0**-53 + 1e-13
 
@@ -460,9 +466,11 @@ class TestFactorRoute:
         ids=["trace-above-one", "trace-deficit"],
     )
     def test_broken_factor_refused(self, monkeypatch, aperture, scale, message):
-        # G = F^H F is Hermitian and PSD by construction; its trace ||F||_F^2 is checked
-        build = operators._node_factor
-        monkeypatch.setattr(operators, "_node_factor", lambda *args: scale * build(*args))
+        # G = F^H F is Hermitian and PSD by construction; its trace ||F||_F^2 is checked,
+        # on a line's half factor P, ||P||_F^2 = ||F||_F^2
+        name = "_line_factor" if isinstance(aperture, ds.Segment) else "_node_factor"
+        build = getattr(operators, name)
+        monkeypatch.setattr(operators, name, lambda *args: scale * build(*args))
         with pytest.raises(ArithmeticError, match=message):
             build_truncated_operator(aperture, ds.UniformPas(delta=math.pi / 2))
 
@@ -472,7 +480,7 @@ class TestFactorRoute:
             (ds.Segment(1.0), True),
             (ds.Segment(40.0), True),
             (CURVES["two-lines-L"], True),
-            (ds.DiscreteArray(((0.0, 0.0), (0.5, 0.2))), True),
+            (FACTOR_ROUTE_PAIR, True),
             (LINE_ARC_LINE, False),
             (ds.DiscreteArray(tuple(map(tuple, _WIDE_ARRAY.tolist()))), False),
         ],
@@ -492,8 +500,11 @@ class TestFactorRoute:
         assert turned.alpha0 == -0.4 and turned.gram_factor is op.gram_factor
         ds.solve_spectrum(turned)
         assert products == []
-        # gram forms F^H F on each read
-        assert np.array_equal(op.gram, form(op.gram_factor))
+        # gram forms F^H F on each read, a line's F unfolded from its half factor
+        line = op._line_angle is not None
+        assert line == (isinstance(aperture, ds.Segment) or aperture is FACTOR_ROUTE_PAIR)
+        F = operators._unfold(op.gram_factor, op._line_angle, op.N) if line else op.gram_factor
+        assert np.array_equal(op.gram, form(F))
         assert products == [(K, op.size)]
 
     def test_operator_without_gram_or_factor_refused(self):
@@ -563,6 +574,21 @@ class TestRtilde:
 
 
 class TestKernel:
+    @pytest.mark.parametrize(
+        "rows, Q, extent",
+        [(1, 7, 0.5), (5, 400, 20.0), (128, 1125, 32.0), (300, 64, 1.0), (0, 25, 1.0)],
+        ids=["one-row", "segment40-half", "ula128-omega", "many-rows", "no-rows"],
+    )
+    def test_plane_waves_match_complex_exp(self, rows, Q, extent):
+        # cos and sin of the real phase 2*pi*x.u, within 1 ulp of exp(2j*pi*x.u)
+        points = np.random.default_rng(rows).uniform(-extent, extent, (rows, 2))
+        u = operators._angle_grid(Q)
+        E = operators._plane_waves(points, u, 10)
+        reference = np.exp(2j * math.pi * (points @ u.T))
+        assert E.shape == (rows, Q) and E.dtype == reference.dtype
+        np.testing.assert_array_max_ulp(E.real, reference.real, maxulp=1)
+        np.testing.assert_array_max_ulp(E.imag, reference.imag, maxulp=1)
+
     def test_unit_at_zero(self):
         for model in [ds.IsotropicPas(), ds.UniformPas(delta=1.0, alpha0=0.3)]:
             assert rho_n_kernel(model, (0.0, 0.0), 5) == pytest.approx(1.0, abs=1e-15)
@@ -885,7 +911,10 @@ class TestValidation:
         rotated = operators._with_alpha0(op, -1.2)
         assert rotated._psd_certified and rotated.alpha0 == -1.2 and op.alpha0 == 0.4
         assert rotated.gram_factor is op.gram_factor and rotated.rtilde is op.rtilde
-        fields = {name: getattr(op, name) for name in ("N", "N_D", "r1", "gram_factor", "rtilde", "rho_max", "offset")}
+        fields = {
+            name: getattr(op, name)
+            for name in ("N", "N_D", "r1", "gram_factor", "rtilde", "rho_max", "offset", "_line_angle")
+        }
         with pytest.raises(TypeError):
             ds.TruncatedOperator(**fields, _psd_certified=True)
         for uncertified in (replace(op, alpha0=-1.2), ds.TruncatedOperator(**fields, alpha0=-1.2)):
@@ -908,7 +937,9 @@ class TestValidation:
 
     def test_one_eigensolve_per_solve(self, linalg_calls):
         # every solve: one K x K eigvalsh of F' R F'^H, real for a disk's 1-D F
-        # (K = 2N+1), complex for every other F, and no test of the certified R
+        # (K = 2N+1) and for a line's K x (N+1) half factor (K at most its rule's
+        # q nodes, here 15, and N+1), complex for every other F, and no test of the
+        # certified R
         rows = {
             ds.Rectangle(1.0, 0.5): None,
             ds.ParallelLines(4, 1.0, 1.0, angle=0.3): None,
@@ -920,12 +951,17 @@ class TestValidation:
         }
         for aperture, K in rows.items():
             op = build_truncated_operator(aperture, ds.VonMisesPas(kappa=3.0))
+            line = op._line_angle is not None
+            assert line == (K in (2, 15))
             K = K or op.size
             diagonal = isinstance(aperture, ds.Disk)
-            assert op.gram_factor.shape == ((K,) if diagonal else (K, op.size))
+            if line:
+                assert op.gram_factor.shape == (min(K, op.N + 1), op.N + 1)
+            else:
+                assert op.gram_factor.shape == ((K,) if diagonal else (K, op.size))
             linalg_calls.clear()
             ds.solve_spectrum(op)
-            dtype = "float64" if diagonal else "complex128"
+            dtype = "float64" if diagonal or line else "complex128"
             assert linalg_calls == [("eigvalsh", (K, K), dtype)]
 
     @pytest.mark.parametrize(
@@ -940,7 +976,8 @@ class TestValidation:
     )
     def test_rtilde_read_about_the_axis(self, linalg_calls, model, dtype):
         # R(0) is real for the symmetric models at any mean angle, complex for a
-        # tabulated one; neither the solve nor a sweep point factors it
+        # tabulated one; neither the solve nor a sweep point factors it.  A line's
+        # solve is real whatever R(0): it reads R(0)'s coefficients through the fold
         wide = np.random.default_rng(30).uniform(-0.1, 0.1, (30, 2))
         apertures = (
             ds.Rectangle(1.0, 0.5),
@@ -953,7 +990,8 @@ class TestValidation:
             assert op.rtilde.dtype.name == dtype and op.alpha0 == model.alpha0
             linalg_calls.clear()
             ds.solve_spectrum(op)
-            assert [(name, kind) for name, _, kind in linalg_calls] == [("eigvalsh", "complex128")]
+            solved = "float64" if op._line_angle is not None else "complex128"
+            assert [(name, kind) for name, _, kind in linalg_calls] == [("eigvalsh", solved)]
             linalg_calls.clear()
             ds.omega_from_traces(operators._with_alpha0(op, -0.5))
             assert linalg_calls == []
@@ -1067,9 +1105,12 @@ class TestGramFactor:
     @pytest.mark.parametrize("model", FACTOR_MODELS.values(), ids=FACTOR_MODELS)
     @pytest.mark.parametrize("aperture", FACTOR_KINDS.values(), ids=FACTOR_KINDS)
     def test_factor_has_at_most_2n_plus_1_rows_and_matches_gram(self, aperture, model):
+        # a line's real half factor has N+1 columns, every other factor 2N+1
         op = build_truncated_operator(aperture, model)
         F = op.gram_factor
-        assert F.shape[-1] == op.size and len(F) <= op.size
+        line = op._line_angle is not None
+        assert F.shape[-1] == (op.N + 1 if line else op.size) and len(F) <= F.shape[-1]
+        assert line == (aperture in (FACTOR_KINDS[k] for k in ("segment", "segment-off-centre", "one-line")))
         centered, _ = ds.centering_transform(aperture)
         assert np.max(np.abs(op.gram - gram_matrix(centered, op.N))) <= 1e-14
 

@@ -9,7 +9,7 @@ import pytest
 from scipy import special
 
 import divspec as ds
-from divspec import cli, spectrum
+from divspec import cli, operators, spectrum
 from divspec.spectrum import (
     BoundTooLooseError,
     DiversitySpectrum,
@@ -372,6 +372,12 @@ def _array_cases():
     ]
 
 
+def _is_ula(points):
+    """The divbench ULA layout: ``x = (k - (L-1)/2)/2`` on the x-axis."""
+    L = len(points)
+    return np.array_equal(points, np.stack([(np.arange(L) - 0.5 * (L - 1)) * 0.5, np.zeros(L)], axis=1))
+
+
 class TestArrayFactorRoute:
     @pytest.mark.parametrize("points, model, N", _array_cases())
     def test_matches_full_route(self, points, model, N):
@@ -379,7 +385,12 @@ class TestArrayFactorRoute:
         spec = ds.solve_spectrum(op)
         lam, omega = _full_route(op, model)
         L = len(points)
-        assert op.gram_factor.shape == (min(L, op.size), op.size)
+        # the ULAs and one antenna lie on a line through their centre in mirror
+        # pairs: their factor is the real half factor of N+1 columns
+        line = op._line_angle is not None
+        assert line == (L == 1 or _is_ula(points))
+        columns = op.N + 1 if line else op.size
+        assert op.gram_factor.shape == (min(L, columns), columns)
         assert len(spec.eigenvalues) == op.size
         assert np.all(spec.eigenvalues[L:] == 0.0)
         assert np.max(np.abs(spec.eigenvalues - lam)) <= 1e-13
@@ -562,3 +573,153 @@ class TestNystromAgreementAcrossKinds:
         eigs = ds.nystrom_oracle(aperture, pas)
         tol = max(1e-5, spec.eig_error_bound + 1e-6)
         assert np.max(np.abs(spec.eigenvalues[:10] - eigs[:10])) < tol
+
+
+def _line_array(L, spacing=0.5, axis=0):
+    """``L`` antennas at ``(k - (L-1)/2)*spacing`` on one coordinate axis, in exact mirror pairs."""
+    points = np.zeros((L, 2))
+    points[:, axis] = (np.arange(L) - 0.5 * (L - 1)) * spacing
+    return ds.DiscreteArray(tuple(map(tuple, points.tolist())))
+
+
+LINE_MODELS = {
+    "isotropic": lambda alpha: ds.IsotropicPas(alpha0=alpha),
+    "uniform-5deg": lambda alpha: ds.UniformPas(delta=math.radians(5.0), alpha0=alpha),
+    "von-mises-30": lambda alpha: ds.VonMisesPas(kappa=30.0, alpha0=alpha),
+    "tabulated": lambda alpha: ds.TabulatedPas(
+        np.radians([0.0, 40.0, 150.0, 260.0]), [1.0, 3.0, 0.5, 2.0], alpha0=alpha
+    ),
+}
+# odd and even Gauss orders q, odd and even antenna counts L, a centre node or none
+LINE_APERTURES = {
+    "segment-0": ds.Segment(0.0, angle=0.3),
+    "segment-0.3": ds.Segment(0.3, angle=0.4),
+    "segment-1": ds.Segment(1.0),
+    "segment-2.5": ds.Segment(2.5, angle=-1.3),
+    "segment-10": ds.Segment(10.0, angle=2.0),
+    "segment-25": ds.Segment(25.0, angle=0.4, center=(1.0, -2.0)),
+    "one-line": ds.ParallelLines(1, 3.0, angle=0.7, center=(0.5, 0.5)),
+    "ula-7": _line_array(7),
+    "ula-8": _line_array(8),
+    "ula-31-y-axis": _line_array(31, 0.4, axis=1),
+    "coincident-mirrored": ds.DiscreteArray(
+        ((0.5, 0.0), (0.5, 0.0), (-0.5, 0.0), (-0.5, 0.0), (0.0, 0.0), (0.0, 0.0), (1.25, 0.0), (-1.25, 0.0))
+    ),
+}
+
+
+def _line_case(aperture, model, monkeypatch):
+    """The operator and its rule, recorded as the build reads it."""
+    rules = []
+
+    def spy(line, order):
+        rules.append(ds.build_quadrature(line, order))
+        return rules[-1]
+
+    with monkeypatch.context() as patched:
+        patched.setattr(operators, "build_quadrature", spy)
+        op = ds.build_truncated_operator(aperture, model)
+    (rule,) = rules
+    return op, rule
+
+
+class TestLineRoute:
+    """Apertures on a line through their centre in mirror pairs: one real eigenproblem."""
+
+    @pytest.mark.parametrize("offset", [0.0, 0.9, math.pi / 2, -math.pi / 2], ids=["0", "0.9", "+pi/2", "-pi/2"])
+    @pytest.mark.parametrize("kind", sorted(LINE_MODELS))
+    @pytest.mark.parametrize("name", sorted(LINE_APERTURES))
+    def test_matches_full_factor_product(self, name, kind, offset, monkeypatch):
+        # against today's K x (2N+1) node-sum factor F of the same rule, formed here:
+        # eig(F R(alpha0) F^H) with the line at theta and the PAS at alpha0 = theta - offset
+        aperture = LINE_APERTURES[name]
+        theta = getattr(aperture, "angle", math.pi / 2 if "y-axis" in name else 0.0)
+        model = LINE_MODELS[kind](theta - offset)
+        op, rule = _line_case(aperture, model, monkeypatch)
+        assert op._line_angle is not None and op.gram_factor.dtype.name == "float64"
+        assert op.gram_factor.shape[1] == op.N + 1 and len(op.gram_factor) <= min(len(rule), op.N + 1)
+        u = operators._angle_grid(operators._angle_grid_size(op.N, op.r1))
+        F = operators._node_factor(rule, u, op.N)
+        M = F @ ds.rtilde_matrix(model, op.N) @ F.conj().T
+        reference = np.sort(np.linalg.eigvalsh(0.5 * (M + M.conj().T)))[::-1]
+        lam = ds.solve_spectrum(op).eigenvalues
+        assert len(lam) == op.size and np.all(lam[len(op.gram_factor) :] == 0.0)
+        K = min(len(lam), len(reference))
+        assert np.max(np.abs(lam[:K] - reference[:K])) <= 1e-13 * reference[0]
+        assert np.max(np.abs(reference[K:]), initial=0.0) <= 1e-13 * reference[0]
+        # the trace test reads ||P||_F^2 = ||F||_F^2
+        assert abs(np.vdot(op.gram_factor, op.gram_factor) - np.vdot(F, F).real) <= 1e-14
+
+    @pytest.mark.parametrize("kind", sorted(LINE_MODELS))
+    @pytest.mark.parametrize("name", sorted(LINE_APERTURES))
+    def test_traces_match_solve(self, name, kind):
+        model = LINE_MODELS[kind](0.8)
+        op = ds.build_truncated_operator(LINE_APERTURES[name], model)
+        spec = ds.solve_spectrum(op)
+        expected = (spec.omega, *ds.omega_corrected(spec))
+        assert np.allclose(ds.omega_from_traces(op), expected, rtol=1e-13, atol=0.0)
+        turned = operators._with_alpha0(op, -2.1)
+        assert turned._line_angle == op._line_angle and turned.gram_factor is op.gram_factor
+        spec = ds.solve_spectrum(turned)
+        assert np.allclose(ds.omega_from_traces(turned), (spec.omega, *ds.omega_corrected(spec)), rtol=1e-13)
+
+    @pytest.mark.parametrize(
+        "aperture",
+        [
+            # collinear through the centre, but not in mirror pairs
+            ds.DiscreteArray(((-0.5, 0.0), (0.0, 0.0), (0.75, 0.0))),
+            # a ULA turned by 0.3 rad: its coordinates are rounded off one line
+            ds.DiscreteArray(
+                tuple(((k - 3.5) * 0.5 * math.cos(0.3), (k - 3.5) * 0.5 * math.sin(0.3)) for k in range(8))
+            ),
+            # mirror pairs off one line
+            ds.DiscreteArray(((0.5, 0.0), (-0.5, 0.0), (0.0, 0.5), (0.0, -0.5))),
+            ds.PiecewiseCurve((ds.LinePiece((-1.0, 0.0), (1.0, 0.0)),)),
+        ],
+        ids=["asymmetric-collinear", "rotated-ula", "cross", "one-line-curve"],
+    )
+    def test_other_node_sums_keep_their_factor(self, aperture, linalg_calls):
+        op = ds.build_truncated_operator(aperture, ds.VonMisesPas(kappa=3.0, alpha0=0.4))
+        assert op._line_angle is None and op.gram_factor.shape[1] == op.size
+        linalg_calls.clear()
+        ds.solve_spectrum(op)
+        assert [(name, kind) for name, _, kind in linalg_calls] == [("eigvalsh", "complex128")]
+
+    def test_segment40_is_one_real_eigensolve(self, monkeypatch, linalg_calls):
+        # divbench's segment40: one float64 eigvalsh of order at most its rule's q nodes
+        aperture = cli.make_aperture({"kind": "segment", "length": 40.0})
+        model = cli.make_pas({"kind": "uniform", "delta_deg": 60.0, "alpha0_deg": 20.0})
+        op, rule = _line_case(aperture, model, monkeypatch)
+        linalg_calls.clear()
+        ds.solve_spectrum(op)
+        ((name, shape, kind),) = linalg_calls
+        assert name == "eigvalsh" and kind == "float64" and shape[0] == shape[1] <= len(rule)
+        assert shape[0] <= op.N + 1 and op.rtilde.dtype.name == "float64"
+
+    @pytest.mark.parametrize(
+        "model",
+        [ds.UniformPas(delta=math.radians(5.0), alpha0=0.3), ds.VonMisesPas(kappa=10.0, alpha0=-1.0)],
+        ids=["uniform-5deg", "von-mises-10"],
+    )
+    @pytest.mark.parametrize(
+        "aperture",
+        [
+            ds.Segment(0.05),
+            ds.Segment(1.0, angle=0.4),
+            ds.Segment(10.0),
+            ds.Segment(40.0, angle=-0.7),
+            ds.ParallelLines(1, 3.0, angle=0.7),
+            _line_array(7),
+            _line_array(8),
+        ],
+        ids=["segment-0.05", "segment-1", "segment-10", "segment-40", "one-line", "ula-7", "ula-8"],
+    )
+    def test_printed_bounds_enclose_high_order_solve(self, aperture, model):
+        op = ds.build_truncated_operator(aperture, model)
+        assert op._line_angle is not None
+        spec = ds.solve_spectrum(op)
+        ref = ds.solve_spectrum(ds.build_truncated_operator(aperture, model, N=op.N + 25))
+        assert np.max(np.abs(spec.eigenvalues - ref.eigenvalues[: op.size])) <= spec.eig_error_bound
+        assert np.max(ref.eigenvalues[op.size :], initial=0.0) <= spec.eig_error_bound
+        center, half = ds.omega_corrected(spec)
+        assert abs(ref.omega - center) <= half
