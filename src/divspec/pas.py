@@ -21,7 +21,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ive
+
+from .specfun import _bessel_i_ratios
 
 __all__ = [
     "PasModel",
@@ -39,6 +40,10 @@ TWO_PI = 2.0 * math.pi
 
 #: Size (bytes) of one ``orders x rows`` block of ``TabulatedPas.fourier``.
 _FOURIER_BLOCK_BYTES = 1 << 22
+
+#: Largest ``kappa`` of :class:`VonMisesPas`: its coefficients' recurrence
+#: runs about ``sqrt(80*kappa)`` steps, 9,000 at the ceiling.
+_KAPPA_MAX = 1e6
 
 
 def wrap_angle(alpha):
@@ -154,7 +159,11 @@ class VonMisesPas(PasModel):
     """Von Mises density ``exp(kappa*cos(alpha)) / (2*pi*I_0(kappa))``.
 
     ``kappa = 0`` reduces to the isotropic model; large ``kappa``
-    concentrates the power around ``alpha0``.
+    concentrates the power around ``alpha0``, and ``kappa`` above ``1e6``,
+    an angular spread below about ``0.06`` degrees, is refused.  The
+    coefficients ``s_k = I_k(kappa)/I_0(kappa)`` come from a backward ratio
+    recurrence (``specfun._bessel_i_ratios``), and ``rho_max = 1/ive(0, kappa)``
+    from the generating function at angle 0, ``1 + 2*sum_(k>=1) s_k``.
     """
 
     kappa: float = 0.0
@@ -162,19 +171,23 @@ class VonMisesPas(PasModel):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.kappa < 0.0:
-            raise ValueError("VonMisesPas requires kappa >= 0")
+        if not 0.0 <= self.kappa <= _KAPPA_MAX:
+            raise ValueError(f"VonMisesPas requires kappa >= 0 and kappa <= {_KAPPA_MAX:.0f}")
 
     def _centered_value(self, alpha):
         alpha = np.asarray(alpha, dtype=float)
-        # exp(kappa*(cos(alpha) - 1)) / (2*pi*ive(0, kappa)) avoids overflow
-        return np.exp(self.kappa * (np.cos(alpha) - 1.0)) / (TWO_PI * ive(0, self.kappa))
+        # exp(kappa*(cos(alpha) - 1)) * rho_max / (2*pi) avoids overflow
+        return np.exp(self.kappa * (np.cos(alpha) - 1.0)) * (self.rho_max() / TWO_PI)
 
     def _centered_fourier(self, n):
-        return ive(np.abs(n), self.kappa) / ive(0, self.kappa)
+        k = np.abs(n)
+        s = np.zeros(int(np.max(k, initial=0)) + 1)
+        head = _bessel_i_ratios(len(s) - 1, self.kappa)[: len(s)]
+        s[: len(head)] = head
+        return s[k]
 
     def rho_max(self) -> float:
-        return 1.0 / ive(0, self.kappa)
+        return 1.0 + 2.0 * math.fsum(_bessel_i_ratios(0, self.kappa)[1:])
 
 
 class TabulatedPas(PasModel):

@@ -1,17 +1,20 @@
-"""Truncation orders and certified Bessel tail bounds.
+"""Truncation orders, certified Bessel tail bounds and two Bessel recurrences.
 
 :func:`series_order` sets the order ``N`` of every truncated series in the
 package and :func:`truncation_order` its critical order ``N_D``; the
 certified bounds :func:`bessel_abs_tail_bound` and
 :func:`bessel_sq_tail_bound` cover the Bessel tails beyond ``N``.  The
-package evaluates Bessel functions only through :mod:`scipy.special`: the
-``J_0`` and ``J_1`` of the circle and disk transforms and the ``I_n/I_0``
-of the von Mises PAS.
+package evaluates Bessel functions only here, by two backward recurrences
+in plain Python: ``_bessel_j``, the ``J_0..J_n`` of a circle's or disk's
+diagonal ``G``, and ``_bessel_i_ratios``, the ``I_k/I_0`` of the von Mises
+PAS.  Neither numpy nor scipy is imported.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import accumulate
+from operator import mul
 
 __all__ = [
     "DEFAULT_ORDER_MARGIN",
@@ -116,3 +119,78 @@ def arc_gauss_bound(q: int, radius: float, span: float) -> float:
         lo, hi = (lo, t) if up else (t, hi)
     log_bound = z * math.sinh(b * math.sinh(hi)) - (2 * q + 2) * hi - math.log(-math.expm1(-2 * hi))
     return min(2.0, 32.0 / 15.0 * math.exp(min(log_bound, 0.0)))
+
+
+#: Miller's recurrence rescales by ``2**-332`` when a value passes ``2**332``
+#: (about ``1e100``), so that neither the values nor their squares overflow;
+#: a power of two rescales exactly.
+_MILLER_RESCALE = 2.0**332
+
+
+def _bessel_j(n_max: int, z: float) -> list[float]:
+    """``[J_0(z), ..., J_n_max(z)]`` at one ``z >= 0``; ``J_(-n) = (-1)**n * J_n``.
+
+    Below ``z = 1e-8`` each ``J_n`` is ``(z/2)**n/n!`` to within
+    ``(z/2)**2/(n+1) < 2**-53`` relative (exact at ``z = 0``).  Above it,
+    Miller's backward recurrence ``f_(k-1) = (2k/z)*f_k - f_(k+1)`` (DLMF
+    3.6(iii)) runs from ``f_(m+1) = 0``, ``f_m = 1``, with
+    ``m = max(n_max, ceil(e*z/2)) + 40``: the package's ``N_D + 40``, so the
+    start's error is below ``0.2*exp(-40)``.  The ``f_k`` are ``J_k`` times
+    one factor, which ``J_0**2 + 2*sum J_n**2 = 1`` (DLMF 10.23) gives in
+    magnitude, a sum of positive terms, and ``J_0 + 2*sum J_2k = 1`` in sign.
+    """
+    z = float(z)
+    if z < 1e-8:
+        return list(accumulate(range(1, n_max + 1), lambda J, n: J * (0.5 * z) / n, initial=1.0))
+    m = max(n_max, math.ceil(math.e * z / 2.0)) + 40
+    J = [0.0] * (n_max + 1)
+    above, f, squares, even = 0.0, 1.0, 0.0, 0.0  # f_(k+1), f_k, sum f_k**2, sum f_2k
+    for k in range(m, 0, -1):
+        if k <= n_max:
+            J[k] = f
+        squares += f * f
+        if k % 2 == 0:
+            even += f
+        above, f = f, 2.0 * k / z * f - above
+        if abs(f) > _MILLER_RESCALE:
+            scale = 1.0 / _MILLER_RESCALE
+            above, f, squares, even = above * scale, f * scale, squares * scale * scale, even * scale
+            J[k:] = [v * scale for v in J[k:]]
+    norm = math.copysign(math.sqrt(f * f + 2.0 * squares), f + 2.0 * even)
+    J[0] = f
+    return [v / norm for v in J]
+
+
+# log(2**-1075): below it a positive double rounds to zero
+_LOG_UNDERFLOW = -1075.0 * math.log(2.0)
+
+
+def _bessel_i_ratios(k_max: int, kappa: float) -> list[float]:
+    """``s_k = I_k(kappa)/I_0(kappa)``, ``k = 0..K``, for ``0 <= kappa``; zero beyond ``K``.
+
+    ``s_k`` is the product of ``r_j = I_j/I_(j-1)``, ``j = 1..k``, which the
+    backward recurrence ``r_j = 1/(2j/kappa + r_(j+1))`` gives from
+    ``r_(K+1) = 0``.  The start ``K = max(k_max, ceil(sqrt(80*kappa))) + 40``
+    is lowered to the first order past ``kappa/2`` at which the bound
+    ``s_k <= (kappa/2)**k/k!`` underflows, so that every ``s_k`` past the
+    list rounds to zero.  Beyond ``sqrt(80*kappa)``, ``s_k < exp(-40)``, so
+    ``1 + 2*sum s_k`` over the list is ``1/ive(0, kappa)`` to within
+    round-off.  A subnormal ``kappa`` makes ``2j/kappa`` infinite and every
+    ``s_k``, ``k >= 1``, zero.
+    """
+    K = max(k_max, math.ceil(math.sqrt(80.0 * kappa))) + 40
+    if kappa == 0.0:
+        return [1.0]
+    log_half = math.log(kappa) - math.log(2.0)  # kappa/2 underflows at the least subnormal
+    log_bound = lambda k: k * log_half - math.lgamma(k + 1.0)  # noqa: E731
+    lo, start = math.ceil(kappa / 2.0), K  # the bound falls beyond kappa/2
+    if log_bound(start) < _LOG_UNDERFLOW:
+        while start - lo > 1:  # the bound at start underflows; at lo it does not, or lo = ceil(kappa/2)
+            mid = (lo + start) // 2
+            lo, start = (lo, mid) if log_bound(mid) < _LOG_UNDERFLOW else (mid, start)
+    ratios = [0.0] * start
+    r = 0.0
+    for j in range(start, 0, -1):
+        r = 1.0 / (2.0 * j / kappa + r)
+        ratios[j - 1] = r
+    return list(accumulate(ratios, mul, initial=1.0))

@@ -284,6 +284,7 @@ BAD_CONFIGS = {
         "config.aperture.radius",
     ),
     "kappa-nan": ("spectrum", dict(UCA_CFG, pas={"kind": "von_mises", "kappa": NAN}), "config.pas.kappa"),
+    "kappa-above-ceiling": ("spectrum", dict(UCA_CFG, pas={"kind": "von_mises", "kappa": 1e300}), "pas"),
     "delta-infinity": (
         "spectrum",
         dict(UCA_CFG, pas={"kind": "uniform", "delta_deg": float("inf")}),

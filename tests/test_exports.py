@@ -7,7 +7,6 @@ import subprocess
 import sys
 
 import pytest
-import scipy
 
 import divspec as ds
 
@@ -66,23 +65,59 @@ def _imported_names(path):
 
 
 @pytest.mark.parametrize("name", MODULES + ["__init__"])
-def test_imports_only_scipy_special(name):
-    # R is built with numpy; nothing of scipy but scipy.special is needed
+def test_imports_no_scipy(name):
+    # scipy is a test dependency only: specfun's two recurrences give the J_n
+    # and I_k/I_0 that divspec evaluates
     names = _imported_names(SRC / "divspec" / f"{name}.py")
-    scipy_names = [n for n in names if n.split(".")[0] == "scipy"]
-    assert [n for n in scipy_names if not n.startswith("scipy.special")] == []
+    assert [n for n in names if n.split(".")[0] == "scipy"] == []
 
 
-@pytest.mark.skipif(
-    tuple(int(p) for p in scipy.__version__.split(".")[:2]) < (1, 17),
-    reason="scipy.special imports scipy.linalg at module level before scipy 1.17",
-)
-def test_cli_import_leaves_scipy_linalg_out():
-    # scipy.linalg costs import time and memory that divspec does not need
-    code = "import sys, divspec.cli; print('scipy.linalg' in sys.modules)"
+def _python(code, cwd=None):
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, cwd=cwd
+    ).stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy costs import time and memory that divspec does not need
+    code = "import sys, divspec.cli; print(any(m.startswith('scipy') for m in sys.modules))"
+    assert _python(code) == "False"
+
+
+# the circle diagonal under a uniform and a von Mises PAS, a radius sweep, the
+# disk diagonal and the transform factor of eight lines
+BLOCKED_RUNS = [
+    ("spectrum", "scenarios/fig2.cfg"),
+    ("spectrum", "scenarios/fig3.cfg"),
+    ("sweep", "scenarios/fig5.cfg"),
+    ("spectrum", "divbench/configs/disk3.cfg"),
+    ("spectrum", "divbench/configs/lines8.cfg"),
+]
+
+
+def test_runs_with_scipy_blocked(tmp_path):
+    # sys.modules["scipy"] = None makes every import of scipy raise ImportError;
+    # the CLI must still run and write the bytes it writes in this process
+    root = SRC.parent
+    runs = [[command, "--config", str(root / cfg), "--out", f"{k}.csv"] for k, (command, cfg) in enumerate(BLOCKED_RUNS)]
+    blocked = tmp_path / "blocked"
+    blocked.mkdir()
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from divspec.cli import main\n"
+        f"codes = [main(args) for args in {runs!r}]\n"
+        "try:\n"
+        "    import scipy.special\n"
+        "except ImportError:\n"
+        "    print(codes)\n"
     )
-    assert out.stdout.strip() == "False"
+    assert _python(code, cwd=blocked) == str([0] * len(runs))
+    from divspec.cli import main
+
+    for args in runs:
+        out = tmp_path / args[-1]
+        assert main([*args[:-1], str(out)]) == 0
+        assert (blocked / args[-1]).read_bytes() == out.read_bytes(), args

@@ -3,6 +3,7 @@ import time
 import tracemalloc
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special
@@ -28,6 +29,15 @@ def basis_matrix(points, N):
     beta = np.arctan2(pts[:, 1], pts[:, 0])[:, None]
     n = np.arange(-N, N + 1)
     return np.exp(1j * n * beta) * 1j**n * special.jv(n, TWO_PI * r)
+
+
+def radial_transform(aperture, u):
+    """``J0(z)`` of a circle or ``2*J1(z)/z`` of a disk at ``z = 2*pi*r*|u_q - u_p|``, by ``scipy.special.jv``."""
+    z = TWO_PI * aperture.radius * np.hypot(u[None, :, 0] - u[:, None, 0], u[None, :, 1] - u[:, None, 1])
+    if isinstance(aperture, ds.Circle):
+        return special.jv(0, z)
+    safe = np.where(z > 0.0, z, 1.0)
+    return np.where(z > 0.0, 2.0 * special.jv(1, safe) / safe, 1.0)
 
 
 def gram_segment_simpson(length, N, samples=8193):
@@ -185,11 +195,35 @@ class TestGram:
         ids=lambda a: f"{type(a).__name__.lower()}-{a.radius:g}",
     )
     def test_closed_form_matches_transform(self, aperture):
-        # the centred diag(g) against the Q x Q angle-domain transform it replaced
+        # the centred diag(g) against the Q x Q angle-domain transform it replaced,
+        # evaluated here with scipy's J0 and J1
         N = ds.truncation_order(aperture.radius) + DEFAULT_ORDER_MARGIN
         u = operators._angle_grid(operators._angle_grid_size(N, ds.enclosing_radius(aperture)))
-        reference = operators._gram_from_transform(operators._aperture_transform(aperture, u, N), N)
+        reference = operators._gram_from_transform(radial_transform(aperture, u), N)
         assert np.max(np.abs(gram_matrix(aperture, N) - reference)) <= 2e-15
+
+    @pytest.mark.parametrize(
+        "aperture",
+        [kind(radius, center=(0.3, -0.2)) for kind in (ds.Circle, ds.Disk) for radius in (1e-3, 0.7, 3.0, 20.0)]
+        + [ds.Disk(0.0, center=(0.3, -0.2))],
+        ids=lambda a: f"{type(a).__name__.lower()}-{a.radius:g}",
+    )
+    def test_radial_factor_against_40_digits(self, aperture):
+        # off centre, the factor is the DFT of the diagonal (Neumann's addition
+        # theorem), with no J0 or J1 evaluated at the Q*Q arguments; it depends on
+        # d = (q - p) mod Q alone, through z = 4*pi*r*sin(pi*d/Q)
+        N = ds.truncation_order(ds.enclosing_radius(aperture)) + DEFAULT_ORDER_MARGIN
+        Q = operators._angle_grid_size(N, ds.enclosing_radius(aperture))
+        factor = operators._radial_factor(aperture, Q)
+        assert np.array_equal(factor, factor[0][(np.arange(Q)[None, :] - np.arange(Q)[:, None]) % Q])
+        with mpmath.workdps(40):
+            for d in range(0, Q, max(1, Q // 60)):
+                z = 4 * mpmath.pi * mpmath.mpf(aperture.radius) * mpmath.sin(mpmath.pi * d / Q)
+                if isinstance(aperture, ds.Circle):
+                    exact = mpmath.besselj(0, z)
+                else:
+                    exact = 2 * mpmath.besselj(1, z) / z if z else mpmath.mpf(1)
+                assert abs(factor[0, d] - exact) <= 2e-15, d
 
     @pytest.mark.parametrize(
         "aperture, rows",

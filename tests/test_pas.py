@@ -157,7 +157,11 @@ PROVEN_MODELS = {
     "uniform-360deg": UniformPas(delta=TWO_PI),
     "von-mises-0": VonMisesPas(kappa=0.0),
     "von-mises-3": VonMisesPas(kappa=3.0),
+    "von-mises-30": VonMisesPas(kappa=30.0),
+    "von-mises-100": VonMisesPas(kappa=100.0),
+    "von-mises-200": VonMisesPas(kappa=200.0),
     "von-mises-700": VonMisesPas(kappa=700.0),
+    "von-mises-ceiling": VonMisesPas(kappa=1e6),
     "tabulated-zero-arc": TabulatedPas(np.radians([0.0, 40.0, 150.0, 200.0]), [1.0, 3.0, 0.0, 0.5]),
 }
 
@@ -184,11 +188,17 @@ def exact_coefficient(model, k: int):
         return total
 
 
+#: ``max|ds_k|`` that ``build_truncated_operator``'s docstring states: the
+#: recurrence's rounding over about 9,000 steps at the von Mises ceiling
+STATED_ERROR = {name: 4e-15 if name == "von-mises-ceiling" else 4e-16 for name in PROVEN_MODELS}
+
+
 class TestPsdPremise:
     """``R(0)`` is PSD to within ``(4N+1)*max|ds_k|``, since the exact one is."""
 
-    @pytest.mark.parametrize("model", PROVEN_MODELS.values(), ids=PROVEN_MODELS)
-    def test_coefficients_against_40_digits(self, model):
+    @pytest.mark.parametrize("name", PROVEN_MODELS)
+    def test_coefficients_against_40_digits(self, name):
+        model = PROVEN_MODELS[name]
         # every order of N = 300; sampled orders of N = 2000 and of 2047, the
         # largest N whose R the build admits; negative orders against conj(s_k)
         for N, step in [(300, 1), (2000, 41), (2047, 41)]:
@@ -198,7 +208,7 @@ class TestPsdPremise:
             for k, sp, sn in zip(orders.tolist(), pos, neg):
                 exact = exact_coefficient(model, k)
                 err = max(err, float(abs(mpmath.mpc(sp) - exact)), float(abs(mpmath.mpc(sn) - mpmath.conj(exact))))
-            assert (4 * N + 1) * err <= 1e-10, (N, err)
+            assert err <= STATED_ERROR[name] and (4 * N + 1) * err <= 1e-10, (N, err)
 
     @pytest.mark.parametrize("N", [50, 600])
     @pytest.mark.parametrize("model", PROVEN_MODELS.values(), ids=PROVEN_MODELS)

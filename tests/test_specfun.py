@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -45,28 +46,55 @@ def modified_bessel_quadrature(n, kappa):
     return float((t[1] - t[0]) * (np.sum(f) - 0.5 * (f[0] + f[-1])) / math.pi)
 
 
+def besselj_40_digits(n, z):
+    with mpmath.workdps(40):
+        return mpmath.besselj(n, mpmath.mpf(z))
+
+
 class TestBesselJ:
-    """``scipy.special.jv``, the ``J_n`` of the circle and disk transforms and
-    of every Bessel reference in the tests, against independent oracles."""
+    """``specfun._bessel_j``, the ``J_n`` of a circle's and disk's diagonal ``G``
+    and of their transforms off centre, against independent oracles."""
 
     def test_at_zero(self):
-        assert special.jv(0, 0.0) == 1.0
-        assert special.jv(1, 0.0) == 0.0
-        assert special.jv(7, 0.0) == 0.0
+        assert specfun._bessel_j(7, 0.0) == [1.0] + [0.0] * 7
+        assert specfun._bessel_j(0, 0.0) == [1.0]
 
     def test_against_first_integral(self):
         for n, x in [(0, 2 * math.pi), (1, 1.0), (3, 5.0), (9, 6.28), (14, 12.0)]:
             oracle = bessel_first_integral(n, x)
-            assert special.jv(n, x) == pytest.approx(oracle, abs=1e-12)
+            assert specfun._bessel_j(n, x)[n] == pytest.approx(oracle, abs=1e-12)
 
-    def test_relative_accuracy_deep_tail(self):
-        mpmath.mp.dps = 40
-        for n in [0, 2, 9, 19, 30, 55]:
-            for x in [1e-6, 0.5, 2 * math.pi, 25.0, 50.0]:
-                exact = float(mpmath.besselj(n, mpmath.mpf(x)))
-                if abs(exact) > 1e-300:
-                    got = special.jv(n, x)
-                    assert abs(got - exact) <= 1e-12 * abs(exact)
+    # radius 1e-12 and 1e-9 take the series; 1e-7 rescales 4 times on its way
+    # down from order 52, 0.02 (the start of fig4 and fig5) and Disk(230) at
+    # N = 1975, the largest circle diagonal of the tests, once each
+    @pytest.mark.parametrize(
+        "radius, N, step",
+        [(1e-12, None, 1), (1e-9, None, 1), (1e-7, None, 1), (0.02, None, 1), (1.0, None, 1),
+         (3.0, None, 1), (20.0, None, 3), (230.0, 1975, 53)],
+    )
+    def test_against_40_digits(self, radius, N, step):
+        # absolute error at every sampled order; relative error beyond z, where
+        # J_n falls monotonically to the deep tail (J_1976(1445) is about 4e-132)
+        N = specfun.series_order(radius, N)[0]
+        z = 2.0 * math.pi * radius
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            J = specfun._bessel_j(N + 1, z)
+        assert len(J) == N + 2
+        for n in sorted({*range(0, N + 2, step), N, N + 1}):
+            exact = besselj_40_digits(n, z)
+            assert abs(J[n] - exact) <= 2.5e-16, n
+            if n > z and exact != 0:
+                assert abs(J[n] - exact) <= 1e-13 * abs(exact), n
+
+    def test_identities_across_radii(self):
+        # the rescaled recurrence stays finite, and the orders to N_D + 40 hold
+        # J_0 + 2*sum J_2k = 1 and J_0**2 + 2*sum J_n**2 = 1 to round-off
+        for radius in np.geomspace(1e-9, 300.0, 40):
+            J = specfun._bessel_j(specfun.truncation_order(radius) + 40, 2.0 * math.pi * radius)
+            assert all(type(v) is float and math.isfinite(v) for v in J)
+            assert abs(J[0] + 2.0 * math.fsum(J[2::2]) - 1.0) <= 1e-14
+            assert abs(J[0] ** 2 + 2.0 * math.fsum(v * v for v in J[1:]) - 1.0) <= 1e-15
 
 
 class TestBesselIRatio:
@@ -99,6 +127,47 @@ class TestBesselIRatio:
     def test_negative_kappa_rejected(self):
         with pytest.raises(ValueError, match="kappa >= 0"):
             ds.VonMisesPas(kappa=-0.1)
+
+    def test_kappa_ceiling(self):
+        # the recurrence runs about sqrt(80*kappa) steps; above 1e6 kappa is refused at once
+        assert ds.VonMisesPas(kappa=1e6).rho_max() == pytest.approx(math.sqrt(2e6 * math.pi), rel=1e-6)
+        for kappa in [math.nextafter(1e6, math.inf), 1e300]:
+            with pytest.raises(ValueError, match="kappa <= 1000000"):
+                ds.VonMisesPas(kappa=kappa)
+
+    @pytest.mark.parametrize("kappa", [0.0, 5e-324, 1e-310])
+    def test_zero_and_subnormal_kappa(self, kappa):
+        # 2k/kappa is infinite at a subnormal kappa: every s_k, k >= 1, is zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = specfun._bessel_i_ratios(10, kappa)
+            model = ds.VonMisesPas(kappa=kappa)
+            assert s[0] == 1.0 and not any(s[1:])
+            assert model.rho_max() == 1.0 and model.value(0.3) == 1.0 / (2.0 * math.pi)
+            assert model.fourier(np.arange(-5, 6)).tolist() == [0.0] * 5 + [1.0] + [0.0] * 5
+
+    # kappa 4 at k <= 1133 (N = 566) reaches the underflow below which the
+    # recurrence does not start; 1e6 is the ceiling, where the rounding of
+    # about 9,000 steps adds up to 3.5e-15 in s_k and 3.3e-15 in rho_max
+    @pytest.mark.parametrize(
+        "kappa, k_max, step, tol",
+        [(1e-8, 40, 1, 4e-16), (0.5, 300, 1, 4e-16), (4.0, 1133, 1, 4e-16), (700.0, 1200, 7, 4e-16),
+         (1e6, 4094, 89, 4e-15)],
+    )
+    def test_against_40_digits(self, kappa, k_max, step, tol):
+        s = specfun._bessel_i_ratios(k_max, kappa)
+        s += [0.0] * (k_max + 1 - len(s))  # the orders past the list round to zero
+        with mpmath.workdps(40):
+            kap = mpmath.mpf(kappa)
+            i0 = mpmath.besseli(0, kap)
+            for k in sorted({*range(0, k_max + 1, step), k_max}):
+                exact = mpmath.besseli(k, kap) / i0
+                assert abs(s[k] - exact) <= tol, k
+                if exact > 1e-290:
+                    assert abs(s[k] - exact) <= 1e-12 * exact, k
+            # rho_max = 1/ive(0, kappa) = 1 + 2*sum s_k, the generating function at angle 0
+            exact_rho = 1 / (i0 * mpmath.exp(-kap))
+            assert abs(ds.VonMisesPas(kappa=kappa).rho_max() - exact_rho) <= tol * exact_rho
 
 
 class TestTruncationOrder:
