@@ -173,11 +173,13 @@ class VonMisesPas(PasModel):
         super().__post_init__()
         if not 0.0 <= self.kappa <= _KAPPA_MAX:
             raise ValueError(f"VonMisesPas requires kappa >= 0 and kappa <= {_KAPPA_MAX:.0f}")
+        # formed once: every build and every density value reads it
+        object.__setattr__(self, "_rho_max", 1.0 + 2.0 * math.fsum(_bessel_i_ratios(0, self.kappa)[1:]))
 
     def _centered_value(self, alpha):
         alpha = np.asarray(alpha, dtype=float)
         # exp(kappa*(cos(alpha) - 1)) * rho_max / (2*pi) avoids overflow
-        return np.exp(self.kappa * (np.cos(alpha) - 1.0)) * (self.rho_max() / TWO_PI)
+        return np.exp(self.kappa * (np.cos(alpha) - 1.0)) * (self._rho_max / TWO_PI)
 
     def _centered_fourier(self, n):
         k = np.abs(n)
@@ -187,7 +189,7 @@ class VonMisesPas(PasModel):
         return s[k]
 
     def rho_max(self) -> float:
-        return 1.0 + 2.0 * math.fsum(_bessel_i_ratios(0, self.kappa)[1:])
+        return self._rho_max
 
 
 class TabulatedPas(PasModel):

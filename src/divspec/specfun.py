@@ -152,7 +152,7 @@ def _bessel_j(n_max: int, z: float) -> list[float]:
         if k % 2 == 0:
             even += f
         above, f = f, 2.0 * k / z * f - above
-        if abs(f) > _MILLER_RESCALE:
+        if f > _MILLER_RESCALE or f < -_MILLER_RESCALE:
             scale = 1.0 / _MILLER_RESCALE
             above, f, squares, even = above * scale, f * scale, squares * scale * scale, even * scale
             J[k:] = [v * scale for v in J[k:]]

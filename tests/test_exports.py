@@ -27,6 +27,8 @@ REMOVED = [
     "_pas_half",
     "basis_matrix",
     "bessel_j_orders",
+    "bessel_j",
+    "bessel_i_ratio",
     "bessel_abs_tail",
     "bessel_sq_tail",
     "_build",

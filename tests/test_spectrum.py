@@ -651,11 +651,13 @@ class TestLineRoute:
         assert abs(np.vdot(op.gram_factor, op.gram_factor) - np.vdot(F, F).real) <= 1e-14
 
     @pytest.mark.parametrize("name", sorted(LINE_APERTURES))
-    def test_parity_product_matches_dense(self, name):
-        # P T P^T from P's parity blocks against the dense product, which also
-        # multiplies P's zero blocks; an all-zero row, on either side of the
-        # split or at it, adds a zero row and column and moves nothing else
+    def test_parity_product_matches_dense(self, name, monkeypatch):
+        # P T P^T from P's parity blocks, at every order, against the dense
+        # product, which also multiplies P's zero blocks; an all-zero row, on
+        # either side of the split or at it, adds a zero row and column and
+        # moves nothing else
         op = ds.build_truncated_operator(LINE_APERTURES[name], ds.VonMisesPas(kappa=3.0, alpha0=0.7))
+        monkeypatch.setattr(spectrum, "_PARITY_MIN_ORDER", 0)
         P = op.gram_factor
         T = operators._line_fold(op.rtilde[:, 0], op._line_angle - op.alpha0, op.N)
         M = spectrum._parity_product(P, T)
