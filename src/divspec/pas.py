@@ -162,7 +162,7 @@ class VonMisesPas(PasModel):
     concentrates the power around ``alpha0``, and ``kappa`` above ``1e6``,
     an angular spread below about ``0.06`` degrees, is refused.  The
     coefficients ``s_k = I_k(kappa)/I_0(kappa)`` come from a backward ratio
-    recurrence (``specfun._bessel_i_ratios``), and ``rho_max = 1/ive(0, kappa)``
+    recurrence (``specfun._bessel_i_ratios``), and ``rho_max = exp(kappa)/I_0(kappa)``
     from the generating function at angle 0, ``1 + 2*sum_(k>=1) s_k``.
     """
 

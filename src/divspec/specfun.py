@@ -174,7 +174,7 @@ def _bessel_i_ratios(k_max: int, kappa: float) -> list[float]:
     is lowered to the first order past ``kappa/2`` at which the bound
     ``s_k <= (kappa/2)**k/k!`` underflows, so that every ``s_k`` past the
     list rounds to zero.  Beyond ``sqrt(80*kappa)``, ``s_k < exp(-40)``, so
-    ``1 + 2*sum s_k`` over the list is ``1/ive(0, kappa)`` to within
+    ``1 + 2*sum s_k`` over the list is ``exp(kappa)/I_0(kappa)`` to within
     round-off.  A subnormal ``kappa`` makes ``2j/kappa`` infinite and every
     ``s_k``, ``k >= 1``, zero.
     """

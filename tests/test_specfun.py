@@ -165,7 +165,7 @@ class TestBesselIRatio:
                 assert abs(s[k] - exact) <= tol, k
                 if exact > 1e-290:
                     assert abs(s[k] - exact) <= 1e-12 * exact, k
-            # rho_max = 1/ive(0, kappa) = 1 + 2*sum s_k, the generating function at angle 0
+            # rho_max = exp(kappa)/I_0(kappa) = 1 + 2*sum s_k, the generating function at angle 0
             exact_rho = 1 / (i0 * mpmath.exp(-kap))
             assert abs(ds.VonMisesPas(kappa=kappa).rho_max() - exact_rho) <= tol * exact_rho
 
