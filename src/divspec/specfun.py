@@ -136,27 +136,26 @@ def _bessel_j(n_max: int, z: float) -> list[float]:
     3.6(iii)) runs from ``f_(m+1) = 0``, ``f_m = 1``, with
     ``m = max(n_max, ceil(e*z/2)) + 40``: the package's ``N_D + 40``, so the
     start's error is below ``0.2*exp(-40)``.  The ``f_k`` are ``J_k`` times
-    one factor, which ``J_0**2 + 2*sum J_n**2 = 1`` (DLMF 10.23) gives in
-    magnitude, a sum of positive terms, and ``J_0 + 2*sum J_2k = 1`` in sign.
+    ``-(pi*z/2)*Y_(m+1)(z)``, positive since ``m + 1 > z``, and
+    ``J_0**2 + 2*sum J_n**2 = 1`` (DLMF 10.23), a sum of positive terms,
+    gives that factor.
     """
     z = float(z)
     if z < 1e-8:
         return list(accumulate(range(1, n_max + 1), lambda J, n: J * (0.5 * z) / n, initial=1.0))
     m = max(n_max, math.ceil(math.e * z / 2.0)) + 40
     J = [0.0] * (n_max + 1)
-    above, f, squares, even = 0.0, 1.0, 0.0, 0.0  # f_(k+1), f_k, sum f_k**2, sum f_2k
+    above, f, squares = 0.0, 1.0, 0.0  # f_(k+1), f_k, sum f_k**2
     for k in range(m, 0, -1):
         if k <= n_max:
             J[k] = f
         squares += f * f
-        if k % 2 == 0:
-            even += f
         above, f = f, 2.0 * k / z * f - above
         if f > _MILLER_RESCALE or f < -_MILLER_RESCALE:
             scale = 1.0 / _MILLER_RESCALE
-            above, f, squares, even = above * scale, f * scale, squares * scale * scale, even * scale
+            above, f, squares = above * scale, f * scale, squares * scale * scale
             J[k:] = [v * scale for v in J[k:]]
-    norm = math.copysign(math.sqrt(f * f + 2.0 * squares), f + 2.0 * even)
+    norm = math.sqrt(f * f + 2.0 * squares)
     J[0] = f
     return [v / norm for v in J]
 
@@ -171,21 +170,23 @@ def _bessel_i_ratios(k_max: int, kappa: float) -> list[float]:
     ``s_k`` is the product of ``r_j = I_j/I_(j-1)``, ``j = 1..k``, which the
     backward recurrence ``r_j = 1/(2j/kappa + r_(j+1))`` gives from
     ``r_(K+1) = 0``.  The start ``K = max(k_max, ceil(sqrt(80*kappa))) + 40``
-    is lowered to the first order past ``kappa/2`` at which the bound
+    is lowered to the first order at which the bound
     ``s_k <= (kappa/2)**k/k!`` underflows, so that every ``s_k`` past the
     list rounds to zero.  Beyond ``sqrt(80*kappa)``, ``s_k < exp(-40)``, so
     ``1 + 2*sum s_k`` over the list is ``exp(kappa)/I_0(kappa)`` to within
     round-off.  A subnormal ``kappa`` makes ``2j/kappa`` infinite and every
     ``s_k``, ``k >= 1``, zero.
     """
-    K = max(k_max, math.ceil(math.sqrt(80.0 * kappa))) + 40
     if kappa == 0.0:
         return [1.0]
+    K = max(k_max, math.ceil(math.sqrt(80.0 * kappa))) + 40
     log_half = math.log(kappa) - math.log(2.0)  # kappa/2 underflows at the least subnormal
     log_bound = lambda k: k * log_half - math.lgamma(k + 1.0)  # noqa: E731
-    lo, start = math.ceil(kappa / 2.0), K  # the bound falls beyond kappa/2
+    # the bound's log is concave in k and 0 at k = 0: bisection keeps it
+    # at or above the underflow at lo and below it at start
+    lo, start = 0, K
     if log_bound(start) < _LOG_UNDERFLOW:
-        while start - lo > 1:  # the bound at start underflows; at lo it does not, or lo = ceil(kappa/2)
+        while start - lo > 1:
             mid = (lo + start) // 2
             lo, start = (lo, mid) if log_bound(mid) < _LOG_UNDERFLOW else (mid, start)
     ratios = [0.0] * start
