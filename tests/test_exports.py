@@ -103,7 +103,10 @@ def test_runs_with_scipy_blocked(tmp_path):
     # sys.modules["scipy"] = None makes every import of scipy raise ImportError;
     # the CLI must still run and write the bytes it writes in this process
     root = SRC.parent
-    runs = [[command, "--config", str(root / cfg), "--out", f"{k}.csv"] for k, (command, cfg) in enumerate(BLOCKED_RUNS)]
+    runs = [
+        [command, "--config", str(root / cfg), "--out", f"{k}.csv"]
+        for k, (command, cfg) in enumerate(BLOCKED_RUNS)
+    ]
     blocked = tmp_path / "blocked"
     blocked.mkdir()
     code = (
