@@ -128,38 +128,6 @@ def _times(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return (A @ np.ascontiguousarray(B).view(float)).view(complex)
 
 
-#: Order ``N+1`` from which ``_parity_product`` forms blocks: below it the
-#: dense product's two calls cost less than the blocks' ten (54 orders:
-#: 18 against 35 us, 182: 453 against 251 us, one BLAS thread)
-_PARITY_MIN_ORDER = 96
-
-
-def _parity_product(P: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """``P T P^T`` of a line's half factor, formed from ``P``'s two parity blocks.
-
-    ``P``'s rows before the first with a nonzero odd-``n`` entry are its
-    even-``n`` block ``P_e``, zero at odd ``n``, and the rest its odd-``n``
-    block ``P_o``, zero at even ``n`` (an all-zero row belongs to either).
-    With ``T`` split by the parity of its rows and columns, the blocks of
-    the product are ``P_e T_ee P_e^T``, ``P_e T_eo P_o^T`` and
-    ``P_o T_oo P_o^T``, the fourth the transpose of the second: about 3/8 of
-    the dense product's multiply-adds, none of them by ``P``'s zeros.
-    Below ``_PARITY_MIN_ORDER`` orders the dense product is returned.
-    """
-    if len(T) < _PARITY_MIN_ORDER:
-        return (P @ T) @ P.T
-    odd_rows = P[:, 1::2].any(axis=1)
-    k = int(np.argmax(odd_rows)) if odd_rows.any() else len(P)
-    even, odd = np.ascontiguousarray(P[:k, 0::2]), np.ascontiguousarray(P[k:, 1::2])
-    M = np.empty((len(P), len(P)))
-    # a strided T block is copied: BLAS takes none with two strided axes
-    M[:k, :k] = (even @ np.ascontiguousarray(T[0::2, 0::2])) @ even.T
-    M[:k, k:] = (even @ np.ascontiguousarray(T[0::2, 1::2])) @ odd.T
-    M[k:, k:] = (odd @ np.ascontiguousarray(T[1::2, 1::2])) @ odd.T
-    M[k:, :k] = M[:k, k:].T
-    return M
-
-
 def _kl_matrix(op: TruncatedOperator) -> np.ndarray:
     """``F' R F'^H``, Hermitian with the nonzero spectrum of ``G' R``.
 
@@ -174,9 +142,8 @@ def _kl_matrix(op: TruncatedOperator) -> np.ndarray:
     ``P``'s even-``n`` block of rows is zero at odd ``n`` and its odd-``n``
     block at even ``n``, so ``diag(1, j)`` over those blocks takes ``B T B^H``
     to the real ``P T P^T``, unitarily similar and of ``P``'s order, which is
-    returned, formed by those blocks (``_parity_product``).  ``T`` is
-    congruent to ``S^T D R D^H S``, ``S`` summing orders ``+-a``, so it is PSD
-    with ``R`` and carries ``R``'s certificate.  A
+    returned.  ``T`` is congruent to ``S^T D R D^H S``, ``S`` summing orders
+    ``+-a``, so it is PSD with ``R`` and carries ``R``'s certificate.  A
     built operator's ``R`` is certified PSD by its build; any other ``R``
     (built by hand, or an operator constructed directly) is tested here by
     ``_check_psd``, a Cholesky factor of ``R + 1e-10*I``.
@@ -187,7 +154,8 @@ def _kl_matrix(op: TruncatedOperator) -> np.ndarray:
     if F.ndim == 1:
         return F[:, None] * op.rtilde * F
     if op._line_angle is not None:
-        return _parity_product(F, _line_fold(op.rtilde[:, 0], op._line_angle - op.alpha0, op.N))
+        T = _line_fold(op.rtilde[:, 0], op._line_angle - op.alpha0, op.N)
+        return (F @ T) @ F.T
     # F' R F'^H = (R F'^H)^H F'^H
     Fh = (F * np.exp(-1j * op.alpha0 * np.arange(-op.N, op.N + 1))).conj().T
     return _times(op.rtilde, Fh).conj().T @ Fh

@@ -650,25 +650,6 @@ class TestLineRoute:
         # the trace test reads ||P||_F^2 = ||F||_F^2
         assert abs(np.vdot(op.gram_factor, op.gram_factor) - np.vdot(F, F).real) <= 1e-14
 
-    @pytest.mark.parametrize("name", sorted(LINE_APERTURES))
-    def test_parity_product_matches_dense(self, name, monkeypatch):
-        # P T P^T from P's parity blocks, at every order, against the dense
-        # product, which also multiplies P's zero blocks; an all-zero row, on
-        # either side of the split or at it, adds a zero row and column and
-        # moves nothing else
-        op = ds.build_truncated_operator(LINE_APERTURES[name], ds.VonMisesPas(kappa=3.0, alpha0=0.7))
-        monkeypatch.setattr(spectrum, "_PARITY_MIN_ORDER", 0)
-        P = op.gram_factor
-        T = operators._line_fold(op.rtilde[:, 0], op._line_angle - op.alpha0, op.N)
-        M = spectrum._parity_product(P, T)
-        tol = 1e-15 * np.linalg.norm(P) ** 2 * np.linalg.norm(T)
-        assert M.shape == (len(P), len(P)) and np.max(np.abs(M - (P @ T) @ P.T)) <= tol
-        split = int(np.argmax(P[:, 1::2].any(axis=1))) if P[:, 1::2].any() else len(P)
-        for at in sorted({0, split, len(P)}):
-            padded = spectrum._parity_product(np.insert(P, at, 0.0, axis=0), T)
-            assert not padded[at].any() and not padded[:, at].any()
-            assert np.max(np.abs(np.delete(np.delete(padded, at, axis=0), at, axis=1) - M)) <= tol
-
     @pytest.mark.parametrize("kind", sorted(LINE_MODELS))
     @pytest.mark.parametrize("name", sorted(LINE_APERTURES))
     def test_traces_match_solve(self, name, kind):
