@@ -49,12 +49,18 @@ from .pas import (
     doppler_spectrum,
     wrap_angle,
 )
-from .operators import _with_alpha0, build_truncated_operator, rtilde_matrix
-from .specfun import bessel_abs_tail_bound, series_order
+from .operators import (
+    _aperture_half,
+    _coefficient_half,
+    _join,
+    _kernel_grid,
+    build_truncated_operator,
+    rtilde_matrix,
+)
+from .specfun import bessel_abs_tail_bound, truncation_order
 from .spectrum import (
+    _correlation_matrix,
     _omega_interval,
-    discrete_correlation,
-    discrete_diversity,
     nystrom_oracle,
     omega_from_traces,
     solve_spectrum,
@@ -337,22 +343,35 @@ def _apply_sweep(cfg: dict, kind: str, value: float) -> dict:
 def _sweep_operators(cfg: dict, kind: str, values):
     """``operator(value)`` of a radius, length or direction sweep point.
 
-    A direction point differs from another only in ``alpha0``: the sweep
-    builds and checks one operator and gives each point a copy with its
-    own ``alpha0``, sharing its Gram factor ``F``, ``R`` and ``R``'s PSD
-    certificate (``operators._with_alpha0``); a refused
-    build is not cached, so it is refused again at every point.  Radius
-    and length sweeps take the PAS model and ``N`` from the first point's
-    config and build each point's operator with
-    :func:`~divspec.operators.build_truncated_operator`.
+    An operator joins two halves (see
+    :func:`~divspec.operators.build_truncated_operator`): the aperture's,
+    with ``N`` and the Gram factor ``F``, and the PAS's, ``R(0)`` with its
+    PSD certificate and ``rho_max``, which depends only on the model about
+    its axis, ``N`` and whether the point lies on a line.  The model and
+    ``N`` come from the first point's config, and a direction point
+    differs from another only in ``alpha0``.  So a radius or length sweep
+    builds each point's aperture half and one PAS half per distinct
+    ``N``, and a direction sweep builds each half once and joins them at
+    every point's ``alpha0``.  Only the last PAS half is kept, so a sweep
+    holds one ``R(0)`` at a time, as a point built alone does.  A refused
+    half is not kept, so it is refused again at every point that needs
+    it.  The halves live as long as the returned function, one
+    ``cmd_sweep`` call.
     """
+    aperture, model, N = _scenario(_apply_sweep(cfg, kind, float(values[0])))
+    # the values ascend and N never falls as a radius or length grows, so no
+    # point needs a PAS half older than the last
+    coefficient_half = functools.lru_cache(maxsize=1)(lambda n, dense: _coefficient_half(model, n, dense))
+
+    def join(aperture_half, alpha0):
+        geometry, key = aperture_half
+        return _join(geometry, coefficient_half(*key), alpha0)
+
     if kind == "direction":
-        aperture, model, N = _scenario(_apply_sweep(cfg, kind, 0.0))
-        base = functools.cache(lambda: build_truncated_operator(aperture, model, N))
-        return lambda value: _with_alpha0(base(), wrap_angle(value * _RAD))
-    _, model, N = _scenario(_apply_sweep(cfg, kind, float(values[0])))
-    return lambda value: build_truncated_operator(
-        make_aperture(_apply_sweep(cfg, kind, value)["aperture"]), model, N
+        geometry = functools.cache(lambda: _aperture_half(aperture, N))
+        return lambda value: join(geometry(), wrap_angle(value * _RAD))
+    return lambda value: join(
+        _aperture_half(make_aperture(_apply_sweep(cfg, kind, value)["aperture"]), N), model.alpha0
     )
 
 
@@ -363,8 +382,15 @@ def cmd_sweep(args) -> int:
     of a radius, length or direction point's operator (``_sweep_operators``)
     by :func:`~divspec.spectrum.omega_from_traces`, or of an antennas
     point's correlation matrix ``R``, whose ``omega = L**2 / S`` moves with
-    ``S = sum |R_ik|**2``.  A point that fails numerically writes a warning
-    to stderr and a row of empty cells; a configuration error exits 2.
+    ``S = sum |R_ik|**2``.  A sweep builds once what its points share and
+    keeps nothing past the call: a continuous sweep one PAS half per order
+    (``_sweep_operators``), an antennas sweep one kernel grid at the base
+    aperture's diameter, with ``N`` chosen, or refused below ``N_D``, from
+    ``n_override`` as for every sweep.  Every count's antennas lie in the
+    base aperture; a point whose own largest distance ``d_max`` needs a
+    larger ``N_D`` than the grid's is refused.  A point that fails
+    numerically writes a warning to stderr and a row of empty cells; a
+    configuration error exits 2.
     """
     cfg = _load_config(args.config)
     kind, values = _sweep_values(_require(cfg, "sweep", "config"))
@@ -373,22 +399,26 @@ def cmd_sweep(args) -> int:
 
     lines = [f"# sweep = {kind}", "param,omega,omega_corrected,error_bound"]
     if kind == "antennas":
-        aperture = make_aperture(_require(cfg, "aperture", "config"))
-        model = make_pas(_require(cfg, "pas", "config"))
-        # one kernel order covers every antenna count: the maximal pairwise
-        # distance never exceeds the base aperture diameter
+        aperture, model, N = _scenario(cfg)
         diameter = 2.0 * enclosing_radius(centering_transform(aperture)[0])
-        N, _ = series_order(diameter)
+        N, u, c = _kernel_grid(model, diameter, N)
         delta = bessel_abs_tail_bound(N, diameter)
+
+        def shared_grid(d_max):
+            if truncation_order(d_max) > truncation_order(diameter):
+                raise ValueError(f"antennas {d_max} apart exceed the kernel grid of diameter {diameter}")
+            return N, u, c
+
         for L in map(int, values):
             try:
-                R = discrete_correlation(_antenna_positions(aperture, L), model, N)
-                omega = discrete_diversity(R)
-                # entries off by at most delta move S by at most slack (Cauchy-Schwarz)
+                R = _correlation_matrix(_antenna_positions(aperture, L), shared_grid)
                 S = float(np.sum(np.abs(R) ** 2))
+                if not math.isfinite(S):
+                    raise ValueError("antenna correlation matrix is not finite")
+                # entries off by at most delta move S by at most slack (Cauchy-Schwarz)
                 slack = 2.0 * L * delta * math.sqrt(S) + (L * delta) ** 2
                 center, half_width = _omega_interval(S / L**2, slack / L**2)
-                lines.append(f"{L},{_fmt(omega)},{_fmt(center)},{_fmt(half_width)}")
+                lines.append(f"{L},{_fmt(L * L / S)},{_fmt(center)},{_fmt(half_width)}")
             except ConfigError:
                 raise
             except (ValueError, ArithmeticError) as exc:

@@ -592,11 +592,12 @@ class TruncatedOperator:
     never formed.
 
     ``_psd_certified`` records that ``R(0)`` is PSD to within ``_PSD_TOL``,
-    proven or tested once by :func:`build_truncated_operator`, the only
-    place that sets it; ``_with_alpha0`` carries it to a direction-sweep
-    point.  It is not an ``__init__`` argument and ``dataclasses.replace``
-    resets it, so a hand-built ``R`` is tested by ``_check_psd`` where it
-    is read, by every solve and sweep point (:mod:`divspec.spectrum`).
+    proven or tested once by :func:`build_truncated_operator`'s PAS half.
+    Only ``_join`` sets it, joining that half to an aperture's for a build
+    or a sweep point.  It is not an ``__init__`` argument and
+    ``dataclasses.replace`` resets it, so a hand-built ``R`` is tested by
+    ``_check_psd`` where it is read, by every solve and sweep point
+    (:mod:`divspec.spectrum`).
     """
 
     N: int
@@ -620,17 +621,6 @@ class TruncatedOperator:
         if F.ndim == 1:
             return np.diag(F * F)
         return _factor_gram(F if self._line_angle is None else _unfold(F, self._line_angle, self.N))
-
-
-def _with_alpha0(op: TruncatedOperator, alpha0: float) -> TruncatedOperator:
-    """``op`` with mean angle ``alpha0``, keeping ``R(0)``'s certificate.
-
-    The copy shares ``F`` and ``R(0)``; ``R(alpha0) = D R(0) D^H`` is PSD
-    exactly when ``R(0)`` is.
-    """
-    rotated = replace(op, alpha0=alpha0)
-    object.__setattr__(rotated, "_psd_certified", op._psd_certified)
-    return rotated
 
 
 def _asymmetry(M: np.ndarray) -> float:
@@ -699,6 +689,28 @@ def build_truncated_operator(aperture, model: PasModel, N: int | None = None) ->
     ``R`` of any other :class:`~divspec.pas.PasModel` is tested once by a
     Cholesky factor (``_check_psd``).  Either way the operator carries the
     certificate, and no solve or sweep point tests ``R`` again.
+
+    The build is two halves, in this order: the aperture's
+    (``_aperture_half``: centring, ``N``, ``R``'s size refusal, ``F`` and
+    its trace tests, the line angle) and the PAS's (``_coefficient_half``:
+    ``s`` and its tests, ``R(0)`` and its PSD certificate or test,
+    ``rho_max``), which depends only on the model about its axis, ``N``
+    and whether ``R(0)`` is formed off a line.  ``_join`` makes them one
+    operator at the model's mean angle, so a sweep
+    (:func:`divspec.cli.cmd_sweep`) builds the PAS half once per order and
+    a direction sweep the aperture half once.
+    """
+    geometry, key = _aperture_half(aperture, N)
+    return _join(geometry, _coefficient_half(model, *key), model.alpha0)
+
+
+def _aperture_half(aperture, N: int | None) -> tuple[dict, tuple[int, bool]]:
+    """The aperture's fields of its operator, and the key ``(N, dense)`` of the PAS half it joins.
+
+    The fields are ``N``, ``N_D``, ``r1``, ``F``, the offset and the line
+    angle; ``dense`` is whether the aperture lies off a line.  Centres the
+    aperture, chooses or refuses ``N``, refuses an ``R`` above 256 MiB,
+    and builds and checks ``F`` (see :func:`build_truncated_operator`).
     """
     centered, offset = centering_transform(aperture)
     r1 = enclosing_radius(centered)
@@ -719,27 +731,46 @@ def build_truncated_operator(aperture, model: PasModel, N: int | None = None) ->
         raise ArithmeticError(
             f"Gram trace deficit {1.0 - trace:.3e} exceeds the tail bound {residual:.3e}"
         )
+    line_angle = _line_angle(centered)
+    fields = dict(
+        N=N,
+        N_D=n_critical,
+        r1=r1,
+        gram_factor=F,
+        offset=np.asarray(offset, dtype=float),
+        _line_angle=line_angle,
+    )
+    return fields, (N, line_angle is None)
+
+
+def _coefficient_half(model: PasModel, N: int, dense: bool) -> dict:
+    """The PAS's fields of an order-``N`` operator: ``R(0)``, certified PSD, and ``rho_max``.
+
+    ``R(0)`` is the read-only window of ``s = s_(-2N..2N)`` about the
+    PAS's axis, copied when ``dense``: off a line, since a line's solve
+    reads only its first column.  ``s`` and ``R(0)`` are tested as
+    :func:`build_truncated_operator` says.  The result depends only on
+    the model about its axis, ``N`` and ``dense``.
+    """
     s = model._on_axis().fourier(np.arange(-2 * N, 2 * N + 1))
     if not float(np.max(np.abs(s - s[::-1].conj()))) <= 1e-14:
         raise ArithmeticError("coefficient correlation matrix is not Hermitian")
     if not abs(s[2 * N] - 1.0) <= 1e-12:
         raise ArithmeticError("coefficient correlation matrix diagonal is not 1")
-    line_angle = _line_angle(centered)
     R = _toeplitz(s if s.imag.any() else s.real)
-    if line_angle is None:  # a line's solve reads R(0) only through its first column
+    if dense:
         R = R.copy()
     if type(model) not in _PSD_MODELS:
         _check_psd(R)
-    op = TruncatedOperator(
-        N=N,
-        N_D=n_critical,
-        r1=r1,
-        gram_factor=F,
-        rtilde=R,
-        rho_max=float(model.rho_max()),
-        offset=np.asarray(offset, dtype=float),
-        alpha0=model.alpha0,
-        _line_angle=line_angle,
-    )
+    return dict(rtilde=R, rho_max=float(model.rho_max()))
+
+
+def _join(aperture_half: dict, coefficient_half: dict, alpha0: float) -> TruncatedOperator:
+    """The operator of two halves of one ``N`` at mean angle ``alpha0``, sharing their arrays.
+
+    It carries ``R(0)``'s certificate: ``R(alpha0) = D R(0) D^H`` is PSD
+    exactly when ``R(0)`` is.
+    """
+    op = TruncatedOperator(**aperture_half, **coefficient_half, alpha0=alpha0)
     object.__setattr__(op, "_psd_certified", True)
     return op

@@ -292,6 +292,19 @@ def discrete_correlation(positions, model: PasModel, N: int | None = None) -> np
     first, which keeps the phases small.  The result is Hermitian with unit
     diagonal.  An ``L x Q`` matrix ``E`` or an ``L x L`` result above
     256 MiB is refused with ``ValueError`` before it is allocated.
+
+    An antennas sweep (:func:`divspec.cli.cmd_sweep`) evaluates its points
+    through the same product (``_correlation_matrix``) on one grid, chosen
+    at its base aperture's diameter, which covers every point's ``d_max``.
+    """
+    return _correlation_matrix(positions, lambda d_max: _kernel_grid(model, d_max, N))
+
+
+def _correlation_matrix(positions, kernel_grid) -> np.ndarray:
+    """:func:`discrete_correlation`'s matrix on the grid ``(N, u, c) = kernel_grid(d_max)``.
+
+    ``kernel_grid`` chooses, or shares and refuses, the kernel grid for the
+    centred positions' largest pairwise distance ``d_max``.
     """
     pts = np.asarray(positions, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
@@ -305,7 +318,7 @@ def discrete_correlation(positions, model: PasModel, N: int | None = None) -> np
             f"above the {_MAX_GRID_BYTES}-byte limit"
         )
     pts = pts - pts.mean(axis=0)
-    N, u, c = _kernel_grid(model, _max_distance(pts), N)
+    N, u, c = kernel_grid(_max_distance(pts))
     E = _plane_waves(pts, u, N)
     weighted = E * c
     R = weighted @ np.conj(E, out=E).T

@@ -1,11 +1,12 @@
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
 
 import divspec as ds
+from divspec import operators
 
 
 def _uca_points(count, radius):
@@ -78,3 +79,18 @@ def linalg_calls(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     return calls
+
+
+@pytest.fixture
+def turn():
+    """``turn(op, alpha0)``: ``op`` at mean angle ``alpha0``, joined as a direction-sweep point is.
+
+    Every field but ``alpha0`` is ``op``'s own, shared, and the certificate
+    of ``R(0)`` is kept (``operators._join``).
+    """
+
+    def turned(op, alpha0):
+        shared = {f.name: getattr(op, f.name) for f in fields(op) if f.init and f.name != "alpha0"}
+        return operators._join(shared, {}, alpha0)
+
+    return turned

@@ -1,4 +1,5 @@
 import copy
+import gc
 import json
 import math
 import os
@@ -6,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,7 @@ import pytest
 from scipy import special
 
 import divspec as ds
-from divspec import cli, operators
+from divspec import cli, operators, spectrum
 from divspec.cli import main
 from divspec.specfun import DEFAULT_ORDER_MARGIN
 
@@ -860,6 +862,176 @@ def test_refusal_fires_on_every_sweep_point(cfg, target, breakage, message, tmp_
     for row, line in zip(rows, warnings):
         assert line.startswith(f"warning: param={float(row[0])}: ")
         assert re.search(message, line)
+
+
+def _independent_rows(cfg):
+    """CSV rows of a sweep with every point built alone, sharing nothing with another.
+
+    A radius, length or direction point is its own ``build_truncated_operator``
+    read by ``omega_from_traces``; an antennas point is ``discrete_correlation``
+    of its positions, on the grid of their own ``d_max``, and
+    ``discrete_diversity``, at the order that the base diameter and
+    ``n_override`` set.
+    """
+    kind, values = cli._sweep_values(cfg["sweep"])
+    aperture, model, N = cli._scenario(cfg)
+    if kind != "antennas":
+        rows = []
+        for value in values:
+            point = _point_config(cfg, kind, float(value))
+            op = ds.build_truncated_operator(cli.make_aperture(point["aperture"]), cli.make_pas(point["pas"]), N)
+            rows.append([cli._fmt(v) for v in (value, *ds.omega_from_traces(op))])
+        return rows
+    diameter = 2.0 * ds.enclosing_radius(ds.centering_transform(aperture)[0])
+    N, _ = ds.series_order(diameter, N)
+    delta = ds.bessel_abs_tail_bound(N, diameter)
+    rows = []
+    for L in map(int, values):
+        R = ds.discrete_correlation(cli._antenna_positions(aperture, L), model, N)
+        S = float(np.sum(np.abs(R) ** 2))
+        slack = 2.0 * L * delta * math.sqrt(S) + (L * delta) ** 2
+        interval = ds.spectrum._omega_interval(S / L**2, slack / L**2)
+        rows.append([str(L), *map(cli._fmt, (ds.discrete_diversity(R), *interval))])
+    return rows
+
+
+ANTENNAS_UCA = {
+    "aperture": {"kind": "circle", "radius": 1.0},
+    "pas": {"kind": "von_mises", "kappa": 3.0, "alpha0_deg": 20.0},
+    "sweep": {"kind": "antennas", "start": 2, "stop": 8, "steps": 7},
+}
+
+
+class TestSweepSharing:
+    """A sweep builds once what its points share and writes what independent points write."""
+
+    FIGS = ["fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10"]
+
+    @pytest.mark.parametrize("fig", FIGS)
+    def test_rows_equal_independent_builds(self, fig, tmp_path):
+        cfg = json.loads((SCENARIO_DIR / f"{fig}.cfg").read_text())
+        assert _sweep(tmp_path, cfg) == _independent_rows(cfg)
+
+    def test_rows_agree_with_independent_builds_on_their_own_grids(self, tmp_path):
+        # on a circle of radius 2.5, three and five antennas span less than the
+        # diameter, so each built alone takes a smaller grid than the shared one: both
+        # alias below 1e-17 at its d_max, and the rows agree to round-off, not as bytes
+        cfg = dict(ANTENNAS_UCA, aperture={"kind": "circle", "radius": 2.5})
+        aperture, model, _ = cli._scenario(cfg)
+        N, u, _ = operators._kernel_grid(model, 5.0, None)
+        for L in (3, 5):
+            pts = cli._antenna_positions(aperture, L)
+            d_max = spectrum._max_distance(pts - pts.mean(axis=0))
+            own = len(operators._kernel_grid(model, d_max, N)[1])
+            assert own < len(u)
+            for Q in (own, len(u)):
+                assert ds.bessel_abs_tail_bound(Q - N - 1, d_max) <= 1e-17
+        rows, alone = _sweep(tmp_path, cfg), _independent_rows(cfg)
+        assert [row[0] for row in rows] == [row[0] for row in alone]
+        values = np.array([row[1:] for row in rows], dtype=float)
+        assert np.allclose(values, np.array([row[1:] for row in alone], dtype=float), rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("fig", ["fig4", "fig5", "fig6", "fig7", "fig8"])
+    def test_halves_built_once_per_order(self, fig, tmp_path, monkeypatch):
+        # the PAS half windows R(0) once (_toeplitz) per distinct N; every radius or
+        # length point builds its own Gram factor, a direction sweep one
+        cfg = json.loads((SCENARIO_DIR / f"{fig}.cfg").read_text())
+        kind, values = cli._sweep_values(cfg["sweep"])
+        orders = set()
+        for value in values:
+            aperture = cli.make_aperture(_point_config(cfg, kind, float(value))["aperture"])
+            orders.add(ds.series_order(ds.enclosing_radius(ds.centering_transform(aperture)[0]))[0])
+        counts = _count_work(monkeypatch, "_toeplitz", "_gram_factor")
+        assert len(_sweep(tmp_path, cfg)) == len(values)
+        points = 1 if kind == "direction" else len(values)
+        assert (counts["_toeplitz"], counts["_gram_factor"]) == (len(orders), points)
+        assert len(orders) == (1 if kind == "direction" else 5)
+
+    def test_radius_sweep_keeps_one_pas_half(self, tmp_path, monkeypatch):
+        # 24 radii meet 24 orders; before each PAS half is built, at most the last
+        # one's R(0) is alive, as a sweep of points built alone holds one at a time
+        halves, alive = [], []
+        build = cli._coefficient_half
+
+        def tracked(*args):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in halves))
+            half = build(*args)
+            halves.append(weakref.ref(half["rtilde"]))
+            return half
+
+        monkeypatch.setattr(cli, "_coefficient_half", tracked)
+        cfg = dict(UCA_CFG, sweep={"kind": "radius", "start": 0.5, "stop": 12.0, "steps": 24})
+        assert len(_sweep(tmp_path, cfg)) == 24
+        assert len(alive) == 24 and max(alive) == 1
+
+    @pytest.mark.parametrize("fig", ["fig9", "fig10"])
+    def test_kernel_grid_built_once_per_antennas_sweep(self, fig, tmp_path, monkeypatch):
+        grids = []
+        for module in (cli, spectrum):
+            choose = module._kernel_grid
+
+            def counted(*args, _choose=choose, _module=module):
+                grids.append(_module.__name__)
+                return _choose(*args)
+
+            monkeypatch.setattr(module, "_kernel_grid", counted)
+        cfg = json.loads((SCENARIO_DIR / f"{fig}.cfg").read_text())
+        assert len(_sweep(tmp_path, cfg)) == 31
+        assert grids == ["divspec.cli"]
+
+    def test_point_past_the_size_guard_refused_alone(self, tmp_path, capsys):
+        # radius 240 needs a 4121 x 4121 R, refused before anything of its order is
+        # allocated; the first point is written as if alone
+        cfg = dict(UCA_CFG, sweep={"kind": "radius", "start": 0.1, "stop": 240.0, "steps": 2})
+        rows = _sweep(tmp_path, cfg)
+        assert rows[0] == _independent_rows(dict(cfg, sweep=dict(cfg["sweep"], stop=0.2)))[0]
+        assert rows[1] == ["240", "", "", ""]
+        err = capsys.readouterr().err
+        assert err.startswith("warning: param=240.0: evaluation at N=2060 needs a 4121x4121")
+        assert err.count("warning:") == 1
+
+    def test_antennas_point_beyond_the_shared_grid_refused_alone(self, tmp_path, monkeypatch, capsys):
+        # spread three antennas over twice the base diameter: that point alone is refused
+        place = cli._antenna_positions
+        monkeypatch.setattr(cli, "_antenna_positions", lambda ap, L: place(ap, L) * (2.0 if L == 3 else 1.0))
+        rows = _sweep(tmp_path, ANTENNAS_UCA)
+        monkeypatch.undo()
+        expected = _independent_rows(ANTENNAS_UCA)
+        assert rows[1] == ["3", "", "", ""]
+        assert rows[:1] + rows[2:] == expected[:1] + expected[2:]
+        err = capsys.readouterr().err
+        message = r"warning: L=3: antennas 3\.46\d* apart exceed the kernel grid of diameter 2\.0\n"
+        assert re.fullmatch(message, err)
+
+    def test_interleaved_sweeps_repeat_their_bytes(self, tmp_path):
+        # nothing a sweep shares outlives its call
+        outputs = []
+        for fig in ("fig5", "fig4", "fig5"):
+            out = tmp_path / f"{len(outputs)}.csv"
+            assert main(["sweep", "--config", str(SCENARIO_DIR / f"{fig}.cfg"), "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[2] != outputs[1]
+
+    def test_antennas_n_override_sets_the_kernel_order(self, tmp_path):
+        # N = 60 reaches every point's correlation matrix and its interval
+        cfg = dict(ANTENNAS_UCA, n_override=60)
+        rows = _sweep(tmp_path, cfg)
+        assert rows == _independent_rows(cfg)
+        aperture, model = cli.make_aperture(cfg["aperture"]), cli.make_pas(cfg["pas"])
+        for L, omega, *_ in rows:
+            R = ds.discrete_correlation(cli._antenna_positions(aperture, int(L)), model, 60)
+            assert omega == cli._fmt(ds.discrete_diversity(R))
+        assert [r[3] for r in rows] != [r[3] for r in _sweep(tmp_path, ANTENNAS_UCA)]
+
+    def test_antennas_n_override_below_critical_order_exits_3(self, tmp_path, capsys):
+        # the kernel's order is chosen at the base diameter 2, where N_D = 18
+        cfg = write_cfg(tmp_path / "c.cfg", dict(ANTENNAS_UCA, n_override=5))
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == "numerical error: truncation order N=5 below the critical order N_D=18 for radius 2.0\n"
+        assert not out.exists()
 
 
 class TestDopplerCommand:

@@ -939,12 +939,17 @@ class TestValidation:
 
     def test_certificate_is_set_by_the_build_only(self, linalg_calls):
         # replace() and a direct construction reset it, so their R is tested where it
-        # is read; _with_alpha0 keeps it for a direction-sweep point
-        op = build_truncated_operator(ds.Segment(1.0), ds.VonMisesPas(kappa=3.0, alpha0=0.4))
+        # is read; _join of the build's two halves sets it, for a build or a sweep point
+        model = ds.VonMisesPas(kappa=3.0, alpha0=0.4)
+        op = build_truncated_operator(ds.Segment(1.0), model)
         assert op._psd_certified
-        rotated = operators._with_alpha0(op, -1.2)
+        geometry, key = operators._aperture_half(ds.Segment(1.0), None)
+        coefficients = operators._coefficient_half(model, *key)
+        rotated = operators._join(geometry, coefficients, -1.2)
         assert rotated._psd_certified and rotated.alpha0 == -1.2 and op.alpha0 == 0.4
-        assert rotated.gram_factor is op.gram_factor and rotated.rtilde is op.rtilde
+        again = operators._join(geometry, coefficients, 0.4)
+        assert again.gram_factor is rotated.gram_factor and again.rtilde is rotated.rtilde
+        assert np.array_equal(again.gram_factor, op.gram_factor) and np.array_equal(again.rtilde, op.rtilde)
         fields = {
             name: getattr(op, name)
             for name in ("N", "N_D", "r1", "gram_factor", "rtilde", "rho_max", "offset", "_line_angle")
@@ -960,13 +965,13 @@ class TestValidation:
         ds.omega_from_traces(rotated)
         assert linalg_calls == []
 
-    def test_unlisted_model_tested_once_in_the_build(self, linalg_calls):
+    def test_unlisted_model_tested_once_in_the_build(self, linalg_calls, turn):
         # a PasModel subclass may override fourier, so its R gets one Cholesky test
         op = build_truncated_operator(ds.Segment(1.0), _UnlistedPas(delta=1.0, alpha0=0.3))
         assert [c for c in linalg_calls if c[0] == "cholesky"] == [("cholesky", (op.size, op.size), "float64")]
         linalg_calls.clear()
         ds.solve_spectrum(op)
-        ds.omega_from_traces(operators._with_alpha0(op, 1.0))
+        ds.omega_from_traces(turn(op, 1.0))
         assert [c[0] for c in linalg_calls] == ["eigvalsh"]
 
     def test_one_eigensolve_per_solve(self, linalg_calls):
@@ -1008,7 +1013,7 @@ class TestValidation:
         ],
         ids=["isotropic", "uniform", "von-mises", "tabulated"],
     )
-    def test_rtilde_read_about_the_axis(self, linalg_calls, model, dtype):
+    def test_rtilde_read_about_the_axis(self, linalg_calls, turn, model, dtype):
         # R(0) is real for the symmetric models at any mean angle, complex for a
         # tabulated one; neither the solve nor a sweep point factors it.  A line's
         # solve is real whatever R(0): it reads R(0)'s coefficients through the fold
@@ -1027,7 +1032,7 @@ class TestValidation:
             solved = "float64" if op._line_angle is not None else "complex128"
             assert [(name, kind) for name, _, kind in linalg_calls] == [("eigvalsh", solved)]
             linalg_calls.clear()
-            ds.omega_from_traces(operators._with_alpha0(op, -0.5))
+            ds.omega_from_traces(turn(op, -0.5))
             assert linalg_calls == []
 
 
@@ -1047,7 +1052,7 @@ SYMMETRIC_MODELS = {
 class TestDiagonalRoute:
     @pytest.mark.parametrize("model", SYMMETRIC_MODELS.values(), ids=SYMMETRIC_MODELS)
     @pytest.mark.parametrize("aperture", CIRCLES_AND_DISKS.values(), ids=CIRCLES_AND_DISKS)
-    def test_solve_forms_no_gram_and_no_root(self, monkeypatch, linalg_calls, aperture, model):
+    def test_solve_forms_no_gram_and_no_root(self, monkeypatch, linalg_calls, turn, aperture, model):
         # no Q x Q transform and no dense G; the solve takes one real eigvalsh,
         # with no eigh(R) for R^(1/2) and no Cholesky test of the certified R
         formed = []
@@ -1059,7 +1064,7 @@ class TestDiagonalRoute:
         ds.solve_spectrum(op)
         assert linalg_calls == [("eigvalsh", (op.size, op.size), "float64")]
         linalg_calls.clear()
-        ds.omega_from_traces(operators._with_alpha0(op, -0.4))
+        ds.omega_from_traces(turn(op, -0.4))
         assert linalg_calls == []
         assert formed == []
 

@@ -320,16 +320,24 @@ def _array_workload_inputs(seed):
 
 
 def test_array_grid_aliasing_certified(monkeypatch, tmp_path):
-    """Every angle grid chosen for fig9, fig10 and the benchmark arrays aliases below 1e-17."""
-    grids = []
-    choose = spectrum._kernel_grid
+    """Every array's d_max aliases below 1e-17 on the grid it is evaluated on.
 
-    def recorded(model, radius, N):
-        N, u, c = choose(model, radius, N)
-        grids.append((radius, N, len(u)))
-        return N, u, c
+    fig9's and fig10's points share one grid a sweep, chosen at the base
+    diameter; each benchmark array has its own, chosen at its d_max.
+    """
+    points = []
+    correlate = spectrum._correlation_matrix
 
-    monkeypatch.setattr(spectrum, "_kernel_grid", recorded)
+    def recorded(positions, kernel_grid):
+        def grid(d_max):
+            N, u, c = kernel_grid(d_max)
+            points.append((d_max, N, len(u)))
+            return N, u, c
+
+        return correlate(positions, grid)
+
+    monkeypatch.setattr(spectrum, "_correlation_matrix", recorded)
+    monkeypatch.setattr(cli, "_correlation_matrix", recorded)
     rows = 0
     for fig in ("fig9", "fig10"):
         out = tmp_path / f"{fig}.csv"
@@ -340,9 +348,9 @@ def test_array_grid_aliasing_certified(monkeypatch, tmp_path):
         for arr in _array_workload_inputs(seed):
             ds.discrete_correlation(arr["points"], cli.make_pas(arr["pas"]))
             arrays += 1
-    assert len(grids) == rows + arrays
-    for radius, N, Q in grids:
-        assert ds.bessel_abs_tail_bound(Q - N - 1, radius) <= 1e-17
+    assert len(points) == rows + arrays
+    for d_max, N, Q in points:
+        assert ds.bessel_abs_tail_bound(Q - N - 1, d_max) <= 1e-17
 
 
 def _full_route(op, model):
@@ -652,13 +660,13 @@ class TestLineRoute:
 
     @pytest.mark.parametrize("kind", sorted(LINE_MODELS))
     @pytest.mark.parametrize("name", sorted(LINE_APERTURES))
-    def test_traces_match_solve(self, name, kind):
+    def test_traces_match_solve(self, name, kind, turn):
         model = LINE_MODELS[kind](0.8)
         op = ds.build_truncated_operator(LINE_APERTURES[name], model)
         spec = ds.solve_spectrum(op)
         expected = (spec.omega, *ds.omega_corrected(spec))
         assert np.allclose(ds.omega_from_traces(op), expected, rtol=1e-13, atol=0.0)
-        turned = operators._with_alpha0(op, -2.1)
+        turned = turn(op, -2.1)
         assert turned._line_angle == op._line_angle and turned.gram_factor is op.gram_factor
         spec = ds.solve_spectrum(turned)
         assert np.allclose(ds.omega_from_traces(turned), (spec.omega, *ds.omega_corrected(spec)), rtol=1e-13)
