@@ -347,32 +347,58 @@ def _sweep_operators(cfg: dict, kind: str, values):
     :func:`~divspec.operators.build_truncated_operator`): the aperture's,
     with ``N`` and the Gram factor ``F``, and the PAS's, ``R(0)`` with its
     PSD certificate and ``rho_max``, which depends only on the model about
-    its axis, ``N`` and whether the point lies on a line.  The model and
-    ``N`` come from the first point's config, and a direction point
-    differs from another only in ``alpha0``.  So a radius or length sweep
-    builds each point's aperture half and one PAS half per distinct
-    ``N``, and a direction sweep builds each half once and joins them at
-    every point's ``alpha0``.  Only the last PAS half is kept, so a sweep
-    holds one ``R(0)`` at a time, as a point built alone does.  A refused
-    half is not kept, so it is refused again at every point that needs
-    it.  The halves live as long as the returned function, one
-    ``cmd_sweep`` call.
+    its axis and ``N``.  The model and ``N`` come from the first point's
+    config, and a direction point differs from another only in ``alpha0``:
+    a direction sweep builds, or refuses, each half once, here.  A radius
+    or length sweep builds each point's aperture half and one PAS half per
+    distinct ``N``, keeping only the last, so it holds one ``R(0)`` at a
+    time, as a point built alone does; a refused half is refused at every
+    point that needs it.  Nothing outlives the returned function.
     """
     aperture, model, N = _scenario(_apply_sweep(cfg, kind, float(values[0])))
+    if kind == "direction":
+        geometry = _aperture_half(aperture, N)
+        coefficients = _coefficient_half(model, geometry["N"])
+        return lambda value: _join(geometry, coefficients, wrap_angle(value * _RAD))
     # the values ascend and N never falls as a radius or length grows, so no
     # point needs a PAS half older than the last
-    coefficient_half = functools.lru_cache(maxsize=1)(lambda n, dense: _coefficient_half(model, n, dense))
+    coefficient_half = functools.lru_cache(maxsize=1)(lambda n: _coefficient_half(model, n))
 
-    def join(aperture_half, alpha0):
-        geometry, key = aperture_half
-        return _join(geometry, coefficient_half(*key), alpha0)
+    def operator(value):
+        geometry = _aperture_half(make_aperture(_apply_sweep(cfg, kind, value)["aperture"]), N)
+        return _join(geometry, coefficient_half(geometry["N"]), model.alpha0)
 
-    if kind == "direction":
-        geometry = functools.cache(lambda: _aperture_half(aperture, N))
-        return lambda value: join(geometry(), wrap_angle(value * _RAD))
-    return lambda value: join(
-        _aperture_half(make_aperture(_apply_sweep(cfg, kind, value)["aperture"]), N), model.alpha0
-    )
+    return operator
+
+
+def _antennas_row(cfg: dict):
+    """``row(L)``: omega ``L**2 / S`` of ``L`` antennas, ``S = sum |R_ik|**2``, and its interval.
+
+    The points share one kernel grid, built, or refused, here at the base
+    aperture's diameter, with ``N`` from ``n_override``.  A point whose own
+    largest distance ``d_max`` needs a larger ``N_D`` than the grid's is
+    refused.
+    """
+    aperture, model, N = _scenario(cfg)
+    diameter = 2.0 * enclosing_radius(centering_transform(aperture)[0])
+    N, u, c = _kernel_grid(model, diameter, N)
+    delta = bessel_abs_tail_bound(N, diameter)
+
+    def shared_grid(d_max):
+        if truncation_order(d_max) > truncation_order(diameter):
+            raise ValueError(f"antennas {d_max} apart exceed the kernel grid of diameter {diameter}")
+        return N, u, c
+
+    def row(L):
+        R = _correlation_matrix(_antenna_positions(aperture, L), shared_grid)
+        S = float(np.sum(np.abs(R) ** 2))
+        if not math.isfinite(S):
+            raise ValueError("antenna correlation matrix is not finite")
+        # entries off by at most delta move S by at most slack (Cauchy-Schwarz)
+        slack = 2.0 * L * delta * math.sqrt(S) + (L * delta) ** 2
+        return L * L / S, *_omega_interval(S / L**2, slack / L**2)
+
+    return row
 
 
 def cmd_sweep(args) -> int:
@@ -381,60 +407,32 @@ def cmd_sweep(args) -> int:
     Every row is omega and its certified interval read off two traces:
     of a radius, length or direction point's operator (``_sweep_operators``)
     by :func:`~divspec.spectrum.omega_from_traces`, or of an antennas
-    point's correlation matrix ``R``, whose ``omega = L**2 / S`` moves with
-    ``S = sum |R_ik|**2``.  A sweep builds once what its points share and
-    keeps nothing past the call: a continuous sweep one PAS half per order
-    (``_sweep_operators``), an antennas sweep one kernel grid at the base
-    aperture's diameter, with ``N`` chosen, or refused below ``N_D``, from
-    ``n_override`` as for every sweep.  Every count's antennas lie in the
-    base aperture; a point whose own largest distance ``d_max`` needs a
-    larger ``N_D`` than the grid's is refused.  A point that fails
-    numerically writes a warning to stderr and a row of empty cells; a
-    configuration error exits 2.
+    point's correlation matrix (``_antennas_row``).  What every point
+    shares is built before the first row (a direction sweep's two halves,
+    an antennas sweep's kernel grid), and its refusal exits 3 with no CSV.
+    A point that fails on its own, radius and length points included,
+    writes a warning to stderr and a row of empty cells.  A configuration
+    error exits 2.  Nothing is kept past the call.
     """
     cfg = _load_config(args.config)
     kind, values = _sweep_values(_require(cfg, "sweep", "config"))
     if kind == "doppler":
         return _doppler_csv(cfg, values, args.out)
 
-    lines = [f"# sweep = {kind}", "param,omega,omega_corrected,error_bound"]
     if kind == "antennas":
-        aperture, model, N = _scenario(cfg)
-        diameter = 2.0 * enclosing_radius(centering_transform(aperture)[0])
-        N, u, c = _kernel_grid(model, diameter, N)
-        delta = bessel_abs_tail_bound(N, diameter)
-
-        def shared_grid(d_max):
-            if truncation_order(d_max) > truncation_order(diameter):
-                raise ValueError(f"antennas {d_max} apart exceed the kernel grid of diameter {diameter}")
-            return N, u, c
-
-        for L in map(int, values):
-            try:
-                R = _correlation_matrix(_antenna_positions(aperture, L), shared_grid)
-                S = float(np.sum(np.abs(R) ** 2))
-                if not math.isfinite(S):
-                    raise ValueError("antenna correlation matrix is not finite")
-                # entries off by at most delta move S by at most slack (Cauchy-Schwarz)
-                slack = 2.0 * L * delta * math.sqrt(S) + (L * delta) ** 2
-                center, half_width = _omega_interval(S / L**2, slack / L**2)
-                lines.append(f"{L},{_fmt(L * L / S)},{_fmt(center)},{_fmt(half_width)}")
-            except ConfigError:
-                raise
-            except (ValueError, ArithmeticError) as exc:
-                print(f"warning: L={L}: {exc}", file=sys.stderr)
-                lines.append(f"{L},,,")
+        name, row = "L", _antennas_row(cfg)
     else:
         operator = _sweep_operators(cfg, kind, values)
-        for value in values:
-            try:
-                row = omega_from_traces(operator(float(value)))
-                lines.append(",".join(map(_fmt, (value, *row))))
-            except ConfigError:
-                raise
-            except (ValueError, ArithmeticError) as exc:
-                print(f"warning: param={value}: {exc}", file=sys.stderr)
-                lines.append(f"{_fmt(value)},,,")
+        name, row = "param", lambda value: omega_from_traces(operator(value))
+    lines = [f"# sweep = {kind}", "param,omega,omega_corrected,error_bound"]
+    for value in values.tolist():
+        try:
+            lines.append(",".join(map(_fmt, (value, *row(value)))))
+        except ConfigError:
+            raise
+        except (ValueError, ArithmeticError) as exc:
+            print(f"warning: {name}={value}: {exc}", file=sys.stderr)
+            lines.append(f"{_fmt(value)},,,")
     _write_lines(args.out, lines)
     return 0
 

@@ -52,7 +52,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import specfun
 from .aperture import (
@@ -309,15 +309,14 @@ def _line_angle(aperture) -> float | None:
     return None
 
 
-def _node_sum_factor(aperture, N: int) -> np.ndarray | None:
+def _node_sum_factor(aperture, N: int, angle: float | None) -> np.ndarray | None:
     """Factor of a node sum's ``G`` (see :func:`gram_matrix`), else ``None``.
 
-    On a line through the origin in mirror pairs (``_line_angle``) it is the
-    real half factor of ``_line_factor``, elsewhere ``F`` with ``G = F^H F``.
-    A rule whose ``rows x Q`` plane waves exceed the byte budget is refused
-    before it or the angle grid is built.
+    On a line through the origin in mirror pairs, at ``angle``
+    (``_line_angle``), it is ``_line_factor``'s real half factor, elsewhere
+    ``F`` with ``G = F^H F``.  A rule whose ``rows x Q`` plane waves exceed
+    the byte budget is refused before it or the angle grid is built.
     """
-    angle = _line_angle(aperture)
     if angle is None and not isinstance(aperture, (DiscreteArray, PiecewiseCurve)):
         return None
     Q = _angle_grid_size(N, enclosing_radius(aperture))
@@ -391,10 +390,11 @@ def _line_fold(s: np.ndarray, psi: float, N: int) -> np.ndarray:
     """
     k = np.arange(2 * N + 1)
     r = np.cos(psi * k) * s.real - np.sin(psi * k) * s.imag
-    sym = np.concatenate([r[N:0:-1], r[: N + 1]])  # r_|k|, k = -N..N
-    step = r.strides[0]
-    # T_ab = sym[N + a - b] + r[a + b]: both index 0..2N of their own array
-    T = as_strided(sym[N:], (N + 1, N + 1), (step, -step)) + as_strided(r, (N + 1, N + 1), (step, step))
+    # rows r_|k|, k = -N..N, and r_k, k = 0..2N, windowed in one call: T_ab = r_|a-b| + r_(a+b)
+    # is the first row's reversed Toeplitz window plus the second's Hankel window
+    rows = np.concatenate([r[N:0:-1], r[: N + 1], r]).reshape(2, 2 * N + 1)
+    toeplitz, hankel = sliding_window_view(rows, N + 1, axis=1)
+    T = toeplitz[:, ::-1] + hankel
     T[0, 1:] *= math.sqrt(0.5)
     T[1:, 0] *= math.sqrt(0.5)
     T[0, 0] *= 0.5
@@ -426,18 +426,18 @@ def _transform_factor(aperture, N: int) -> np.ndarray:
     return V.T * np.exp(1j * aperture.angle * np.arange(-N, N + 1))
 
 
-def _gram_factor(aperture, N: int) -> np.ndarray:
+def _gram_factor(aperture, N: int, angle: float | None) -> np.ndarray:
     """The operator's factor ``F`` of a centred aperture's ``G``, ``2N+1`` rows at most.
 
     ``sqrt(g)`` of a circle's or disk's diagonal, held 1-D; a line's real
-    half factor (``_line_factor``, ``N+1`` columns); another node sum's
-    ``F``, or its ``2N+1``-row triangular QR factor when it has more rows;
-    else ``_transform_factor``.
+    half factor at ``angle`` (``_line_angle``; ``_line_factor``, ``N+1``
+    columns); another node sum's ``F``, or its ``2N+1``-row triangular QR
+    factor when it has more rows; else ``_transform_factor``.
     """
     g = _circle_diagonal(aperture, N)
     if g is not None:
         return np.sqrt(g)
-    F = _node_sum_factor(aperture, N)
+    F = _node_sum_factor(aperture, N, angle)
     if F is None:
         return _transform_factor(aperture, N)
     return np.linalg.qr(F, mode="r") if len(F) > 2 * N + 1 else F
@@ -484,9 +484,9 @@ def gram_matrix(aperture, N: int) -> np.ndarray:
     g = _circle_diagonal(aperture, N)
     if g is not None:
         return np.diag(g)
-    F = _node_sum_factor(aperture, N)
+    angle = _line_angle(aperture)
+    F = _node_sum_factor(aperture, N, angle)
     if F is not None:
-        angle = _line_angle(aperture)
         return _factor_gram(F if angle is None else _unfold(F, angle, N))
     Q = _angle_grid_size(N, enclosing_radius(aperture))
     _check_grid_bytes(Q, Q, N)
@@ -586,10 +586,9 @@ class TruncatedOperator:
     ``(G, R(alpha0))`` with ``R(alpha0) = D R(0) D^H`` exactly,
     ``D = diag(exp(-j*n*alpha0))``, which the solve applies as a phase on
     ``F``; ``R(alpha0)`` is PSD exactly when ``R(0)`` is, and a diagonal
-    ``G`` commutes with ``D``.  A line's solve reads ``R(0)`` only through
-    its first column, ``s_(0..2N)``, which is all of a Toeplitz ``R(0)``,
-    so a line's ``rtilde`` is the read-only window of ``s`` (``_toeplitz``),
-    never formed.
+    ``G`` commutes with ``D``.  On every route ``rtilde`` is the read-only
+    window of ``s`` (``_toeplitz``), so the ``R(0)`` a certificate was given
+    cannot change after it; a line's solve reads only its first column.
 
     ``_psd_certified`` records that ``R(0)`` is PSD to within ``_PSD_TOL``,
     proven or tested once by :func:`build_truncated_operator`'s PAS half.
@@ -657,11 +656,10 @@ def build_truncated_operator(aperture, model: PasModel, N: int | None = None) ->
     256 MiB as a complex matrix is refused next, before anything of order
     ``2N+1`` is allocated.  ``R`` is built about the PAS's own axis, the
     mean angle kept as ``alpha0``, and is real when its coefficients are;
-    on a line it stays an unformed window of them.  ``G`` is kept as its
-    factor ``F``, on a line as the half factor ``P`` (see
-    :class:`TruncatedOperator`).  A line keeps ``R``'s size refusal,
-    although it forms no ``R``, so that it admits and refuses what the other
-    routes do.
+    it stays a read-only window of them.  ``G`` is kept as its factor
+    ``F``, on a line, decided once (``_line_angle``), as the half factor
+    ``P`` (see :class:`TruncatedOperator`).  No route forms ``R`` here;
+    each keeps the size refusal, so all admit and refuse the same orders.
     Each invariant that can fail is tested once, here: ``G``'s trace
     ``||F||_F**2`` against the tail bound, a transform ``G``'s symmetry and
     PSD (in ``_transform_factor``; every other ``F^H F`` has both by
@@ -691,26 +689,25 @@ def build_truncated_operator(aperture, model: PasModel, N: int | None = None) ->
     certificate, and no solve or sweep point tests ``R`` again.
 
     The build is two halves, in this order: the aperture's
-    (``_aperture_half``: centring, ``N``, ``R``'s size refusal, ``F`` and
-    its trace tests, the line angle) and the PAS's (``_coefficient_half``:
+    (``_aperture_half``: centring, ``N``, ``R``'s size refusal, the line
+    angle, ``F`` and its trace tests) and the PAS's (``_coefficient_half``:
     ``s`` and its tests, ``R(0)`` and its PSD certificate or test,
-    ``rho_max``), which depends only on the model about its axis, ``N``
-    and whether ``R(0)`` is formed off a line.  ``_join`` makes them one
-    operator at the model's mean angle, so a sweep
+    ``rho_max``), which depends only on the model about its axis and ``N``.
+    ``_join`` makes them one operator at the model's mean angle, so a sweep
     (:func:`divspec.cli.cmd_sweep`) builds the PAS half once per order and
-    a direction sweep the aperture half once.
+    a direction sweep each half once.
     """
-    geometry, key = _aperture_half(aperture, N)
-    return _join(geometry, _coefficient_half(model, *key), model.alpha0)
+    geometry = _aperture_half(aperture, N)
+    return _join(geometry, _coefficient_half(model, geometry["N"]), model.alpha0)
 
 
-def _aperture_half(aperture, N: int | None) -> tuple[dict, tuple[int, bool]]:
-    """The aperture's fields of its operator, and the key ``(N, dense)`` of the PAS half it joins.
+def _aperture_half(aperture, N: int | None) -> dict:
+    """The aperture's fields of its operator: ``N``, ``N_D``, ``r1``, ``F``, the offset and the line angle.
 
-    The fields are ``N``, ``N_D``, ``r1``, ``F``, the offset and the line
-    angle; ``dense`` is whether the aperture lies off a line.  Centres the
-    aperture, chooses or refuses ``N``, refuses an ``R`` above 256 MiB,
-    and builds and checks ``F`` (see :func:`build_truncated_operator`).
+    Centres the aperture, chooses or refuses ``N``, refuses an ``R`` above
+    256 MiB, decides the route once (``_line_angle``), and builds and
+    checks ``F`` (see :func:`build_truncated_operator`).  The PAS half it
+    joins is the one of order ``N``.
     """
     centered, offset = centering_transform(aperture)
     r1 = enclosing_radius(centered)
@@ -722,7 +719,8 @@ def _aperture_half(aperture, N: int | None) -> tuple[dict, tuple[int, bool]]:
             f"evaluation at N={N} needs a {size}x{size} {nbytes}-byte coefficient "
             f"correlation matrix R, above the {_MAX_GRID_BYTES}-byte limit"
         )
-    F = _gram_factor(centered, N)
+    line_angle = _line_angle(centered)
+    F = _gram_factor(centered, N, line_angle)
     trace = float(np.vdot(F, F).real)
     if not trace <= 1.0 + 1e-12:
         raise ArithmeticError(f"Gram trace {trace} outside [0, 1]")
@@ -731,8 +729,7 @@ def _aperture_half(aperture, N: int | None) -> tuple[dict, tuple[int, bool]]:
         raise ArithmeticError(
             f"Gram trace deficit {1.0 - trace:.3e} exceeds the tail bound {residual:.3e}"
         )
-    line_angle = _line_angle(centered)
-    fields = dict(
+    return dict(
         N=N,
         N_D=n_critical,
         r1=r1,
@@ -740,17 +737,16 @@ def _aperture_half(aperture, N: int | None) -> tuple[dict, tuple[int, bool]]:
         offset=np.asarray(offset, dtype=float),
         _line_angle=line_angle,
     )
-    return fields, (N, line_angle is None)
 
 
-def _coefficient_half(model: PasModel, N: int, dense: bool) -> dict:
+def _coefficient_half(model: PasModel, N: int) -> dict:
     """The PAS's fields of an order-``N`` operator: ``R(0)``, certified PSD, and ``rho_max``.
 
     ``R(0)`` is the read-only window of ``s = s_(-2N..2N)`` about the
-    PAS's axis, copied when ``dense``: off a line, since a line's solve
-    reads only its first column.  ``s`` and ``R(0)`` are tested as
+    PAS's axis on every route, so no caller can change it after its
+    certificate.  ``s`` and ``R(0)`` are tested as
     :func:`build_truncated_operator` says.  The result depends only on
-    the model about its axis, ``N`` and ``dense``.
+    the model about its axis and ``N``.
     """
     s = model._on_axis().fourier(np.arange(-2 * N, 2 * N + 1))
     if not float(np.max(np.abs(s - s[::-1].conj()))) <= 1e-14:
@@ -758,8 +754,6 @@ def _coefficient_half(model: PasModel, N: int, dense: bool) -> dict:
     if not abs(s[2 * N] - 1.0) <= 1e-12:
         raise ArithmeticError("coefficient correlation matrix diagonal is not 1")
     R = _toeplitz(s if s.imag.any() else s.real)
-    if dense:
-        R = R.copy()
     if type(model) not in _PSD_MODELS:
         _check_psd(R)
     return dict(rtilde=R, rho_max=float(model.rho_max()))

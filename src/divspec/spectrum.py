@@ -131,34 +131,36 @@ def _times(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def _kl_matrix(op: TruncatedOperator) -> np.ndarray:
     """``F' R F'^H``, Hermitian with the nonzero spectrum of ``G' R``.
 
-    ``F' = F * d`` carries the mean angle as the phase ``d = exp(-j*alpha0*n)``,
-    which a circle's or disk's diagonal ``G`` commutes with: its 1-D ``F``
-    gives ``diag(F) R diag(F)``, real with ``R``.  On a line at ``theta``
-    (``op._line_angle``) ``F'`` is the half factor ``P`` unfolded with the
-    phase ``exp(j*n*psi)``, ``psi = theta - alpha0``.  Summing ``R``'s orders
-    ``+-a`` and ``+-b`` folds ``F' R F'^H`` to ``B T B^H`` with the real
-    ``T_ab = r_(a-b) + r_(a+b)``, ``r_k = Re(exp(j*k*psi)*s_k)``
-    (``_line_fold``), where ``B`` is ``P`` with its odd columns times ``j``.
-    ``P``'s even-``n`` block of rows is zero at odd ``n`` and its odd-``n``
-    block at even ``n``, so ``diag(1, j)`` over those blocks takes ``B T B^H``
-    to the real ``P T P^T``, unitarily similar and of ``P``'s order, which is
-    returned.  ``T`` is congruent to ``S^T D R D^H S``, ``S`` summing orders
-    ``+-a``, so it is PSD with ``R`` and carries ``R``'s certificate.  A
-    built operator's ``R`` is certified PSD by its build; any other ``R``
-    (built by hand, or an operator constructed directly) is tested here by
+    ``F' = F * d`` carries the mean angle as the phase ``d = exp(-j*alpha0*n)``.
+    On a line at ``theta`` (``op._line_angle``) ``F'`` is the half factor
+    ``P`` unfolded with the phase ``exp(j*n*psi)``, ``psi = theta - alpha0``.
+    Summing ``R``'s orders ``+-a`` and ``+-b`` folds ``F' R F'^H`` to
+    ``B T B^H`` with the real ``T_ab = r_(a-b) + r_(a+b)``,
+    ``r_k = Re(exp(j*k*psi)*s_k)`` (``_line_fold``), where ``B`` is ``P``
+    with its odd columns times ``j``.  ``P``'s even-``n`` block of rows is
+    zero at odd ``n`` and its odd-``n`` block at even ``n``, so ``diag(1, j)``
+    over those blocks takes ``B T B^H`` to the real ``P T P^T``, unitarily
+    similar and of ``P``'s order, which is returned.  ``T`` is congruent to
+    ``S^T D R D^H S``, ``S`` summing orders ``+-a``, so it is PSD with ``R``
+    and carries ``R``'s certificate.  Elsewhere the build's read-only window
+    ``R`` is multiplied as one contiguous copy: a circle's or disk's diagonal
+    ``G`` commutes with ``d``, so its 1-D ``F`` gives ``diag(F) R diag(F)``,
+    real with ``R``, and any other ``F`` gives ``(R F'^H)^H F'^H``.  An ``R``
+    the build did not certify (one built by hand) is tested here by
     ``_check_psd``, a Cholesky factor of ``R + 1e-10*I``.
     """
     if not op._psd_certified:
         _check_psd(op.rtilde)
     F = op.gram_factor
-    if F.ndim == 1:
-        return F[:, None] * op.rtilde * F
     if op._line_angle is not None:
         T = _line_fold(op.rtilde[:, 0], op._line_angle - op.alpha0, op.N)
         return (F @ T) @ F.T
+    R = np.ascontiguousarray(op.rtilde)
+    if F.ndim == 1:
+        return F[:, None] * R * F
     # F' R F'^H = (R F'^H)^H F'^H
     Fh = (F * np.exp(-1j * op.alpha0 * np.arange(-op.N, op.N + 1))).conj().T
-    return _times(op.rtilde, Fh).conj().T @ Fh
+    return _times(R, Fh).conj().T @ Fh
 
 
 def _error_bounds(op: TruncatedOperator) -> tuple[float, float]:

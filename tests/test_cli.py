@@ -700,6 +700,16 @@ def _sweep(tmp_path, cfg):
     return read_rows(out)[2]
 
 
+def _refused_sweep(tmp_path, cfg, capsys):
+    """stderr of a sweep refused as a whole: it exits 3 and writes no CSV."""
+    config = write_cfg(tmp_path / "sweep.cfg", cfg)
+    out = tmp_path / "sweep.csv"
+    capsys.readouterr()
+    assert main(["sweep", "--config", config, "--out", str(out)]) == 3
+    assert not out.exists()
+    return capsys.readouterr().err
+
+
 def _assert_rows_close(rows, expected, rtol=1e-13):
     """Same params and empty cells; every number within ``rtol`` relative."""
     assert len(rows) == len(expected)
@@ -800,12 +810,12 @@ class TestSweepReuse:
         ids=["below-critical-order", "grid-guard"],
     )
     def test_refused_direction_build_fails_every_point(self, cfg, tmp_path, capsys):
-        rows, warnings = _point_rows(cfg)
-        capsys.readouterr()
-        assert _sweep(tmp_path, cfg) == rows
-        assert all(r[1:] == ["", "", ""] for r in rows)
-        err = capsys.readouterr().err
-        assert err == warnings and err.count("warning: param=") == len(rows)
+        # every direction point shares both halves, built before the first row, so
+        # their refusal is the whole sweep's: it exits 3 with the point's own message
+        with pytest.raises((ValueError, ArithmeticError)) as alone:
+            cli._solve_scenario(_point_config(cfg, "direction", cfg["sweep"]["start"]))
+        err = _refused_sweep(tmp_path, cfg, capsys)
+        assert err == f"numerical error: {alone.value}\n"
         assert "below the critical order N_D=43" in err or "5145x5145 423536400-byte coefficient" in err
 
     def test_partial_failures_keep_surviving_rows(self, tmp_path, capsys):
@@ -855,6 +865,10 @@ def test_refusal_fires_on_every_sweep_point(cfg, target, breakage, message, tmp_
         monkeypatch.setattr(operators, "_PSD_MODELS", ())
     build = getattr(operators, target)
     monkeypatch.setattr(operators, target, lambda *args: breakage(build(*args)))
+    if cfg is DIRECTION_SWEEP:
+        # a direction sweep builds R(0) once, before its first row, for the whole sweep
+        assert re.fullmatch(f"numerical error: {message}\n", _refused_sweep(tmp_path, cfg, capsys))
+        return
     rows = _sweep(tmp_path, cfg)
     assert len(rows) == 3 and all(r[1:] == ["", "", ""] for r in rows)
     warnings = capsys.readouterr().err.splitlines()

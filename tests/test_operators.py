@@ -453,6 +453,29 @@ class TestFactorRoute:
         spectra = [ds.solve_spectrum(op).eigenvalues for op in (line, segment)]
         assert np.array_equal(*spectra)
 
+    @pytest.mark.parametrize(
+        "aperture",
+        [
+            ds.DiscreteArray(((-0.5, 0.0), (0.0, 0.0), (0.5, 0.0))),
+            NODE_SUM_CASES["array-random"],
+            ds.Segment(1.0),
+            CURVES["line-arc"],
+        ],
+        ids=["array-line", "array-random", "segment", "curve"],
+    )
+    def test_route_decided_once(self, aperture, monkeypatch):
+        # a build and a gram_matrix each run the exact mirror test, two sorts of an
+        # array's antennas, once, and hand its angle to the factor
+        calls = []
+        decide = operators._line_angle
+        monkeypatch.setattr(operators, "_line_angle", lambda ap: calls.append(ap) or decide(ap))
+        op = build_truncated_operator(aperture, ds.VonMisesPas(kappa=3.0))
+        assert len(calls) == 1
+        calls.clear()
+        G = gram_matrix(ds.centering_transform(aperture)[0], op.N)
+        assert len(calls) == 1
+        assert np.max(np.abs(G - op.gram)) <= 1e-15
+
     @pytest.mark.parametrize("name", sorted(MANY_LINES))
     def test_many_lines_keep_their_transform(self, name, linalg_calls):
         # G from the transform, factored by one real eigh of the lines' G at angle 0
@@ -467,7 +490,7 @@ class TestFactorRoute:
         # centred line's factor is its real half factor, of at most N+1 rows
         aperture, _ = ds.centering_transform(NARROW_LINES[name])
         N = _order_at(aperture)
-        P = operators._gram_factor(aperture, N)
+        P = operators._gram_factor(aperture, N, operators._line_angle(aperture))
         assert P.dtype.name == "float64" and len(P) <= N + 1 and P.shape[1] == N + 1
         reference = node_sum_gram(aperture, N, 6 * (N + 1))
         F = operators._unfold(P, aperture.angle, N)
@@ -561,6 +584,22 @@ RTILDE_MODELS = {
 
 
 class TestRtilde:
+    @pytest.mark.parametrize("model", [ds.VonMisesPas(kappa=3.0), RTILDE_MODELS["tabulated"]], ids=["real", "complex"])
+    @pytest.mark.parametrize(
+        "aperture",
+        [ds.Disk(1.0), ds.Rectangle(2.0, 1.0, 0.3), CURVES["line-arc"], ds.Segment(1.0)],
+        ids=["diagonal", "transform", "node-sum", "line"],
+    )
+    def test_certified_rtilde_read_only(self, aperture, model):
+        # R(0) is the read-only window of s on every route, so the matrix a
+        # certificate was given cannot change after it
+        op = build_truncated_operator(aperture, model)
+        omega = ds.omega_from_traces(op)
+        assert not op.rtilde.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            op.rtilde[op.N, op.N + 1] = 3.0
+        assert ds.omega_from_traces(op) == omega
+
     @pytest.mark.parametrize("N", [0, 1, 19, 181, 300])
     @pytest.mark.parametrize("name", sorted(RTILDE_MODELS))
     def test_bit_identical_to_scipy_toeplitz(self, name, N):
@@ -943,8 +982,8 @@ class TestValidation:
         model = ds.VonMisesPas(kappa=3.0, alpha0=0.4)
         op = build_truncated_operator(ds.Segment(1.0), model)
         assert op._psd_certified
-        geometry, key = operators._aperture_half(ds.Segment(1.0), None)
-        coefficients = operators._coefficient_half(model, *key)
+        geometry = operators._aperture_half(ds.Segment(1.0), None)
+        coefficients = operators._coefficient_half(model, geometry["N"])
         rotated = operators._join(geometry, coefficients, -1.2)
         assert rotated._psd_certified and rotated.alpha0 == -1.2 and op.alpha0 == 0.4
         again = operators._join(geometry, coefficients, 0.4)
