@@ -107,8 +107,12 @@ _PSD_MODELS = (IsotropicPas, UniformPas, VonMisesPas, TabulatedPas)
 
 
 def _angle_grid_size(N: int, r1: float) -> int:
-    """Smallest 5-smooth ``Q >= max(2N+1, N + 1 + N_D + _ALIAS_MARGIN)``."""
+    """Smallest even 5-smooth ``Q >= max(2N+1, N + 1 + N_D + _ALIAS_MARGIN)``.
+
+    Even, so that the grid is antipodal (see ``_angle_grid``).
+    """
     Q = max(2 * N + 1, N + 1 + specfun.truncation_order(r1) + _ALIAS_MARGIN)
+    Q += Q % 2
     while True:
         rest = Q
         for p in (2, 3, 5):
@@ -116,7 +120,7 @@ def _angle_grid_size(N: int, r1: float) -> int:
                 rest //= p
         if rest == 1:
             return Q
-        Q += 1
+        Q += 2
 
 
 def _check_grid_bytes(rows: int, Q: int, N: int) -> None:
@@ -129,26 +133,56 @@ def _check_grid_bytes(rows: int, Q: int, N: int) -> None:
 
 
 def _angle_grid(Q: int) -> np.ndarray:
-    """Unit vectors ``u_q = (cos a_q, sin a_q)``, ``a_q = 2*pi*q/Q``."""
-    alpha = 2.0 * math.pi * np.arange(Q) / Q
-    return np.stack([np.cos(alpha), np.sin(alpha)], axis=1)
+    """Unit vectors ``u_q = (cos a_q, sin a_q)``, ``a_q = 2*pi*q/Q``, for an even ``Q``.
+
+    The grid is antipodal bit for bit: the first ``Q/2`` vectors are
+    evaluated and the rest are their negations, ``u_(q+Q/2) = -u_q``.
+    """
+    alpha = 2.0 * math.pi * np.arange(Q // 2) / Q
+    half = np.stack([np.cos(alpha), np.sin(alpha)], axis=1)
+    return np.concatenate([half, -half])
+
+
+def _cos_sin(points, u: np.ndarray, cos, sin) -> None:
+    """``cos`` and ``sin`` of ``2*pi*x_k.u_q`` over the first half of the antipodal grid ``u``.
+
+    The phase is formed in ``sin`` and overwritten by its sine, after its
+    cosine is written to ``cos``: no array but the outputs.
+    """
+    phase = np.matmul(points, u[: len(u) // 2].T, out=sin)
+    phase *= 2.0 * math.pi
+    np.cos(phase, out=cos)
+    np.sin(phase, out=phase)
 
 
 def _plane_waves(points, u: np.ndarray, N: int) -> np.ndarray:
     """``E_kq = exp(j*2*pi*x_k.u_q)``, refused above ``_MAX_GRID_BYTES`` before allocation.
 
-    The real phase is formed in the imaginary half of the result, its
-    cosine written to the real half and its sine over itself: about half
-    the time of a complex ``exp``, and no array but the result.
+    Cosine and sine are taken on the first ``Q/2`` angles of the antipodal
+    grid ``u`` (``_cos_sin``), and the second half is their conjugate: half
+    the trigonometry, no complex ``exp``, and no array but the result.
     """
     points = np.asarray(points, dtype=float)
     _check_grid_bytes(len(points), len(u), N)
     E = np.empty((len(points), len(u)), dtype=complex)
-    phase = np.matmul(points, u.T, out=E.imag)
-    phase *= 2.0 * math.pi
-    np.cos(phase, out=E.real)
-    np.sin(phase, out=phase)
+    h = len(u) // 2
+    _cos_sin(points, u, E.real[:, :h], E.imag[:, :h])
+    np.conjugate(E[:, :h], out=E[:, h:])
     return E
+
+
+def _wave_parts(points, u: np.ndarray, N: int) -> np.ndarray:
+    """``[C S]``, ``rows x Q`` real: the plane waves on the antipodal grid ``u`` are ``[C + jS, C - jS]``.
+
+    Half the bytes of ``_plane_waves`` for the same trigonometry; refused at
+    the same size, before allocation.
+    """
+    points = np.asarray(points, dtype=float)
+    _check_grid_bytes(len(points), len(u), N)
+    W = np.empty((len(points), len(u)))
+    h = len(u) // 2
+    _cos_sin(points, u, W[:, :h], W[:, h:])
+    return W
 
 
 def _point_masses(nodes, weights, u: np.ndarray, N: int) -> np.ndarray:
@@ -355,11 +389,7 @@ def _line_factor(rule, angle: float, u: np.ndarray, N: int) -> np.ndarray:
     """
     side = rule.nodes @ np.array([math.cos(angle), math.sin(angle)])
     upper = side > 0.0
-    # the plane waves of (t, 0) are even in the angle: evaluate half the grid, mirror the rest
-    Q = len(u)
-    half = _plane_waves(side[upper, None] * [1.0, 0.0], u[: Q // 2 + 1], N)
-    V = np.fft.ifft(np.concatenate([half, half[:, Q - Q // 2 - 1 : 0 : -1]], axis=1), axis=1)
-    del half
+    V = np.fft.ifft(_plane_waves(side[upper, None] * [1.0, 0.0], u, N), axis=1)
     A = np.where(np.arange(N + 1) % 2 == 0, V.real[:, : N + 1], V.imag[:, : N + 1])
     # c_n*sqrt(2*w) is 2*sqrt(w) above n = 0, one rounding: sqrt(2)*sqrt(2*w) would
     # bias ||P||_F**2, the build's trace, up by about 1.3e-16 relative
@@ -450,11 +480,13 @@ def gram_matrix(aperture, N: int) -> np.ndarray:
     with ``u(a) = (cos a, sin a)``, so ``G`` is the 2-D DFT of the
     aperture's Fourier transform ``mu_hat(u(a_q) - u(a_p))`` sampled on a
     periodic grid of ``Q`` angles.  The grid aliases order ``n`` only onto
-    orders ``|n + lQ| >= Q - N``; ``Q`` is the smallest 5-smooth integer
+    orders ``|n + lQ| >= Q - N``; ``Q`` is the smallest even 5-smooth integer
     with ``Q - N - 1 >= N_D + 40`` (and ``Q >= 2N+1``), so each basis value
     is off by at most ``bessel_abs_tail_bound(Q-N-1, r1) <= 0.2*exp(-40)``
     and each entry of ``G`` by at most twice that, ``r1`` being the radius
-    of the aperture about the origin.
+    of the aperture about the origin.  An even grid is antipodal
+    (``_angle_grid``), so the plane waves' trigonometry is taken on half of
+    it (``_plane_waves``).
 
     A centred circle's or disk's ``G`` is diagonal in closed form (see
     ``_circle_diagonal``) and is formed from it, with no grid; off centre,
@@ -510,13 +542,16 @@ def _toeplitz(s: np.ndarray) -> np.ndarray:
 
 
 def _kernel_grid(model: PasModel, radius: float, N: int | None):
-    """``(N, u, c)`` with ``rho_N(x) = sum_q c_q exp(j*2*pi*x.u_q)`` for ``|x| <= radius``.
+    """``(N, u, c)`` with ``rho_N(x) = cos(2*pi*x.u) @ c+ + j*sin(2*pi*x.u) @ c-`` for ``|x| <= radius``.
 
     ``N`` is chosen or refused by :func:`~divspec.specfun.series_order` at
-    ``radius``; ``u`` is the angle grid of :func:`gram_matrix` for that
-    radius, and ``c_q = p_N(a_q)/Q`` samples the truncated PAS series
-    ``p_N(a) = sum_{|n|<=N} s_n exp(j*n*a)``, real since ``s_{-n} = conj(s_n)``.
-    A grid whose single row of plane waves would exceed ``_MAX_GRID_BYTES``
+    ``radius``; ``u`` is the antipodal angle grid of :func:`gram_matrix` for
+    that radius.  The weights ``w_q = p_N(a_q)/Q`` sample the truncated PAS
+    series ``p_N(a) = sum_{|n|<=N} s_n exp(j*n*a)``, real since
+    ``s_{-n} = conj(s_n)``, and ``rho_N(x) = sum_q w_q exp(j*2*pi*x.u_q)``.
+    Since ``u_(q+Q/2) = -u_q`` the sum folds onto the first ``Q/2`` angles,
+    the ``u`` of the summary, with the real weights ``c = (c+, c-)``,
+    ``c+-_q = w_q +- w_(q+Q/2)``, a ``2 x Q/2`` array.  A grid whose single row of plane waves would exceed ``_MAX_GRID_BYTES``
     is refused before anything of size ``Q`` is allocated.
     """
     N, _ = specfun.series_order(radius, N)
@@ -525,7 +560,8 @@ def _kernel_grid(model: PasModel, radius: float, N: int | None):
     coeffs = np.zeros(Q, dtype=complex)
     orders = np.arange(-N, N + 1)
     coeffs[orders % Q] = model.fourier(orders)
-    return N, _angle_grid(Q), np.fft.ifft(coeffs).real
+    c = np.fft.ifft(coeffs).real.reshape(2, Q // 2)
+    return N, _angle_grid(Q), np.stack([c[0] + c[1], c[0] - c[1]])
 
 
 def rho_n_kernel(model: PasModel, x, N: int | None = None):
@@ -537,8 +573,10 @@ def rho_n_kernel(model: PasModel, x, N: int | None = None):
     :func:`~divspec.specfun.bessel_abs_tail_bound` ``(N, r)``.  By
     Jacobi-Anger ``rho_N`` is the angle integral of ``p_N(a)/(2*pi)``
     times plane waves, evaluated by the trapezoidal rule on the ``Q``
-    angles of :func:`gram_matrix`: each point is ``exp(j*2*pi*x.u) @ c``
-    (see ``_kernel_grid``), in row blocks of about 4 MiB.  The rule aliases
+    angles of :func:`gram_matrix`, folded onto half of them: each point is
+    ``cos(2*pi*x.u) @ c+ + j*sin(2*pi*x.u) @ c-`` (see ``_kernel_grid``), the
+    formula of :func:`~divspec.spectrum.discrete_correlation`, in row blocks
+    of about 4 MiB.  The rule aliases
     only orders ``|m| >= Q - N``, and ``|s_n| <= 1``, so each value moves
     by at most ``bessel_abs_tail_bound(Q-N-1, r) <= 0.2*exp(-40)``.
     """
@@ -548,10 +586,13 @@ def rho_n_kernel(model: PasModel, x, N: int | None = None):
         pts = pts[None, :]
     r_max = float(np.max(np.hypot(pts[:, 0], pts[:, 1])))
     N, u, c = _kernel_grid(model, r_max, N)
-    rows = max(1, _KERNEL_BLOCK_BYTES // (len(u) * np.dtype(complex).itemsize))
-    values = np.concatenate(
-        [_plane_waves(pts[lo : lo + rows], u, N) @ c for lo in range(0, len(pts), rows)]
-    )
+    h = len(u) // 2
+    rows = max(1, _KERNEL_BLOCK_BYTES // (len(u) * np.dtype(float).itemsize))
+    values = np.empty(len(pts), dtype=complex)
+    for lo in range(0, len(pts), rows):
+        W = _wave_parts(pts[lo : lo + rows], u, N)
+        values.real[lo : lo + rows] = W[:, :h] @ c[0]
+        values.imag[lo : lo + rows] = W[:, h:] @ c[1]
     return complex(values[0]) if scalar else values
 
 

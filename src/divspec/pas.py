@@ -161,9 +161,12 @@ class VonMisesPas(PasModel):
     ``kappa = 0`` reduces to the isotropic model; large ``kappa``
     concentrates the power around ``alpha0``, and ``kappa`` above ``1e6``,
     an angular spread below about ``0.06`` degrees, is refused.  The
-    coefficients ``s_k = I_k(kappa)/I_0(kappa)`` come from a backward ratio
-    recurrence (``specfun._bessel_i_ratios``), and ``rho_max = exp(kappa)/I_0(kappa)``
-    from the generating function at angle 0, ``1 + 2*sum_(k>=1) s_k``.
+    coefficients ``s_k = I_k(kappa)/I_0(kappa)`` come from one backward ratio
+    recurrence per model (``specfun._bessel_i_ratios``), run at construction
+    from order ``ceil(sqrt(80*kappa)) + 40``; past that list, where
+    ``s_k < exp(-40)``, they are zero.  ``rho_max = exp(kappa)/I_0(kappa)``
+    comes from the same list, the generating function at angle 0,
+    ``1 + 2*sum_(k>=1) s_k``.
     """
 
     kappa: float = 0.0
@@ -173,8 +176,11 @@ class VonMisesPas(PasModel):
         super().__post_init__()
         if not 0.0 <= self.kappa <= _KAPPA_MAX:
             raise ValueError(f"VonMisesPas requires kappa >= 0 and kappa <= {_KAPPA_MAX:.0f}")
-        # formed once: every build and every density value reads it
-        object.__setattr__(self, "_rho_max", 1.0 + 2.0 * math.fsum(_bessel_i_ratios(0, self.kappa)[1:]))
+        # formed once: every coefficient, every build and every density value reads them
+        s = np.array(_bessel_i_ratios(0, self.kappa))
+        s.flags.writeable = False
+        object.__setattr__(self, "_s", s)
+        object.__setattr__(self, "_rho_max", 1.0 + 2.0 * math.fsum(s[1:]))
 
     def _centered_value(self, alpha):
         alpha = np.asarray(alpha, dtype=float)
@@ -183,10 +189,7 @@ class VonMisesPas(PasModel):
 
     def _centered_fourier(self, n):
         k = np.abs(n)
-        s = np.zeros(int(np.max(k, initial=0)) + 1)
-        head = _bessel_i_ratios(len(s) - 1, self.kappa)[: len(s)]
-        s[: len(head)] = head
-        return s[k]
+        return np.where(k < len(self._s), self._s[np.minimum(k, len(self._s) - 1)], 0.0)
 
     def rho_max(self) -> float:
         return self._rho_max

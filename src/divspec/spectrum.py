@@ -59,7 +59,7 @@ from .operators import (
     _check_psd,
     _kernel_grid,
     _line_fold,
-    _plane_waves,
+    _wave_parts,
 )
 from .pas import PasModel, _check_finite
 
@@ -287,13 +287,19 @@ def discrete_correlation(positions, model: PasModel, N: int | None = None) -> np
     displacement ``x_i - x_k``, so ``N`` is chosen or refused at the largest
     pairwise distance ``d_max``.  On the angle grid of
     :func:`~divspec.operators.rho_n_kernel` for radius ``d_max`` the kernel
-    factors, ``rho_N(x_i - x_k) = sum_q E_iq c_q conj(E_kq)`` with
-    ``E_iq = exp(j*2*pi*x_i.u_q)``, so the matrix is the one product
-    ``E diag(c) E^H``, each entry within ``bessel_abs_tail_bound(Q-N-1,
-    d_max) <= 0.2*exp(-40)`` of the series.  The positions are centred
-    first, which keeps the phases small.  The result is Hermitian with unit
-    diagonal.  An ``L x Q`` matrix ``E`` or an ``L x L`` result above
-    256 MiB is refused with ``ValueError`` before it is allocated.
+    factors, ``rho_N(x_i - x_k) = sum_q E_iq w_q conj(E_kq)`` with
+    ``E_iq = exp(j*2*pi*x_i.u_q)``, so the matrix is ``E diag(w) E^H``, each
+    entry within ``bessel_abs_tail_bound(Q-N-1, d_max) <= 0.2*exp(-40)`` of
+    the series.  The grid is antipodal, so ``E = [C + jS, C - jS]`` with
+    ``C`` and ``S`` the cosines and sines on its first ``Q/2`` angles, and
+    with the folded weights ``c+-`` of ``_kernel_grid`` the product is real:
+    ``Re R = C diag(c+) C^T + S diag(c+) S^T`` and ``Im R = Y - Y^T``,
+    ``Y = S diag(c-) C^T``, about ``1.5*L**2*Q`` real multiply-adds against
+    ``4*L**2*Q`` for the complex product.  The positions are centred first,
+    which keeps the phases small.  The result is exactly Hermitian, with unit
+    diagonal.  Plane waves of ``L x Q`` (sized as complex) or an ``L x L``
+    result above 256 MiB are refused with ``ValueError`` before they are
+    allocated.
 
     An antennas sweep (:func:`divspec.cli.cmd_sweep`) evaluates its points
     through the same product (``_correlation_matrix``) on one grid, chosen
@@ -306,7 +312,10 @@ def _correlation_matrix(positions, kernel_grid) -> np.ndarray:
     """:func:`discrete_correlation`'s matrix on the grid ``(N, u, c) = kernel_grid(d_max)``.
 
     ``kernel_grid`` chooses, or shares and refuses, the kernel grid for the
-    centred positions' largest pairwise distance ``d_max``.
+    centred positions' largest pairwise distance ``d_max``.  ``[C S]`` and
+    its copy weighted by ``c+`` are the only ``L x Q`` arrays: ``Re R`` is
+    their product, symmetrised, and the copy's ``S`` half is then
+    overwritten by ``S diag(c-)`` for ``Y``.
     """
     pts = np.asarray(positions, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
@@ -321,10 +330,16 @@ def _correlation_matrix(positions, kernel_grid) -> np.ndarray:
         )
     pts = pts - pts.mean(axis=0)
     N, u, c = kernel_grid(_max_distance(pts))
-    E = _plane_waves(pts, u, N)
-    weighted = E * c
-    R = weighted @ np.conj(E, out=E).T
-    R = 0.5 * (R + R.conj().T)
+    W = _wave_parts(pts, u, N)
+    h = len(u) // 2
+    weighted = W * np.tile(c[0], 2)
+    re = weighted @ W.T
+    Y = np.multiply(W[:, h:], c[1], out=weighted[:, h:]) @ W[:, :h].T
+    del weighted
+    R = np.empty((L, L), dtype=complex)
+    np.add(re, re.T, out=R.real)
+    R.real *= 0.5
+    np.subtract(Y, Y.T, out=R.imag)
     np.fill_diagonal(R, 1.0)
     return R
 

@@ -927,12 +927,13 @@ class TestSweepSharing:
         assert _sweep(tmp_path, cfg) == _independent_rows(cfg)
 
     def test_rows_agree_with_independent_builds_on_their_own_grids(self, tmp_path):
-        # on a circle of radius 2.5, three and five antennas span less than the
-        # diameter, so each built alone takes a smaller grid than the shared one: both
-        # alias below 1e-17 at its d_max, and the rows agree to round-off, not as bytes
-        cfg = dict(ANTENNAS_UCA, aperture={"kind": "circle", "radius": 2.5})
+        # on a circle of radius 2, three and five antennas span less than the
+        # diameter, so each built alone takes a smaller grid than the shared one (120
+        # against 128 angles): both alias below 1e-17 at its d_max, and the rows agree
+        # to round-off, not as bytes
+        cfg = dict(ANTENNAS_UCA, aperture={"kind": "circle", "radius": 2.0})
         aperture, model, _ = cli._scenario(cfg)
-        N, u, _ = operators._kernel_grid(model, 5.0, None)
+        N, u, _ = operators._kernel_grid(model, 4.0, None)
         for L in (3, 5):
             pts = cli._antenna_positions(aperture, L)
             d_max = spectrum._max_distance(pts - pts.mean(axis=0))

@@ -646,14 +646,22 @@ class TestRtilde:
             assert eigs[0] > -1e-12
 
 
+def _five_smooth(q):
+    for p in (2, 3, 5):
+        while q % p == 0:
+            q //= p
+    return q == 1
+
+
 class TestKernel:
     @pytest.mark.parametrize(
         "rows, Q, extent",
-        [(1, 7, 0.5), (5, 400, 20.0), (128, 1125, 32.0), (300, 64, 1.0), (0, 25, 1.0)],
+        [(1, 8, 0.5), (5, 400, 20.0), (128, 1152, 32.0), (300, 64, 1.0), (0, 24, 1.0)],
         ids=["one-row", "segment40-half", "ula128-omega", "many-rows", "no-rows"],
     )
     def test_plane_waves_match_complex_exp(self, rows, Q, extent):
-        # cos and sin of the real phase 2*pi*x.u, within 1 ulp of exp(2j*pi*x.u)
+        # cos and sin of the real phase 2*pi*x.u on the first half of an even grid, and
+        # their conjugate on the antipodal second half, within 1 ulp of exp(2j*pi*x.u)
         points = np.random.default_rng(rows).uniform(-extent, extent, (rows, 2))
         u = operators._angle_grid(Q)
         E = operators._plane_waves(points, u, 10)
@@ -661,6 +669,28 @@ class TestKernel:
         assert E.shape == (rows, Q) and E.dtype == reference.dtype
         np.testing.assert_array_max_ulp(E.real, reference.real, maxulp=1)
         np.testing.assert_array_max_ulp(E.imag, reference.imag, maxulp=1)
+
+    @pytest.mark.parametrize("N", [0, 1, 5, 21, 97, 181, 600])
+    @pytest.mark.parametrize("r1", [0.0, 0.3, 1.0, 5.0, 10.0, 40.0])
+    def test_angle_grid_even_and_antipodal(self, N, r1):
+        # the smallest even 5-smooth Q meeting both bounds, and u_(q+Q/2) = -u_q bit for bit
+        bound = max(2 * N + 1, N + 1 + ds.truncation_order(r1) + operators._ALIAS_MARGIN)
+        Q = operators._angle_grid_size(N, r1)
+        smooth = [q for q in range(bound, 2 * bound + 2) if q % 2 == 0 and _five_smooth(q)]
+        assert Q == smooth[0]
+        u = operators._angle_grid(Q)
+        assert u.shape == (Q, 2) and np.array_equal(u[Q // 2 :], -u[: Q // 2])
+        # the angles 2*pi*q/Q to round-off; near 2*pi the rounded angle is itself off by 4e-16
+        alpha = TWO_PI * np.arange(Q) / Q
+        assert np.max(np.abs(u - np.stack([np.cos(alpha), np.sin(alpha)], axis=1))) <= 2e-15
+
+    @pytest.mark.parametrize("L, Q, odd", [(8, 80, 75), (64, 240, 225)], ids=["uca8", "uca64"])
+    def test_angle_grid_of_arrays_that_were_odd(self, L, Q, odd):
+        # the lambda/2 UCAs of divbench arrays: d_max = L/(2*pi), once on an odd grid
+        d_max = L / TWO_PI
+        N, N_D = ds.series_order(d_max)
+        assert N + 1 + N_D + operators._ALIAS_MARGIN <= odd < Q
+        assert operators._angle_grid_size(N, d_max) == Q
 
     def test_unit_at_zero(self):
         for model in [ds.IsotropicPas(), ds.UniformPas(delta=1.0, alpha0=0.3)]:

@@ -119,6 +119,30 @@ class TestFourier:
             assert coeff.imag == 0.0
             assert coeff.real == pytest.approx(special.ive(n, 4.0) / special.ive(0, 4.0), rel=1e-14)
 
+    @pytest.mark.parametrize("kappa", [1e-3, 0.5, 4.0, 10.0, 100.0, 1e4, 1e6])
+    def test_von_mises_reads_the_list_formed_at_construction(self, kappa, monkeypatch):
+        # the recurrence runs once per model; at every order up to ceil(sqrt(80*kappa)),
+        # where the per-call recurrence started from the same order, fourier returns
+        # the same bits as it did, and past it, where every s_k < exp(-40), within that
+        def per_call(n):
+            k = np.abs(n)
+            s = np.zeros(int(np.max(k)) + 1)
+            head = pasmod._bessel_i_ratios(len(s) - 1, kappa)[: len(s)]
+            s[: len(head)] = head
+            return s[k] * np.exp(-1j * 0.7 * n)
+
+        model = VonMisesPas(kappa=kappa, alpha0=0.7)
+        calls = []
+        monkeypatch.setattr(pasmod, "_bessel_i_ratios", lambda *args: calls.append(args))
+        c = math.ceil(math.sqrt(80.0 * kappa))
+        head = np.arange(-c, c + 1)
+        wide = np.arange(-4000, 4001)
+        got_head, got_wide = model.fourier(head), model.fourier(wide)
+        assert calls == []
+        monkeypatch.undo()
+        assert np.array_equal(got_head, per_call(head))
+        assert np.max(np.abs(got_wide - per_call(wide))) <= math.exp(-40.0)
+
     @pytest.mark.parametrize("model,breaks", MODELS_WITH_BREAKS)
     def test_against_quadrature(self, model, breaks):
         for n in [-50, -7, -1, 0, 1, 2, 13, 50]:

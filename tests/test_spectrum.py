@@ -195,6 +195,16 @@ class TestOmegaCorrected:
         assert abs(1.0 / ref.hs_norm_sq - center) <= half
 
 
+#: PAS models with odd Fourier orders (c- != 0), two lobes and an off-axis peak, and
+#: the isotropic model, whose folded weights c- vanish
+FOLD_MODELS = [
+    ds.TabulatedPas([-2.8, -2.2, 0.4, 1.1], [2.0, 0.0, 1.0, 0.0], alpha0=0.3),
+    ds.VonMisesPas(kappa=6.0, alpha0=2.2),
+    ds.IsotropicPas(),
+]
+FOLD_IDS = ["two-lobe-tabulated", "off-axis-von-mises", "isotropic"]
+
+
 class TestDiscrete:
     def test_single_antenna(self):
         R = ds.discrete_correlation([(0.0, 0.0)], ds.IsotropicPas())
@@ -242,6 +252,38 @@ class TestDiscrete:
         assert np.max(np.abs(R - expected)) <= 1e-13
         assert np.all(np.diag(R) == 1.0)
         assert np.array_equal(R, R.conj().T)
+
+    @pytest.mark.parametrize("model", FOLD_MODELS, ids=FOLD_IDS)
+    def test_real_form_matches_complex_product(self, model):
+        # E diag(w) E^H on the full grid, with w the unfolded inverse FFT of the s_n
+        pts = np.random.default_rng(7).uniform(-2.0, 2.0, size=(24, 2))
+        R = ds.discrete_correlation(pts, model)
+        centred = pts - pts.mean(axis=0)
+        N, u, c = operators._kernel_grid(model, spectrum._max_distance(centred), None)
+        Q = len(u)
+        coeffs = np.zeros(Q, dtype=complex)
+        orders = np.arange(-N, N + 1)
+        coeffs[orders % Q] = model.fourier(orders)
+        w = np.fft.ifft(coeffs).real
+        E = np.exp(2j * math.pi * (centred @ u.T))
+        reference = (E * w) @ E.conj().T
+        assert np.max(np.abs(R - reference)) <= 1e-14
+        assert np.array_equal(R, R.conj().T) and np.all(np.diag(R) == 1.0)
+        # c- = w_q - w_(q+Q/2) vanishes only when the PAS is symmetric about its centre
+        assert np.any(c[1] != 0.0) == (not isinstance(model, ds.IsotropicPas))
+        assert np.array_equal(c, np.stack([w[: Q // 2] + w[Q // 2 :], w[: Q // 2] - w[Q // 2 :]]))
+
+    @pytest.mark.parametrize("model", FOLD_MODELS, ids=FOLD_IDS)
+    def test_kernel_equals_entries_at_displacements(self, model):
+        # rho_n_kernel reads the folded weights of the same grid as discrete_correlation
+        pts = np.random.default_rng(8).uniform(-1.5, 1.5, size=(12, 2))
+        R = ds.discrete_correlation(pts, model)
+        diffs = (pts[:, None, :] - pts[None, :, :]).reshape(-1, 2)
+        N, _ = ds.series_order(spectrum._max_distance(pts))
+        values = ds.rho_n_kernel(model, diffs, N).reshape(12, 12)
+        off = ~np.eye(12, dtype=bool)
+        assert np.max(np.abs(R[off] - values[off])) <= 1e-14
+        assert np.max(np.abs(np.diag(values) - 1.0)) <= 1e-14
 
     def test_oversized_plane_waves_refused_before_allocation(self):
         # 2,000 antennas over 1000 wavelengths: N = 8550 on a Q = 17280 grid
