@@ -551,8 +551,9 @@ def _kernel_grid(model: PasModel, radius: float, N: int | None):
     ``s_{-n} = conj(s_n)``, and ``rho_N(x) = sum_q w_q exp(j*2*pi*x.u_q)``.
     Since ``u_(q+Q/2) = -u_q`` the sum folds onto the first ``Q/2`` angles,
     the ``u`` of the summary, with the real weights ``c = (c+, c-)``,
-    ``c+-_q = w_q +- w_(q+Q/2)``, a ``2 x Q/2`` array.  A grid whose single row of plane waves would exceed ``_MAX_GRID_BYTES``
-    is refused before anything of size ``Q`` is allocated.
+    ``c+-_q = w_q +- w_(q+Q/2)``, a ``2 x Q/2`` array.  A grid whose single
+    row of plane waves would exceed ``_MAX_GRID_BYTES`` is refused before
+    anything of size ``Q`` is allocated.
     """
     N, _ = specfun.series_order(radius, N)
     Q = _angle_grid_size(N, radius)

@@ -269,7 +269,7 @@ class TestDiscrete:
         reference = (E * w) @ E.conj().T
         assert np.max(np.abs(R - reference)) <= 1e-14
         assert np.array_equal(R, R.conj().T) and np.all(np.diag(R) == 1.0)
-        # c- = w_q - w_(q+Q/2) vanishes only when the PAS is symmetric about its centre
+        # c- = w_q - w_(q+Q/2) vanishes when the PAS repeats under a -> a + pi, as the isotropic one does
         assert np.any(c[1] != 0.0) == (not isinstance(model, ds.IsotropicPas))
         assert np.array_equal(c, np.stack([w[: Q // 2] + w[Q // 2 :], w[: Q // 2] - w[Q // 2 :]]))
 
