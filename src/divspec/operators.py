@@ -577,9 +577,9 @@ def rho_n_kernel(model: PasModel, x, N: int | None = None):
     angles of :func:`gram_matrix`, folded onto half of them: each point is
     ``cos(2*pi*x.u) @ c+ + j*sin(2*pi*x.u) @ c-`` (see ``_kernel_grid``), the
     formula of :func:`~divspec.spectrum.discrete_correlation`, in row blocks
-    of about 4 MiB.  The rule aliases
-    only orders ``|m| >= Q - N``, and ``|s_n| <= 1``, so each value moves
-    by at most ``bessel_abs_tail_bound(Q-N-1, r) <= 0.2*exp(-40)``.
+    of about 4 MiB.  The rule aliases only orders ``|m| >= Q - N``, and
+    ``|s_n| <= 1``, so each value moves by at most
+    ``bessel_abs_tail_bound(Q-N-1, r) <= 0.2*exp(-40)``.
     """
     pts = np.asarray(x, dtype=float)
     scalar = pts.ndim == 1
