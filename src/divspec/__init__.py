@@ -8,7 +8,6 @@ certified truncation error bounds and the resulting diversity measure.
 
 from .specfun import (
     bessel_abs_tail_bound,
-    bessel_sq_tail_bound,
     series_order,
     truncation_order,
 )
@@ -31,22 +30,18 @@ from .aperture import (
     LinePiece,
     ParallelLines,
     PiecewiseCurve,
-    QuadratureRule,
     Rectangle,
     Segment,
     UnsupportedApertureError,
     build_quadrature,
     centering_transform,
     enclosing_radius,
-    smallest_enclosing_circle,
-    translate,
 )
 from .operators import (
     TruncatedOperator,
     build_truncated_operator,
     gram_matrix,
     rho_n_kernel,
-    rtilde_matrix,
 )
 from .spectrum import (
     BoundTooLooseError,
@@ -55,7 +50,6 @@ from .spectrum import (
     OracleConvergenceError,
     discrete_correlation,
     discrete_diversity,
-    diversity_measure,
     mimo_slope,
     nystrom_oracle,
     omega_corrected,

@@ -27,7 +27,6 @@ import numpy as np
 from .pas import _check_finite
 
 __all__ = [
-    "QuadratureRule",
     "UnsupportedApertureError",
     "Segment",
     "Circle",
@@ -41,8 +40,6 @@ __all__ = [
     "build_quadrature",
     "enclosing_radius",
     "centering_transform",
-    "translate",
-    "smallest_enclosing_circle",
 ]
 
 
@@ -481,7 +478,7 @@ def _extent_points(aperture) -> np.ndarray:
     raise UnsupportedApertureError(f"unknown aperture kind: {type(aperture).__name__}")
 
 
-def translate(aperture, offset):
+def _translate(aperture, offset):
     """Return the aperture moved rigidly by ``offset``."""
     offset = np.asarray(offset, dtype=float)
     if isinstance(aperture, (Segment, Circle, Disk, Rectangle, ParallelLines)):
@@ -507,8 +504,8 @@ def centering_transform(aperture):
     if isinstance(aperture, (Segment, Circle, Disk, Rectangle, ParallelLines)):
         center = np.asarray(aperture.center)
     else:
-        center, _ = smallest_enclosing_circle(_extent_points(aperture))
-    return translate(aperture, -center), center
+        center, _ = _smallest_enclosing_circle(_extent_points(aperture))
+    return _translate(aperture, -center), center
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +515,7 @@ def centering_transform(aperture):
 _SEC_EPS = 1.0 + 1e-12
 
 
-def smallest_enclosing_circle(points):
+def _smallest_enclosing_circle(points):
     """Exact smallest enclosing circle of a finite point set.
 
     Returns ``(center, radius)``.  Expected linear time; the input order is

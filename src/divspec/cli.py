@@ -54,8 +54,8 @@ from .operators import (
     _coefficient_half,
     _join,
     _kernel_grid,
+    _toeplitz,
     build_truncated_operator,
-    rtilde_matrix,
 )
 from .specfun import bessel_abs_tail_bound, truncation_order
 from .spectrum import (
@@ -275,7 +275,10 @@ def cmd_spectrum(args) -> int:
     if args.dump_matrices:
         stem = args.out[:-4] if args.out.endswith(".csv") else args.out
         _dump_matrix(stem + "_gram.csv", op.gram)
-        _dump_matrix(stem + "_rtilde.csv", rtilde_matrix(model, op.N))
+        # R(alpha0) from the model's own coefficients; a phase on op.rtilde
+        # does not round to the same bytes
+        s = model.fourier(np.arange(-2 * op.N, 2 * op.N + 1))
+        _dump_matrix(stem + "_rtilde.csv", _toeplitz(s))
     return 0
 
 

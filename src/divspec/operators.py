@@ -74,7 +74,6 @@ from .pas import IsotropicPas, PasModel, TabulatedPas, UniformPas, VonMisesPas
 __all__ = [
     "TruncatedOperator",
     "gram_matrix",
-    "rtilde_matrix",
     "rho_n_kernel",
     "build_truncated_operator",
 ]
@@ -109,18 +108,24 @@ _PSD_MODELS = (IsotropicPas, UniformPas, VonMisesPas, TabulatedPas)
 def _angle_grid_size(N: int, r1: float) -> int:
     """Smallest even 5-smooth ``Q >= max(2N+1, N + 1 + N_D + _ALIAS_MARGIN)``.
 
-    Even, so that the grid is antipodal (see ``_angle_grid``).
+    Even, so that the grid is antipodal (see ``_angle_grid``).  The
+    candidates ``2**a * 3**b * 5**c``, ``a >= 1``, are enumerated, so the
+    size is found in time polylogarithmic in ``N``, and the size refusals
+    that follow it come at once for any ``N``.
     """
-    Q = max(2 * N + 1, N + 1 + specfun.truncation_order(r1) + _ALIAS_MARGIN)
-    Q += Q % 2
-    while True:
-        rest = Q
-        for p in (2, 3, 5):
-            while rest % p == 0:
-                rest //= p
-        if rest == 1:
-            return Q
-        Q += 2
+    bound = max(2 * N + 1, N + 1 + specfun.truncation_order(r1) + _ALIAS_MARGIN)
+    Q = 2 * bound  # above the power of two at or above the bound
+    five = 1
+    while five < Q:
+        odd = five
+        while odd < Q:
+            q = 2 * odd
+            while q < bound:
+                q *= 2
+            Q = min(Q, q)
+            odd *= 3
+        five *= 5
+    return Q
 
 
 def _check_grid_bytes(rows: int, Q: int, N: int) -> None:
@@ -523,16 +528,6 @@ def gram_matrix(aperture, N: int) -> np.ndarray:
     Q = _angle_grid_size(N, enclosing_radius(aperture))
     _check_grid_bytes(Q, Q, N)
     return _gram_from_transform(_aperture_transform(aperture, _angle_grid(Q), N), N)
-
-
-def rtilde_matrix(model: PasModel, N: int) -> np.ndarray:
-    """Hermitian Toeplitz coefficient correlation matrix of size 2N+1.
-
-    Entry ``(m, n)`` equals the PAS Fourier coefficient of order ``m - n``;
-    the diagonal is exactly one by the unit-power normalisation.
-    """
-    N = int(N)
-    return _toeplitz(model.fourier(np.arange(-2 * N, 2 * N + 1))).copy()
 
 
 def _toeplitz(s: np.ndarray) -> np.ndarray:

@@ -17,13 +17,9 @@ from itertools import accumulate
 from operator import mul
 
 __all__ = [
-    "DEFAULT_ORDER_MARGIN",
     "truncation_order",
     "series_order",
     "bessel_abs_tail_bound",
-    "bessel_sq_tail_bound",
-    "line_gauss_bound",
-    "arc_gauss_bound",
 ]
 
 #: Default truncation margin above the critical order.

@@ -37,7 +37,6 @@ matrix route.  It converges more slowly and is kept only for that purpose.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,7 +69,6 @@ __all__ = [
     "OracleConvergenceError",
     "solve_spectrum",
     "omega_from_traces",
-    "diversity_measure",
     "omega_corrected",
     "discrete_correlation",
     "discrete_diversity",
@@ -101,9 +99,10 @@ class DiversitySpectrum:
 
     ``eigenvalues`` (``2N+1`` of them; for an array of ``L`` antennas
     those beyond the first ``L`` are exact zeros) sum to ``trace`` (equal
-    to one up to the certified truncation residual), ``omega`` is the
-    effective number of equal-power uncorrelated branches, and
-    ``inv_omega`` its reciprocal computed from the same truncated sums.
+    to one up to the certified truncation residual), and
+    ``omega = trace**2 / hs_norm_sq``, the effective number of equal-power
+    uncorrelated branches, is read off the truncated sums without assuming
+    a unit trace, so the truncation bias cancels to first order.
     ``eig_error_bound`` certifies each eigenvalue, ``hs_error_bound`` the
     squared Hilbert-Schmidt norm ``hs_norm_sq``.
     """
@@ -111,7 +110,6 @@ class DiversitySpectrum:
     eigenvalues: np.ndarray
     trace: float
     omega: float
-    inv_omega: float
     hs_norm_sq: float
     eig_error_bound: float
     hs_error_bound: float
@@ -200,7 +198,6 @@ def solve_spectrum(op: TruncatedOperator) -> DiversitySpectrum:
         eigenvalues=lam,
         trace=trace,
         omega=omega,
-        inv_omega=hs_norm_sq / (trace * trace),
         hs_norm_sq=hs_norm_sq,
         eig_error_bound=eig_error_bound,
         hs_error_bound=hs_error_bound,
@@ -225,26 +222,6 @@ def omega_from_traces(op: TruncatedOperator) -> tuple[float, float, float]:
     trace = float(np.trace(P).real)
     hs_norm_sq = float(np.sum(P * P.T).real)
     return trace * trace / hs_norm_sq, *_omega_interval(hs_norm_sq, _error_bounds(op)[1])
-
-
-def diversity_measure(spectrum) -> float:
-    """Effective number of equal-power uncorrelated branches.
-
-    Accepts a :class:`DiversitySpectrum` or a bare eigenvalue array and
-    evaluates ``(sum lam)**2 / sum lam**2`` from the truncated values,
-    without assuming the trace equals one (the truncation bias then
-    cancels to first order).  Always at least 1.
-    """
-    lam = np.asarray(
-        spectrum.eigenvalues if isinstance(spectrum, DiversitySpectrum) else spectrum,
-        dtype=float,
-    )
-    _check_finite("diversity_measure", spectrum=lam)
-    s2 = float(np.sum(lam * lam))
-    if s2 == 0.0:
-        raise ValueError("diversity measure of an all-zero spectrum is undefined")
-    s1 = float(np.sum(lam))
-    return s1 * s1 / s2
 
 
 def omega_corrected(spectrum: DiversitySpectrum) -> tuple[float, float]:
@@ -384,6 +361,8 @@ def mimo_slope(omega_tx: float, omega_rx: float) -> float:
 
 _ORACLE_CAP_1D = 4096
 _ORACLE_CAP_RADIAL = 64
+#: Largest move of the ten largest eigenvalues at which a doubling has converged.
+_ORACLE_TOL = 1e-7
 
 
 def _oracle_eigs(aperture, model, m, n_kernel):
@@ -398,18 +377,15 @@ def _top_diff(a: np.ndarray, b: np.ndarray, k: int = 10) -> float:
     return float(np.max(np.abs(a[:k] - b[:k])))
 
 
-def nystrom_oracle(
-    aperture,
-    model: PasModel,
-    points: int | None = None,
-    tol: float = 1e-7,
-) -> np.ndarray:
+def nystrom_oracle(aperture, model: PasModel) -> np.ndarray:
     """Eigenvalues by direct quadrature discretisation of the kernel.
 
-    The kernel is sampled on an ``M``-point grid, scaled symmetrically by
-    the square roots of the weights, and diagonalised; the grid is refined
-    by doubling until the ten largest eigenvalues move by less than
-    ``tol``.  ``points`` seeds the resolution; the kernel is truncated at
+    The kernel is sampled on a quadrature grid, scaled symmetrically by the
+    square roots of the weights, and diagonalised; the grid is refined by
+    doubling until the ten largest eigenvalues move by less than ``1e-7``.
+    It starts at :func:`~divspec.aperture.build_quadrature` order 8 for a
+    disk or rectangle and ``max(32, 128 // pieces)`` per piece otherwise,
+    and an array's antennas are evaluated once.  The kernel is truncated at
     ``N_D + 15`` for the aperture diameter, comfortably converged.
 
     This is the slow, assumption-free route; use it to validate
@@ -428,16 +404,13 @@ def nystrom_oracle(
         pieces = centered.count
     elif isinstance(centered, PiecewiseCurve):
         pieces = len(centered.pieces)
-    if points is None:
-        m = 8 if two_dim else max(32, 128 // pieces)
-    else:
-        m = max(4, int(round(math.sqrt(points / 2.0))) if two_dim else int(points) // pieces)
+    m = 8 if two_dim else max(32, 128 // pieces)
     cap = _ORACLE_CAP_RADIAL if two_dim else max(m, _ORACLE_CAP_1D // pieces)
     prev = _oracle_eigs(centered, model, m, n_kernel)
     while 2 * m <= cap:
         m *= 2
         cur = _oracle_eigs(centered, model, m, n_kernel)
-        if _top_diff(prev, cur) < tol:
+        if _top_diff(prev, cur) < _ORACLE_TOL:
             return cur
         prev = cur
     raise OracleConvergenceError(

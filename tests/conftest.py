@@ -4,6 +4,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 
 import divspec as ds
 from divspec import operators
@@ -94,3 +95,18 @@ def turn():
         return operators._join(shared, {}, alpha0)
 
     return turned
+
+
+@pytest.fixture
+def rtilde_reference():
+    """``rtilde_reference(model, N)``: ``R(alpha0)``, ``R_mn = s_(m-n)``, by ``scipy.linalg.toeplitz``.
+
+    The independent reference of the coefficient correlation matrix that
+    ``--dump-matrices`` writes, from ``model.fourier`` alone.
+    """
+
+    def reference(model, N):
+        ns = np.arange(0, 2 * N + 1)
+        return toeplitz(model.fourier(ns), model.fourier(-ns))
+
+    return reference

@@ -17,11 +17,11 @@ from divspec.aperture import (
     Segment,
     UnsupportedApertureError,
     _gauss01,
+    _smallest_enclosing_circle,
+    _translate,
     build_quadrature,
     centering_transform,
     enclosing_radius,
-    smallest_enclosing_circle,
-    translate,
 )
 
 CONTINUOUS = [
@@ -234,13 +234,13 @@ class TestCentering:
 
     @pytest.mark.parametrize("aperture", CONTINUOUS)
     def test_centering_never_grows_radius(self, aperture):
-        shifted = translate(aperture, (0.9, -1.7))
+        shifted = _translate(aperture, (0.9, -1.7))
         centered, _ = centering_transform(shifted)
         assert enclosing_radius(centered) <= enclosing_radius(shifted) + 1e-12
 
     def test_translate_round_trip(self):
         for aperture in CONTINUOUS:
-            moved = translate(translate(aperture, (0.3, -0.4)), (-0.3, 0.4))
+            moved = _translate(_translate(aperture, (0.3, -0.4)), (-0.3, 0.4))
             rule_a = build_quadrature(aperture, 7)
             rule_b = build_quadrature(moved, 7)
             assert rule_a.nodes == pytest.approx(rule_b.nodes, abs=1e-15)
@@ -248,19 +248,19 @@ class TestCentering:
 
 class TestSmallestEnclosingCircle:
     def test_two_points(self):
-        center, radius = smallest_enclosing_circle([(0.0, 0.0), (2.0, 0.0)])
+        center, radius = _smallest_enclosing_circle([(0.0, 0.0), (2.0, 0.0)])
         assert center == pytest.approx([1.0, 0.0])
         assert radius == pytest.approx(1.0)
 
     def test_square(self):
         pts = [(1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)]
-        center, radius = smallest_enclosing_circle(pts)
+        center, radius = _smallest_enclosing_circle(pts)
         assert center == pytest.approx([0.0, 0.0], abs=1e-12)
         assert radius == pytest.approx(math.sqrt(2.0))
 
     def test_interior_points_ignored(self):
         pts = [(1.0, 0.0), (-1.0, 0.0), (0.0, 0.3), (0.2, -0.1)]
-        center, radius = smallest_enclosing_circle(pts)
+        center, radius = _smallest_enclosing_circle(pts)
         assert center == pytest.approx([0.0, 0.0], abs=1e-12)
         assert radius == pytest.approx(1.0)
 
@@ -268,7 +268,7 @@ class TestSmallestEnclosingCircle:
         rng = np.random.default_rng(11)
         for _ in range(20):
             pts = rng.normal(size=(17, 2))
-            center, radius = smallest_enclosing_circle(pts)
+            center, radius = _smallest_enclosing_circle(pts)
             dist = np.hypot(pts[:, 0] - center[0], pts[:, 1] - center[1])
             assert np.max(dist) <= radius * (1 + 1e-10)
             # minimality: no strictly smaller circle around the mean works
@@ -276,8 +276,8 @@ class TestSmallestEnclosingCircle:
 
     def test_deterministic(self):
         pts = np.random.default_rng(3).normal(size=(40, 2))
-        a = smallest_enclosing_circle(pts)
-        b = smallest_enclosing_circle(pts)
+        a = _smallest_enclosing_circle(pts)
+        b = _smallest_enclosing_circle(pts)
         assert np.array_equal(a[0], b[0]) and a[1] == b[1]
 
 

@@ -49,6 +49,9 @@ UCA_CFG = {
     "pas": {"kind": "von_mises", "kappa": 0.0, "alpha0_deg": 0.0},
 }
 
+#: 16 antennas on the unit circle
+UCA16 = [[math.cos(k * math.pi / 8), math.sin(k * math.pi / 8)] for k in range(16)]
+
 
 class TestSpectrumCommand:
     def test_uca_first_eigenvalue(self, tmp_path):
@@ -168,6 +171,37 @@ class TestSpectrumCommand:
         rtilde = (tmp_path / "out_rtilde.csv").read_text().splitlines()
         assert len(gram) == 39 and len(rtilde) == 39
         assert complex(rtilde[0].split(",")[0]) == 1.0 + 0.0j
+
+    @pytest.mark.parametrize(
+        "aperture, pas",
+        [
+            ({"kind": "segment", "length": 3.0, "angle_deg": 20.0}, {"kind": "tabulated", "alpha0_deg": 35.0}),
+            ({"kind": "discrete_array", "points": UCA16}, {"kind": "von_mises", "kappa": 5.0, "alpha0_deg": 40.0}),
+        ],
+        ids=["segment-tabulated", "uca16-von-mises"],
+    )
+    def test_dump_matrices_contents(self, tmp_path, aperture, pas, rtilde_reference):
+        # every entry of both dumps reads back bit for bit, signed zeros too: 17
+        # digits round-trip, and under an off-axis PAS R is complex
+        if pas["kind"] == "tabulated":
+            (tmp_path / "table.csv").write_text("0,1.0\n70,3.0\n160,0.0\n250,2.0\n")
+            pas = dict(pas, table=str(tmp_path / "table.csv"))
+        payload = {"aperture": aperture, "pas": pas}
+        cfg = write_cfg(tmp_path / "c.cfg", payload)
+        out = tmp_path / "out.csv"
+        assert main(["spectrum", "--config", cfg, "--out", str(out), "--dump-matrices"]) == 0
+
+        def parse(name):
+            lines = (tmp_path / name).read_text().splitlines()
+            return np.array([[complex(v) for v in line.split(",")] for line in lines])
+
+        N = int(read_rows(out)[0]["N"])
+        model = cli.make_pas(pas)
+        R = rtilde_reference(model, N)
+        assert np.any(R.imag != 0.0)
+        assert parse("out_rtilde.csv").tobytes() == np.ascontiguousarray(R).tobytes()
+        op = ds.build_truncated_operator(cli.make_aperture(aperture), model)
+        assert op.N == N and parse("out_gram.csv").tobytes() == op.gram.tobytes()
 
     @pytest.mark.parametrize(
         "aperture",
@@ -1047,6 +1081,15 @@ class TestSweepSharing:
         err = capsys.readouterr().err
         assert err == "numerical error: truncation order N=5 below the critical order N_D=18 for radius 2.0\n"
         assert not out.exists()
+
+    def test_antennas_huge_n_override_refused_at_once(self, tmp_path, capsys):
+        # the shared kernel grid for N = 1e12 is sized and refused before any point
+        cfg = write_cfg(tmp_path / "c.cfg", dict(ANTENNAS_UCA, n_override=1e12))
+        out = tmp_path / "out.csv"
+        start = time.perf_counter()
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert "byte limit" in capsys.readouterr().err and not out.exists()
 
 
 class TestDopplerCommand:

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import importlib
+import inspect
 import os
 import pathlib
 import subprocess
@@ -36,6 +37,10 @@ REMOVED = [
     "_default_order",
     "_DOUBLING_TOL",
     "_array_factor",
+    "rtilde_matrix",
+    "diversity_measure",
+    "smallest_enclosing_circle",
+    "translate",
 ]
 
 
@@ -50,6 +55,20 @@ def test_all_names_resolve(name):
 def test_removed_names_gone(name):
     module = importlib.import_module("divspec" if name is None else f"divspec.{name}")
     assert [attr for attr in REMOVED if hasattr(module, attr)] == []
+
+
+def test_package_exports_what_its_modules_list():
+    # the package re-exports exactly each module's __all__; cli is its own namespace
+    exported = {name for name in vars(ds) if not name.startswith("_")} - set(MODULES)
+    modules = [importlib.import_module(f"divspec.{name}") for name in MODULES if name != "cli"]
+    listed = set().union(*(module.__all__ for module in modules))
+    assert exported == listed
+    assert len(exported) == 40
+
+
+def test_spectrum_carries_no_reciprocal_and_oracle_takes_no_knobs():
+    assert "inv_omega" not in {field.name for field in dataclasses.fields(ds.DiversitySpectrum)}
+    assert list(inspect.signature(ds.nystrom_oracle).parameters) == ["aperture", "model"]
 
 
 def test_operator_carries_no_square_root():

@@ -7,15 +7,14 @@ import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special
-from scipy.linalg import toeplitz
 
 import divspec as ds
-from divspec import operators
+from divspec import operators, specfun
+from divspec.aperture import _smallest_enclosing_circle
 from divspec.operators import (
     build_truncated_operator,
     gram_matrix,
     rho_n_kernel,
-    rtilde_matrix,
 )
 from divspec.specfun import DEFAULT_ORDER_MARGIN
 
@@ -347,7 +346,7 @@ class TestCurveRule:
         # line ends alone give the circle of 257 samples on every piece
         curve = CURVES[name]
         t = np.linspace(0.0, 1.0, 257)
-        center, _ = ds.smallest_enclosing_circle(np.concatenate([p.point(t) for p in curve.pieces]))
+        center, _ = _smallest_enclosing_circle(np.concatenate([p.point(t) for p in curve.pieces]))
         assert np.array_equal(ds.centering_transform(curve)[1], center)
 
     def test_oversized_curve_refused_before_its_rule(self):
@@ -602,47 +601,47 @@ class TestRtilde:
 
     @pytest.mark.parametrize("N", [0, 1, 19, 181, 300])
     @pytest.mark.parametrize("name", sorted(RTILDE_MODELS))
-    def test_bit_identical_to_scipy_toeplitz(self, name, N):
+    def test_bit_identical_to_scipy_toeplitz(self, name, N, rtilde_reference):
+        # the R(alpha0) that --dump-matrices writes, a window of s_(-2N..2N)
         model = RTILDE_MODELS[name]
-        ns = np.arange(0, 2 * N + 1)
-        reference = toeplitz(model.fourier(ns), model.fourier(-ns))
-        R = rtilde_matrix(model, N)
+        reference = rtilde_reference(model, N)
+        R = operators._toeplitz(model.fourier(np.arange(-2 * N, 2 * N + 1)))
         assert R.shape == reference.shape and R.dtype == reference.dtype
         assert R.tobytes() == np.ascontiguousarray(reference).tobytes()
 
-    def test_isotropic_identity(self):
-        R = rtilde_matrix(ds.IsotropicPas(), 7)
+    def test_isotropic_identity(self, rtilde_reference):
+        R = rtilde_reference(ds.IsotropicPas(), 7)
         assert np.array_equal(R, np.eye(15, dtype=complex))
 
-    def test_full_circle_uniform_identity(self):
-        R = rtilde_matrix(ds.UniformPas(delta=TWO_PI), 5)
+    def test_full_circle_uniform_identity(self, rtilde_reference):
+        R = rtilde_reference(ds.UniformPas(delta=TWO_PI), 5)
         assert np.max(np.abs(R - np.eye(11))) < 1e-15
 
-    def test_unit_diagonal_and_toeplitz(self):
+    def test_unit_diagonal_and_toeplitz(self, rtilde_reference):
         model = ds.VonMisesPas(kappa=3.0, alpha0=0.7)
         N = 6
-        R = rtilde_matrix(model, N)
+        R = rtilde_reference(model, N)
         assert np.all(np.diag(R) == 1.0 + 0.0j)
         for k in range(1, 2 * N + 1):
             band = np.diag(R, k)
             assert np.all(band == band[0])
         assert np.max(np.abs(R - R.conj().T)) == 0.0
 
-    def test_entries_are_fourier_coefficients(self):
+    def test_entries_are_fourier_coefficients(self, rtilde_reference):
         model = ds.UniformPas(delta=1.3, alpha0=-0.4)
         N = 4
-        R = rtilde_matrix(model, N)
+        R = rtilde_reference(model, N)
         for m in range(-N, N + 1):
             for n in range(-N, N + 1):
                 assert R[m + N, n + N] == model.fourier(m - n)
 
-    def test_positive_semidefinite(self):
+    def test_positive_semidefinite(self, rtilde_reference):
         for model in [
             ds.UniformPas(delta=math.pi / 4, alpha0=1.0),
             ds.VonMisesPas(kappa=8.0),
             ds.TabulatedPas([-2.0, 0.0, 2.0], [1.0, 0.2, 0.8]),
         ]:
-            eigs = np.linalg.eigvalsh(rtilde_matrix(model, 12))
+            eigs = np.linalg.eigvalsh(rtilde_reference(model, 12))
             assert eigs[0] > -1e-12
 
 
@@ -746,6 +745,23 @@ class TestKernel:
             tracemalloc.stop()
         assert peak < 10e6
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda N: ds.time_acf(ds.VonMisesPas(kappa=3.0), ds.DopplerSpec(nu_max=1.0), 0.5, N=N),
+            lambda N: rho_n_kernel(ds.VonMisesPas(kappa=3.0), (0.5, 0.0), N),
+            lambda N: ds.discrete_correlation([[0.0, 0.0], [0.5, 0.0]], ds.VonMisesPas(kappa=3.0), N),
+            lambda N: gram_matrix(ds.Segment(1.0), N),
+        ],
+        ids=["time_acf", "rho_n_kernel", "discrete_correlation", "gram_matrix"],
+    )
+    def test_huge_order_refused_at_once(self, call):
+        # the grid size is found among the 5-smooth numbers, not by stepping up to them
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"N=1000000000000 on a Q=2008387814976 angle grid"):
+            call(10**12)
+        assert time.perf_counter() - start < 1.0
+
     @pytest.mark.parametrize("margin", [0, DEFAULT_ORDER_MARGIN])
     @pytest.mark.parametrize("radius", [0.0, 0.3, 20.0])
     @pytest.mark.parametrize(
@@ -790,7 +806,7 @@ class TestBuild:
         # The exact deficit here is ~5e-19, far below one ulp of 1.0, so the
         # computed trace lands on 1 plus a few ulp of round-off; the lower end
         # grants the same 1e-12 that the build's trace check allows above one.
-        assert -1e-12 <= 1.0 - trace <= ds.bessel_sq_tail_bound(op.N, op.r1) + 1e-12
+        assert -1e-12 <= 1.0 - trace <= specfun.bessel_sq_tail_bound(op.N, op.r1) + 1e-12
 
     def test_rejects_low_order(self):
         with pytest.raises(ValueError):
@@ -1257,17 +1273,17 @@ ROTATIONS = [0.3, 1.2, -2.0, math.pi]
 
 class TestRotation:
     @pytest.mark.parametrize("name", sorted(ROTATED_MODELS))
-    def test_rtilde_rotates_by_diagonal_similarity(self, name):
+    def test_rtilde_rotates_by_diagonal_similarity(self, name, rtilde_reference):
         model_at = ROTATED_MODELS[name]
         N = 12
-        R0 = rtilde_matrix(model_at(0.0), N)
+        R0 = rtilde_reference(model_at(0.0), N)
         for alpha in ROTATIONS:
             model = model_at(alpha)
             # (D R0 D^H)_mn = exp(-j*m*a) R0_mn exp(j*n*a) with the model's own
             # (wrapped) angle a, its phase rounded once as exp(-j*(m-n)*a)
             n = np.arange(-N, N + 1)
             expected = R0 * np.exp(-1j * model.alpha0 * (n[:, None] - n[None, :]))
-            assert np.max(np.abs(rtilde_matrix(model, N) - expected)) <= 1e-15
+            assert np.max(np.abs(rtilde_reference(model, N) - expected)) <= 1e-15
 
     @pytest.mark.parametrize("name", sorted(ROTATED_MODELS))
     @pytest.mark.parametrize(
