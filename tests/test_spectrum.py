@@ -529,10 +529,21 @@ class TestNystromOracle:
     def test_unconvergeable_budget_raises(self, monkeypatch):
         import divspec.spectrum as spectrum_mod
 
-        monkeypatch.setattr(spectrum_mod, "_ORACLE_CAP_1D", 64)
+        # four lines seed at 32 nodes a piece; a cap of 512 // 4 = 128 allows
+        # two doublings, whose moves (~1e-15) all miss the 1e-16 tolerance
+        monkeypatch.setattr(spectrum_mod, "_ORACLE_CAP_1D", 512)
         monkeypatch.setattr(spectrum_mod, "_ORACLE_TOL", 1e-16)
-        with pytest.raises(OracleConvergenceError):
-            ds.nystrom_oracle(ds.Segment(1.0), ds.IsotropicPas())
+        resolutions = []
+        oracle_eigs = spectrum_mod._oracle_eigs
+
+        def recording(aperture, model, m, n_kernel):
+            resolutions.append(m)
+            return oracle_eigs(aperture, model, m, n_kernel)
+
+        monkeypatch.setattr(spectrum_mod, "_oracle_eigs", recording)
+        with pytest.raises(OracleConvergenceError, match=r"\(resolution 128\)"):
+            ds.nystrom_oracle(ds.ParallelLines(4, 1.0, 1.0), ds.IsotropicPas())
+        assert resolutions == [32, 64, 128]
 
 
 class TestTheoremSurrogates:
