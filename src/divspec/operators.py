@@ -16,8 +16,9 @@ whole problem:
 The eigenvalues of their product approximate the diversity spectrum; see
 :mod:`divspec.spectrum`.
 
-The measure of a centred circle or disk is rotation invariant, so its
-``G`` is diagonal in closed form, ``g_n = J_n(z)**2`` on a circle and
+Every ``G`` is the centred aperture's (the kernel is stationary).  The
+measure of a centred circle or disk is rotation invariant, so its ``G``
+is diagonal in closed form, ``g_n = J_n(z)**2`` on a circle and
 ``J_n(z)**2 - J_{n-1}(z)*J_{n+1}(z)`` on a disk, ``z = 2*pi*radius``.
 Every other ``G`` and the correlation kernel are evaluated in the angle
 domain.  By Jacobi-Anger each ``v_n`` is an angle integral of plane
@@ -29,8 +30,8 @@ transform above ``Q = 4096`` is refused; see :func:`gram_matrix` and
 :func:`rho_n_kernel`.  Arrays, curves, segments and single parallel lines
 are node sums, ``G = F^H F`` with a ``K x (2N+1)`` factor ``F``.
 
-A centred segment, one centred line and an array found on a line through
-its centre in mirror pairs (``_line_angle``) fold: on the line
+A segment, one line and an array found on a line through its centre
+in mirror pairs (``_line_angle``) fold: on the line
 ``v_(-n) = exp(-2j*n*theta)*v_n``, so ``G`` has rank at most ``N+1``, and a
 node at ``-t`` repeats the one at ``t`` with its odd orders negated.  Their
 factor is a real ``K x (N+1)`` half factor ``P`` (``_line_factor``), and the
@@ -64,7 +65,6 @@ from .aperture import (
     PiecewiseCurve,
     Rectangle,
     Segment,
-    UnsupportedApertureError,
     build_quadrature,
     centering_transform,
     enclosing_radius,
@@ -202,47 +202,18 @@ def _sinc_factor(length: float, angle: float, u: np.ndarray) -> np.ndarray:
     return np.sinc(length * (s[None, :] - s[:, None]))
 
 
-def _radial_factor(aperture, Q: int) -> np.ndarray:
-    """Transform factor of a centred circle, ``J0(z)``, or disk, ``2*J1(z)/z``.
-
-    ``z = 2*pi*radius*|u_q - u_p|``.  By Neumann's addition theorem (DLMF
-    10.23(ii)), ``J0(2*pi*r*|u_q - u_p|) = sum_n J_n(2*pi*r)**2 *
-    exp(j*n*(a_q - a_p))``, and the disk's mean of it over ``r`` is the same
-    sum over the disk's diagonal: each factor is the DFT of the aperture's
-    diagonal ``g`` (``_radial_diagonal``) at ``d = (q - p) mod Q``, with the
-    orders up to ``N_D(radius) + _ALIAS_MARGIN`` folded mod ``Q``.  The
-    omitted ``sum g_n`` is below ``bessel_sq_tail_bound``, ``0.01*exp(-80)``.
-    Only :func:`gram_matrix` of an off-centre circle or disk reaches it: the
-    operator centres first and keeps the diagonal.
-    """
-    M = specfun.truncation_order(aperture.radius) + _ALIAS_MARGIN
-    folded = np.bincount(np.arange(-M, M + 1) % Q, weights=_radial_diagonal(aperture, M), minlength=Q)
-    values = np.fft.fft(folded).real  # g is even, so its DFT is real and either sign's
-    d = np.arange(Q)
-    return values[(d[None, :] - d[:, None]) % Q]
-
-
 def _aperture_transform(aperture, u: np.ndarray, N: int) -> np.ndarray:
-    """``Phi_pq = mu_hat(u_q - u_p)``, the aperture measure's Fourier transform.
+    """``Phi_pq = mu_hat(u_q - u_p)`` of a centred rectangle, its sides' ``sinc`` product, or lines.
 
-    Each kind is point masses (its centre or its line centres) times the
-    closed-form transform of its shape about them.
+    Two or more lines' is the point masses at their centres times one line's.
     """
-    if isinstance(aperture, (ParallelLines, Segment)):
-        centers = aperture.line_centers() if isinstance(aperture, ParallelLines) else [aperture.center]
-        weights = np.full(len(centers), 1.0 / len(centers))
-        shape = _sinc_factor(aperture.length, aperture.angle, u)
-    else:
-        centers, weights = [aperture.center], [1.0]
-        if isinstance(aperture, Rectangle):
-            shape = _sinc_factor(aperture.width, aperture.angle, u)
-            shape *= _sinc_factor(aperture.height, aperture.angle + math.pi / 2.0, u)
-        elif isinstance(aperture, (Circle, Disk)):
-            shape = _radial_factor(aperture, len(u))
-        else:
-            raise UnsupportedApertureError(f"unknown aperture kind: {type(aperture).__name__}")
-    phi = _point_masses(centers, weights, u, N)
-    phi *= shape
+    if isinstance(aperture, Rectangle):
+        phi = _sinc_factor(aperture.width, aperture.angle, u)
+        phi *= _sinc_factor(aperture.height, aperture.angle + math.pi / 2.0, u)
+        return phi
+    centers = aperture.line_centers()
+    phi = _point_masses(centers, np.full(len(centers), 1.0 / len(centers)), u, N)
+    phi *= _sinc_factor(aperture.length, aperture.angle, u)
     return phi
 
 
@@ -256,6 +227,10 @@ def _gram_from_transform(phi: np.ndarray, N: int) -> np.ndarray:
 def _radial_diagonal(aperture, N: int) -> np.ndarray:
     """``g_n``, ``n = -N..N``: ``J_n(z)**2`` of a circle, ``J_n(z)**2 - J_(n-1)(z)*J_(n+1)(z)`` of a disk.
 
+    A centred circle's or disk's ``G`` is ``diag(g)``, ``G_nn`` the mean of
+    ``J_n(2*pi*rho)**2`` over the measure: at ``rho = r`` on a circle, and
+    with weight ``2*rho/r**2`` on a disk, where ``int_0^r J_n(k*rho)**2 rho
+    drho = (r**2/2)*(J_n(kr)**2 - J_{n-1}(kr)*J_{n+1}(kr))``.
     ``z = 2*pi*radius``; the ``J_0..J_(N+1)`` come from Miller's recurrence
     (``specfun._bessel_j``), and ``g`` is even in ``n`` since
     ``J_(-n) = (-1)**n * J_n``.
@@ -267,19 +242,6 @@ def _radial_diagonal(aperture, N: int) -> np.ndarray:
         # an integral of a square: round-off below zero clamps; J_(-1) = -J_1
         g = np.maximum(J[:-1] ** 2 - np.append(-J[1], J[:-2]) * J[1:], 0.0)
     return np.concatenate([g[:0:-1], g])
-
-
-def _circle_diagonal(aperture, N: int) -> np.ndarray | None:
-    """Diagonal ``g`` of a centred circle's or disk's ``G``, else ``None``.
-
-    ``G_nn`` is the mean of ``J_n(2*pi*rho)**2`` over the measure: at
-    ``rho = r`` on a circle, and with weight ``2*rho/r**2`` on a disk,
-    where ``int_0^r J_n(k*rho)**2 rho drho = (r**2/2)*(J_n(kr)**2 -
-    J_{n-1}(kr)*J_{n+1}(kr))``; see ``_radial_diagonal``.
-    """
-    if not isinstance(aperture, (Circle, Disk)) or tuple(aperture.center) != (0.0, 0.0):
-        return None
-    return _radial_diagonal(aperture, N)
 
 
 def _node_factor(rule, u: np.ndarray, N: int) -> np.ndarray:
@@ -326,7 +288,7 @@ def _gauss_order(bound, pieces: int, Q: int) -> int:
 def _line_angle(aperture) -> float | None:
     """Angle of the line through the origin on which ``aperture`` lies in mirror pairs, else ``None``.
 
-    A segment or one parallel line centred at the origin lies on one, its
+    A centred segment or one centred parallel line lies on one, its
     Gauss rule mirrored exactly (see :func:`~divspec.aperture.build_quadrature`).
     An array qualifies when an exact floating-point test, with no tolerance,
     finds it so: with ``p`` its antenna farthest from the origin, every
@@ -337,7 +299,7 @@ def _line_angle(aperture) -> float | None:
     it by rounding and keeps the node sum.
     """
     if isinstance(aperture, Segment) or (isinstance(aperture, ParallelLines) and aperture.count == 1):
-        return aperture.angle if aperture.center == (0.0, 0.0) else None
+        return aperture.angle
     if not isinstance(aperture, DiscreteArray):
         return None
     pts = aperture.as_array()
@@ -449,8 +411,6 @@ def _transform_factor(aperture, N: int) -> np.ndarray:
     it are round-off and clamp to zero.
     """
     G = gram_matrix(replace(aperture, angle=0.0), N)
-    if _asymmetry(G) > 1e-14 * max(1.0, float(np.max(np.abs(G)))):
-        raise ArithmeticError("Gram matrix lost Hermitian symmetry")
     H = G.real.copy()
     del G  # freed before the eigh, so that the transform stays the build's peak
     lam, V = np.linalg.eigh(H)
@@ -469,9 +429,8 @@ def _gram_factor(aperture, N: int, angle: float | None) -> np.ndarray:
     columns); another node sum's ``F``, or its ``2N+1``-row triangular QR
     factor when it has more rows; else ``_transform_factor``.
     """
-    g = _circle_diagonal(aperture, N)
-    if g is not None:
-        return np.sqrt(g)
+    if isinstance(aperture, (Circle, Disk)):
+        return np.sqrt(_radial_diagonal(aperture, N))
     F = _node_sum_factor(aperture, N, angle)
     if F is None:
         return _transform_factor(aperture, N)
@@ -493,15 +452,17 @@ def gram_matrix(aperture, N: int) -> np.ndarray:
     (``_angle_grid``), so the plane waves' trigonometry is taken on half of
     it (``_plane_waves``).
 
-    A centred circle's or disk's ``G`` is diagonal in closed form (see
-    ``_circle_diagonal``) and is formed from it, with no grid; off centre,
-    circles, disks, segments and lines, like rectangles and two or more
-    parallel lines, have closed-form transforms.  Discrete arrays, piecewise
-    curves and centred segments and lines are weighted point masses, whose
-    ``G`` is ``F^H F`` with the ``K x (2N+1)`` factor ``F_kn = sqrt(w_k)*v_n(x_k)``
-    evaluated on the same grid; on a line through the origin in mirror
-    pairs ``F`` is unfolded from the real half factor that the operator
-    keeps (``_line_factor``, ``_unfold``).  An array's
+    ``G`` is the centred aperture's (``centering_transform``), the one
+    :func:`build_truncated_operator` factors: the kernel depends only on
+    coordinate differences, so where an aperture sits changes no spectrum.
+    Each kind has one route.  A circle's or disk's ``G`` is diagonal in
+    closed form (``_radial_diagonal``), with no grid; a rectangle's and two
+    or more lines' is the 2-D DFT of their closed-form transform
+    (``_aperture_transform``).  Arrays, curves, segments and single lines
+    are weighted point masses, whose ``G`` is ``F^H F`` with the
+    ``K x (2N+1)`` factor ``F_kn = sqrt(w_k)*v_n(x_k)`` evaluated on the
+    same grid; on a line in mirror pairs ``F`` is unfolded from the
+    operator's real half factor (``_line_factor``, ``_unfold``).  An array's
     antennas are exact point masses; the others' are one Gauss rule of
     ``q`` nodes on each piece of positive length (a line being one piece).
     With ``e_n(a) = exp(j*n*a)``,
@@ -518,9 +479,9 @@ def gram_matrix(aperture, N: int) -> np.ndarray:
     built.
     """
     N = int(N)
-    g = _circle_diagonal(aperture, N)
-    if g is not None:
-        return np.diag(g)
+    aperture, _ = centering_transform(aperture)
+    if isinstance(aperture, (Circle, Disk)):
+        return np.diag(_radial_diagonal(aperture, N))
     angle = _line_angle(aperture)
     F = _node_sum_factor(aperture, N, angle)
     if F is not None:
@@ -659,13 +620,6 @@ class TruncatedOperator:
         return _factor_gram(F if self._line_angle is None else _unfold(F, self._line_angle, self.N))
 
 
-def _asymmetry(M: np.ndarray) -> float:
-    """``max |M - M^H|``, formed in one scratch matrix of ``M``'s size."""
-    D = np.conj(M.T)
-    np.subtract(M, D, out=D)
-    return float(np.max(np.abs(D, out=D)).real)
-
-
 def _check_psd(R: np.ndarray) -> None:
     """Refuse ``R`` unless ``R + _PSD_TOL*I`` has a Cholesky factor.
 
@@ -698,12 +652,13 @@ def build_truncated_operator(aperture, model: PasModel, N: int | None = None) ->
     ``P`` (see :class:`TruncatedOperator`).  No route forms ``R`` here;
     each keeps the size refusal, so all admit and refuse the same orders.
     Each invariant that can fail is tested once, here: ``G``'s trace
-    ``||F||_F**2`` against the tail bound, a transform ``G``'s symmetry and
-    PSD (in ``_transform_factor``; every other ``F^H F`` has both by
-    construction), and ``R``'s symmetry and unit diagonal on the
-    coefficients ``s = s_(-2N..2N)`` it is windowed from, ``s_(-k) =
-    conj(s_k)`` and ``s_0 = 1``, which are ``R``'s own because
-    ``R_mn = s_(m-n)``.  A NaN fails every one of these tests.
+    ``||F||_F**2`` against the tail bound, a transform ``G``'s PSD (in
+    ``_transform_factor``; that ``G`` is exactly Hermitian, formed as
+    ``0.5*(G + G^H)``, and every other ``F^H F`` is PSD by construction),
+    and ``R``'s symmetry and unit diagonal on the coefficients
+    ``s = s_(-2N..2N)`` it is windowed from, ``s_(-k) = conj(s_k)`` and
+    ``s_0 = 1``, which are ``R``'s own because ``R_mn = s_(m-n)``.  A NaN
+    fails every one of these tests.
 
     ``R``'s PSD is proven for the four shipped models (by exact type:
     ``IsotropicPas``, ``UniformPas``, ``VonMisesPas``, ``TabulatedPas``),

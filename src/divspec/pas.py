@@ -177,7 +177,7 @@ class VonMisesPas(PasModel):
         if not 0.0 <= self.kappa <= _KAPPA_MAX:
             raise ValueError(f"VonMisesPas requires kappa >= 0 and kappa <= {_KAPPA_MAX:.0f}")
         # formed once: every coefficient, every build and every density value reads them
-        s = np.array(_bessel_i_ratios(0, self.kappa))
+        s = np.array(_bessel_i_ratios(self.kappa))
         s.flags.writeable = False
         object.__setattr__(self, "_s", s)
         object.__setattr__(self, "_rho_max", 1.0 + 2.0 * math.fsum(s[1:]))

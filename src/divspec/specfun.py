@@ -160,22 +160,22 @@ def _bessel_j(n_max: int, z: float) -> list[float]:
 _LOG_UNDERFLOW = -1075.0 * math.log(2.0)
 
 
-def _bessel_i_ratios(k_max: int, kappa: float) -> list[float]:
+def _bessel_i_ratios(kappa: float) -> list[float]:
     """``s_k = I_k(kappa)/I_0(kappa)``, ``k = 0..K``, for ``0 <= kappa``; zero beyond ``K``.
 
     ``s_k`` is the product of ``r_j = I_j/I_(j-1)``, ``j = 1..k``, which the
     backward recurrence ``r_j = 1/(2j/kappa + r_(j+1))`` gives from
-    ``r_(K+1) = 0``.  The start ``K = max(k_max, ceil(sqrt(80*kappa))) + 40``
-    is lowered to the first order at which the bound
-    ``s_k <= (kappa/2)**k/k!`` underflows, so that every ``s_k`` past the
-    list rounds to zero.  Beyond ``sqrt(80*kappa)``, ``s_k < exp(-40)``, so
-    ``1 + 2*sum s_k`` over the list is ``exp(kappa)/I_0(kappa)`` to within
-    round-off.  A subnormal ``kappa`` makes ``2j/kappa`` infinite and every
-    ``s_k``, ``k >= 1``, zero.
+    ``r_(K+1) = 0``.  The start ``K = ceil(sqrt(80*kappa)) + 40`` is
+    lowered to the first order at which the bound ``s_k <= (kappa/2)**k/k!``
+    underflows, when that comes first.  Beyond ``sqrt(80*kappa)``,
+    ``s_k < exp(-40)``, which bounds every ``s_k`` past the list, and
+    ``1 + 2*sum s_k`` over it is ``exp(kappa)/I_0(kappa)`` to within
+    round-off.  A subnormal
+    ``kappa`` makes ``2j/kappa`` infinite and every ``s_k``, ``k >= 1``, zero.
     """
     if kappa == 0.0:
         return [1.0]
-    K = max(k_max, math.ceil(math.sqrt(80.0 * kappa))) + 40
+    K = math.ceil(math.sqrt(80.0 * kappa)) + 40
     log_half = math.log(kappa) - math.log(2.0)  # kappa/2 underflows at the least subnormal
     log_bound = lambda k: k * log_half - math.lgamma(k + 1.0)  # noqa: E731
     # the bound's log is concave in k and 0 at k = 0: bisection keeps it

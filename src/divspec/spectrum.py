@@ -384,9 +384,11 @@ def nystrom_oracle(aperture, model: PasModel) -> np.ndarray:
     square roots of the weights, and diagonalised; the grid is refined by
     doubling until the ten largest eigenvalues move by less than ``1e-7``.
     It starts at :func:`~divspec.aperture.build_quadrature` order 8 for a
-    disk or rectangle and ``max(32, 128 // pieces)`` per piece otherwise,
-    and an array's antennas are evaluated once.  The kernel is truncated at
-    ``N_D + 15`` for the aperture diameter, comfortably converged.
+    disk or rectangle, capped at 64, and otherwise at ``max(32, 128 //
+    pieces)`` per piece, capped at ``4096 // pieces`` and lowered to at
+    most half the cap, so that it refines at least once; an array's antennas are
+    evaluated once.  The kernel is truncated at ``N_D + 15`` for the
+    aperture diameter, comfortably converged.
 
     This is the slow, assumption-free route; use it to validate
     :func:`solve_spectrum`, not to replace it.
@@ -404,8 +406,8 @@ def nystrom_oracle(aperture, model: PasModel) -> np.ndarray:
         pieces = centered.count
     elif isinstance(centered, PiecewiseCurve):
         pieces = len(centered.pieces)
-    m = 8 if two_dim else max(32, 128 // pieces)
-    cap = _ORACLE_CAP_RADIAL if two_dim else max(m, _ORACLE_CAP_1D // pieces)
+    cap = _ORACLE_CAP_RADIAL if two_dim else _ORACLE_CAP_1D // pieces
+    m = 8 if two_dim else min(max(32, 128 // pieces), max(1, cap // 2))  # refines at least once
     prev = _oracle_eigs(centered, model, m, n_kernel)
     while 2 * m <= cap:
         m *= 2

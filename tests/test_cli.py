@@ -683,12 +683,6 @@ def _rtilde_with_min_eig(R, target):
     return (R - mu * np.eye(len(R))) / (1.0 - mu)
 
 
-def _skew(M):
-    M = M.copy()
-    M[0, 1] += 1e-6
-    return M
-
-
 def _with_nan(F):
     F = F.copy()
     F.flat[0] = np.nan
@@ -818,11 +812,11 @@ class TestSweepReuse:
         # every point keeps its circle's diagonal G, forms no transform and no G,
         # and its R is certified by the build, with no Cholesky test
         cfg = json.loads((SCENARIO_DIR / "fig4.cfg").read_text())
-        counts = _count_work(monkeypatch, "_circle_diagonal", "_aperture_transform", "_factor_gram")
+        counts = _count_work(monkeypatch, "_radial_diagonal", "_aperture_transform", "_factor_gram")
         assert len(_sweep(tmp_path, cfg)) == 25
         assert counts == {
             "gram_matrix": 0,
-            "_circle_diagonal": 25,
+            "_radial_diagonal": 25,
             "_aperture_transform": 0,
             "_factor_gram": 0,
             "cholesky": 0,
@@ -874,17 +868,15 @@ class TestSweepReuse:
     [
         (RADIUS_SWEEP, "_toeplitz", lambda R: _rtilde_with_min_eig(R, -2e-10), R_INDEFINITE),
         (DIRECTION_SWEEP, "_toeplitz", lambda R: _rtilde_with_min_eig(R, -2e-10), R_INDEFINITE),
-        (LENGTH_SWEEP, "gram_matrix", _skew, "Gram matrix lost Hermitian symmetry"),
         (LENGTH_SWEEP, "gram_matrix", lambda G: G - 1e-6 * np.eye(len(G)), "Gram matrix indefinite"),
         (LENGTH_SWEEP, "gram_matrix", lambda G: G * (1.0 - 1e-3), "trace deficit .* exceeds the tail bound"),
-        (RADIUS_SWEEP, "_circle_diagonal", lambda g: g * (1.0 - 1e-3), "trace deficit .* exceeds the tail bound"),
+        (RADIUS_SWEEP, "_radial_diagonal", lambda g: g * (1.0 - 1e-3), "trace deficit .* exceeds the tail bound"),
         (LENGTH_SWEEP, "_gram_factor", _with_nan, r"Gram trace nan outside \[0, 1\]"),
         (RADIUS_SWEEP, "_gram_factor", _with_nan, r"Gram trace nan outside \[0, 1\]"),
     ],
     ids=[
         "rtilde-indefinite-radius",
         "rtilde-indefinite-direction",
-        "gram-not-hermitian",
         "gram-indefinite",
         "trace-deficit",
         "diagonal-trace-deficit",

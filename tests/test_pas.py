@@ -121,13 +121,12 @@ class TestFourier:
 
     @pytest.mark.parametrize("kappa", [1e-3, 0.5, 4.0, 10.0, 100.0, 1e4, 1e6])
     def test_von_mises_reads_the_list_formed_at_construction(self, kappa, monkeypatch):
-        # the recurrence runs once per model; at every order up to ceil(sqrt(80*kappa)),
-        # where the per-call recurrence started from the same order, fourier returns
-        # the same bits as it did, and past it, where every s_k < exp(-40), within that
+        # the recurrence runs once per model, at construction; fourier returns its
+        # list's bits, and zero past the list, where every s_k < exp(-40)
         def per_call(n):
             k = np.abs(n)
             s = np.zeros(int(np.max(k)) + 1)
-            head = pasmod._bessel_i_ratios(len(s) - 1, kappa)[: len(s)]
+            head = pasmod._bessel_i_ratios(kappa)[: len(s)]
             s[: len(head)] = head
             return s[k] * np.exp(-1j * 0.7 * n)
 
@@ -141,7 +140,7 @@ class TestFourier:
         assert calls == []
         monkeypatch.undo()
         assert np.array_equal(got_head, per_call(head))
-        assert np.max(np.abs(got_wide - per_call(wide))) <= math.exp(-40.0)
+        assert np.array_equal(got_wide, per_call(wide))
 
     @pytest.mark.parametrize("model,breaks", MODELS_WITH_BREAKS)
     def test_against_quadrature(self, model, breaks):

@@ -140,32 +140,57 @@ class TestBesselIRatio:
         # 2k/kappa is infinite at a subnormal kappa: every s_k, k >= 1, is zero
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            s = specfun._bessel_i_ratios(10, kappa)
+            s = specfun._bessel_i_ratios(kappa)
             model = ds.VonMisesPas(kappa=kappa)
             assert s[0] == 1.0 and not any(s[1:])
             assert model.rho_max() == 1.0 and model.value(0.3) == 1.0 / (2.0 * math.pi)
             assert model.fourier(np.arange(-5, 6)).tolist() == [0.0] * 5 + [1.0] + [0.0] * 5
 
-    # kappa 4 at k <= 1133 (N = 566) reaches the underflow below which the
-    # recurrence does not start; 1e6 is the ceiling, where the rounding of
-    # about 9,000 steps adds up to 3.5e-15 in s_k and 3.3e-15 in rho_max
+    @staticmethod
+    def ratios_40_digits(kappa, count):
+        """``I_k(kappa)/I_0(kappa)``, ``k < count``, by the ratio recurrence at 40 digits.
+
+        Started at ``4*count + 100``, where the start's error is below 40 digits
+        by ``count`` for every ``kappa`` here; mpmath's ``besseli`` stops
+        converging near order 7,500 at ``kappa = 1e6``, and it checks this list
+        where it converges.
+        """
+        with mpmath.workdps(40):
+            kap, r = mpmath.mpf(kappa), mpmath.mpf(0)
+            ratios = [mpmath.mpf(1)] * count
+            for j in range(4 * count + 100, 0, -1):
+                r = 1 / (2 * j / kap + r)
+                if j < count:
+                    ratios[j] = r
+            for k in range(1, count):
+                ratios[k] *= ratios[k - 1]
+        return ratios
+
+    # each list is checked over its own orders, to the absolute error that R's PSD
+    # certificate allows, and past it up to k_max (|k| <= 1133 is R's reach at
+    # N = 566): there a build reads s_k as zero, and the exact value must be below
+    # exp(-40).  The 40-digit reference is checked against mpmath's besseli up to
+    # k_max.  1e6 is the ceiling, where the rounding of about 9,000 steps adds up
+    # to 3.5e-15 in s_k and 3.3e-15 in rho_max
     @pytest.mark.parametrize(
         "kappa, k_max, step, tol",
         [(1e-8, 40, 1, 4e-16), (0.5, 300, 1, 4e-16), (4.0, 1133, 1, 4e-16), (700.0, 1200, 7, 4e-16),
          (1e6, 4094, 89, 4e-15)],
     )
     def test_against_40_digits(self, kappa, k_max, step, tol):
-        s = specfun._bessel_i_ratios(k_max, kappa)
-        s += [0.0] * (k_max + 1 - len(s))  # the orders past the list round to zero
+        s = specfun._bessel_i_ratios(kappa)
+        exact = self.ratios_40_digits(kappa, max(len(s), k_max) + 1)
         with mpmath.workdps(40):
             kap = mpmath.mpf(kappa)
             i0 = mpmath.besseli(0, kap)
             for k in sorted({*range(0, k_max + 1, step), k_max}):
-                exact = mpmath.besseli(k, kap) / i0
-                assert abs(s[k] - exact) <= tol, k
-                if exact > 1e-290:
-                    assert abs(s[k] - exact) <= 1e-12 * exact, k
-            # rho_max = exp(kappa)/I_0(kappa) = 1 + 2*sum s_k, the generating function at angle 0
+                assert abs(exact[k] - mpmath.besseli(k, kap) / i0) <= 1e-30 * exact[k], k
+        for k in sorted({*range(0, len(s), step), len(s) - 1}):
+            assert abs(s[k] - exact[k]) <= tol, k
+        for k in sorted({*range(len(s), k_max + 1, step), len(s), max(len(s), k_max)}):
+            assert exact[k] < math.exp(-40.0), k
+        # rho_max = exp(kappa)/I_0(kappa) = 1 + 2*sum s_k, the generating function at angle 0
+        with mpmath.workdps(40):
             exact_rho = 1 / (i0 * mpmath.exp(-kap))
             assert abs(ds.VonMisesPas(kappa=kappa).rho_max() - exact_rho) <= tol * exact_rho
 

@@ -526,24 +526,39 @@ class TestNystromOracle:
         eigs = ds.nystrom_oracle(ds.Segment(1.0), pas)
         assert np.max(np.abs(spec.eigenvalues[:10] - eigs[:10])) < 1e-5
 
-    def test_unconvergeable_budget_raises(self, monkeypatch):
-        import divspec.spectrum as spectrum_mod
-
-        # four lines seed at 32 nodes a piece; a cap of 512 // 4 = 128 allows
-        # two doublings, whose moves (~1e-15) all miss the 1e-16 tolerance
-        monkeypatch.setattr(spectrum_mod, "_ORACLE_CAP_1D", 512)
-        monkeypatch.setattr(spectrum_mod, "_ORACLE_TOL", 1e-16)
+    @staticmethod
+    def _resolutions(monkeypatch):
+        """The resolutions ``_oracle_eigs`` is called at, under a 1-D cap of 512 nodes."""
+        monkeypatch.setattr(spectrum, "_ORACLE_CAP_1D", 512)
         resolutions = []
-        oracle_eigs = spectrum_mod._oracle_eigs
+        oracle_eigs = spectrum._oracle_eigs
 
         def recording(aperture, model, m, n_kernel):
             resolutions.append(m)
             return oracle_eigs(aperture, model, m, n_kernel)
 
-        monkeypatch.setattr(spectrum_mod, "_oracle_eigs", recording)
+        monkeypatch.setattr(spectrum, "_oracle_eigs", recording)
+        return resolutions
+
+    def test_unconvergeable_budget_raises(self, monkeypatch):
+        # four lines seed at 32 nodes a piece; a cap of 512 // 4 = 128 allows
+        # two doublings, whose moves (~1e-15) all miss the 1e-16 tolerance
+        resolutions = self._resolutions(monkeypatch)
+        monkeypatch.setattr(spectrum, "_ORACLE_TOL", 1e-16)
         with pytest.raises(OracleConvergenceError, match=r"\(resolution 128\)"):
             ds.nystrom_oracle(ds.ParallelLines(4, 1.0, 1.0), ds.IsotropicPas())
         assert resolutions == [32, 64, 128]
+
+    def test_many_pieces_refine_below_the_cap(self, monkeypatch):
+        # 17 lines under a cap of 512 // 17 = 30 nodes a piece: the seed is lowered
+        # to half the cap, 15, so the oracle compares two resolutions before it
+        # could refuse; 17 * 30 = 510 nodes agree with the solve
+        resolutions = self._resolutions(monkeypatch)
+        lines = ds.ParallelLines(17, 0.5, 2.0)
+        eigs = ds.nystrom_oracle(lines, ds.IsotropicPas())
+        assert resolutions == [15, 30]
+        solved = ds.solve_spectrum(ds.build_truncated_operator(lines, ds.IsotropicPas())).eigenvalues
+        assert np.max(np.abs(eigs[:10] - solved[:10])) <= 1e-12
 
 
 class TestTheoremSurrogates:
