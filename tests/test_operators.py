@@ -3,6 +3,7 @@ import time
 import tracemalloc
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special
@@ -219,6 +220,29 @@ class TestGram:
         u = operators._angle_grid(operators._angle_grid_size(N, ds.enclosing_radius(aperture)))
         reference = operators._gram_from_transform(radial_transform(aperture, u), N)
         assert np.max(np.abs(gram_matrix(aperture, N) - reference)) <= 2e-15
+
+    @pytest.mark.parametrize(
+        "aperture",
+        [kind(radius, center=(0.3, -0.2)) for kind in (ds.Circle, ds.Disk) for radius in (1e-3, 0.7, 3.0, 20.0)]
+        + [ds.Disk(0.0, center=(0.3, -0.2))],
+        ids=lambda a: f"{type(a).__name__.lower()}-{a.radius:g}",
+    )
+    def test_radial_factor_against_40_digits(self, aperture):
+        # off centre, G is the centred closed-form diag(g) and the operator's 1-D
+        # factor is sqrt(g): g_n = J_n(z)**2 on a circle, J_n(z)**2 - J_(n-1)(z)*J_(n+1)(z)
+        # on a disk, z = 2*pi*r, even in n
+        N = ds.truncation_order(aperture.radius) + DEFAULT_ORDER_MARGIN
+        G = gram_matrix(aperture, N)
+        g = np.diag(G)
+        assert np.array_equal(G, np.diag(g)) and np.array_equal(g, g[::-1])
+        op = build_truncated_operator(aperture, ds.IsotropicPas(), N)
+        assert np.array_equal(op.gram_factor, np.sqrt(g))
+        with mpmath.workdps(40):
+            z = 2 * mpmath.pi * mpmath.mpf(aperture.radius)
+            for n in sorted({*range(0, N + 1, max(1, N // 60)), N}):
+                J = [mpmath.besselj(n + k, z) for k in (-1, 0, 1)]
+                exact = J[1] ** 2 if isinstance(aperture, ds.Circle) else J[1] ** 2 - J[0] * J[2]
+                assert abs(g[N + n] - exact) <= 2e-15, n
 
     @pytest.mark.parametrize(
         "aperture, rows",
