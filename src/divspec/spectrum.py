@@ -386,9 +386,9 @@ def nystrom_oracle(aperture, model: PasModel) -> np.ndarray:
     It starts at :func:`~divspec.aperture.build_quadrature` order 8 for a
     disk or rectangle, capped at 64, and otherwise at ``max(32, 128 //
     pieces)`` per piece, capped at ``4096 // pieces`` and lowered to at
-    most half the cap, so that it refines at least once; an array's antennas are
-    evaluated once.  The kernel is truncated at ``N_D + 15`` for the
-    aperture diameter, comfortably converged.
+    most half the cap, so that it refines at least once (above 2048 pieces
+    it refuses first); an array's antennas are evaluated once.  The kernel
+    is truncated at ``N_D + 15`` for the aperture diameter, comfortably converged.
 
     This is the slow, assumption-free route; use it to validate
     :func:`solve_spectrum`, not to replace it.
@@ -407,7 +407,9 @@ def nystrom_oracle(aperture, model: PasModel) -> np.ndarray:
     elif isinstance(centered, PiecewiseCurve):
         pieces = len(centered.pieces)
     cap = _ORACLE_CAP_RADIAL if two_dim else _ORACLE_CAP_1D // pieces
-    m = 8 if two_dim else min(max(32, 128 // pieces), max(1, cap // 2))  # refines at least once
+    if cap < 2:
+        raise OracleConvergenceError(f"{pieces} pieces leave {cap} node(s) a piece: nothing to refine to")
+    m = 8 if two_dim else min(max(32, 128 // pieces), cap // 2)  # refines at least once
     prev = _oracle_eigs(centered, model, m, n_kernel)
     while 2 * m <= cap:
         m *= 2

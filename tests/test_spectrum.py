@@ -561,6 +561,13 @@ class TestNystromOracle:
         assert np.max(np.abs(eigs[:10] - solved[:10])) <= 1e-12
 
 
+    def test_too_many_pieces_refused_before_quadrature(self, monkeypatch):
+        # a cap of 512 // 257 = 1 node a piece has no resolution to refine to
+        resolutions = self._resolutions(monkeypatch)
+        with pytest.raises(OracleConvergenceError, match="257 pieces leave 1 node"):
+            ds.nystrom_oracle(ds.ParallelLines(257, 0.5, 2.0), ds.IsotropicPas())
+        assert resolutions == []
+
 class TestTheoremSurrogates:
     def test_eigenvalue_stability_under_refinement(self, suite_spectra):
         # refining the truncation moves the top eigenvalues by at most twice
